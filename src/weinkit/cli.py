@@ -115,18 +115,8 @@ def _run(command, fn):
         _fail(command, exc)
 
 
-output_opts = [
-    click.option("--table", "table", is_flag=True,
-                 help="Render the report as text instead of JSON."),
-    click.option("--json", "json_out", is_flag=True,
-                 help="Emit JSON (the default)."),
-]
-
-
-def with_output(fn):
-    for opt in reversed(output_opts):
-        fn = opt(fn)
-    return fn
+with_output = click.option("--table", "table", is_flag=True,
+                           help="Render the report as text instead of JSON.")
 
 
 @click.group()
@@ -138,7 +128,7 @@ def main():
 @click.argument("presentation", type=click.Path())
 @click.option("--coeff", type=click.Choice(["Z", "Q", "F2"]), default="Z")
 @with_output
-def homology(presentation, coeff, table, json_out):
+def homology(presentation, coeff, table):
     """Homology of a handle presentation, over Z, Q, or F2."""
     p = _load("homology", presentation, handles_mod.HandlePresentation.from_json)
     h = _run("homology", p.homology)
@@ -157,7 +147,7 @@ def homology(presentation, coeff, table, json_out):
 @main.command()
 @click.argument("presentation", type=click.Path())
 @with_output
-def boundary(presentation, table, json_out):
+def boundary(presentation, table):
     """Rational homology of the boundary of a handle presentation."""
     p = _load("boundary", presentation, handles_mod.HandlePresentation.from_json)
     rep = _run("boundary", lambda: handles_mod.boundary_homology(p))
@@ -169,7 +159,7 @@ def boundary(presentation, table, json_out):
 @main.command("rank-form")
 @click.argument("presentation", type=click.Path())
 @with_output
-def rank_form(presentation, table, json_out):
+def rank_form(presentation, table):
     """Rank of the middle intersection form over Q."""
     p = _load("rank-form", presentation, handles_mod.HandlePresentation.from_json)
     rank = _run("rank-form", lambda: handles_mod.intersection_form_rank(p))
@@ -186,7 +176,7 @@ def rank_form(presentation, table, json_out):
 @click.option("--stably-parallelizable", is_flag=True)
 @with_output
 def omega_check(group, n, closed, simply_connected, stably_parallelizable,
-                table, json_out):
+                table):
     """Membership in the surgery-ready class of n-manifolds."""
     g = _load("omega-check", group, GradedGroup.from_json)
     verdict = _run("omega-check", lambda: handles_mod.omega_membership(
@@ -204,7 +194,7 @@ def omega_check(group, n, closed, simply_connected, stably_parallelizable,
 @click.option("--n", type=int, required=True)
 @click.option("--weinstein/--no-weinstein", default=True)
 @with_output
-def sh_plus(group, n, weinstein, table, json_out):
+def sh_plus(group, n, weinstein, table):
     """Positive symplectic homology from filling cohomology, once the
     full invariant vanishes."""
     g = _load("sh-plus", group, GradedGroup.from_json)
@@ -218,7 +208,7 @@ def sh_plus(group, n, weinstein, table, json_out):
 @click.argument("group", type=click.Path())
 @click.option("--n", type=int, required=True)
 @with_output
-def wh_plus(group, n, table, json_out):
+def wh_plus(group, n, table):
     """Positive wrapped homology of an exact Lagrangian filling."""
     g = _load("wh-plus", group, GradedGroup.from_json)
     profile = _run("wh-plus", lambda: floer_mod.wh_plus_from_vanishing(g, n))
@@ -231,7 +221,7 @@ def wh_plus(group, n, table, json_out):
 @click.argument("group_b", type=click.Path())
 @click.option("--n", type=int, required=True)
 @with_output
-def distinguish(group_a, group_b, n, table, json_out):
+def distinguish(group_a, group_b, n, table):
     """Contact-distinguish boundaries of two flexible domains."""
     a = _load("distinguish", group_a, GradedGroup.from_json)
     b = _load("distinguish", group_b, GradedGroup.from_json)
@@ -247,7 +237,7 @@ def distinguish(group_a, group_b, n, table, json_out):
 @click.option("--k", type=int, required=True)
 @click.option("--dim", "dim_h1", type=int, required=True)
 @with_output
-def cem_bound(k, dim_h1, table, json_out):
+def cem_bound(k, dim_h1, table):
     """Copy-count obstruction to flexible fillings."""
     fires = _run("cem-bound",
                  lambda: floer_mod.cem_flexible_obstruction(k, dim_h1))
@@ -264,7 +254,7 @@ def cem_bound(k, dim_h1, table, json_out):
 @click.argument("boundary_group", type=click.Path())
 @click.option("--n", type=int, required=True)
 @with_output
-def loops_distinguish(table_m, table_n, boundary_group, n, table, json_out):
+def loops_distinguish(table_m, table_n, boundary_group, n, table):
     """Separate two contact boundaries by free-loop-space homology."""
     lm = _load("loops-distinguish", table_m, floer_mod.LoopHomologyTable.from_json)
     ln = _load("loops-distinguish", table_n, floer_mod.LoopHomologyTable.from_json)
@@ -284,7 +274,7 @@ def loops_distinguish(table_m, table_n, boundary_group, n, table, json_out):
 @click.argument("group_m", type=click.Path())
 @click.option("--degree-pm1/--no-degree-pm1", default=True)
 @with_output
-def nearby(group_l, group_m, degree_pm1, table, json_out):
+def nearby(group_l, group_m, degree_pm1, table):
     """Isomorphism verdict for the projection of an exact Lagrangian."""
     hl = _load("nearby", group_l, GradedGroup.from_json)
     hm = _load("nearby", group_m, GradedGroup.from_json)
@@ -302,7 +292,7 @@ def nearby(group_l, group_m, degree_pm1, table, json_out):
 @click.option("--up", type=int, required=True)
 @click.option("--ind", type=int, required=True)
 @with_output
-def chord_degree_cmd(down, up, ind, table, json_out):
+def chord_degree_cmd(down, up, ind, table):
     """Grading of a Reeb chord from front-projection data."""
     deg = _run("chord-degree",
                lambda: chords_mod.chord_degree(down, up, ind))
@@ -318,7 +308,7 @@ def chord_degree_cmd(down, up, ind, table, json_out):
 @click.option("--eps", default=None, help="Total zig-zag action budget.")
 @click.option("--sites", type=int, default=None)
 @with_output
-def stabilize(spectrum, big_n, eps, sites, table, json_out):
+def stabilize(spectrum, big_n, eps, sites, table):
     """Zig-zag stabilize a chord spectrum until all degrees are positive."""
     s = _load("stabilize", spectrum, chords_mod.ChordSpectrum.from_json)
     n_stab = chords_mod.min_positive_N(s) if big_n is None else big_n
@@ -337,7 +327,7 @@ def stabilize(spectrum, big_n, eps, sites, table, json_out):
 @click.option("--n", type=int, required=True)
 @click.option("--big-n", "big_n", type=int, required=True)
 @with_output
-def self_index(n, big_n, table, json_out):
+def self_index(n, big_n, table):
     """Self-intersection index of the stabilizing regular homotopy."""
     q_data = _run("self-index", lambda: chords_mod.choose_Q(n))
     idx = _run("self-index", lambda: chords_mod.self_intersection_index(
@@ -352,7 +342,7 @@ def self_index(n, big_n, table, json_out):
 @click.argument("spectrum", type=click.Path())
 @click.option("--bound", required=True, help="Action window, as a rational.")
 @with_output
-def words(spectrum, bound, table, json_out):
+def words(spectrum, bound, table):
     """Cyclic words in the chord alphabet below an action bound."""
     s = _load("words", spectrum, chords_mod.ChordSpectrum.from_json)
     window = _frac("words", bound, "--bound")
@@ -379,7 +369,7 @@ def surgery():
               help="Caller asserts pi_1 hypotheses for k = 2.")
 @with_output
 def surgery_subcritical(orbits, n, k, iterates, eps, assert_hypotheses,
-                        table, json_out):
+                        table):
     """Belt-sphere orbit iterates created by a subcritical handle."""
     s = _load("surgery subcritical", orbits, surgery_mod.OrbitSpectrum.from_json)
     if eps is None:
@@ -400,7 +390,7 @@ def surgery_subcritical(orbits, n, k, iterates, eps, assert_hypotheses,
 @click.option("--zigzag", default=None,
               help="Zig-zag action budget used when stabilizing.")
 @with_output
-def surgery_flexible(certificate, chords_path, n, zigzag, table, json_out):
+def surgery_flexible(certificate, chords_path, n, zigzag, table):
     """Run a convexity certificate through the critical-surgery pipeline."""
     cert = _load("surgery flexible", certificate,
                  surgery_mod.ADCCertificate.from_json)
@@ -422,7 +412,7 @@ def surgery_flexible(certificate, chords_path, n, zigzag, table, json_out):
 @click.argument("spectrum", type=click.Path())
 @click.option("--bound", default=None, help="Chord window, as a rational.")
 @with_output
-def surgery_belt(spectrum, bound, table, json_out):
+def surgery_belt(spectrum, bound, table):
     """Belt-sphere chords after critical surgery: one per cyclic word."""
     s = _load("surgery belt", spectrum, chords_mod.ChordSpectrum.from_json)
     window = (None if bound is None
@@ -439,7 +429,7 @@ def surgery_belt(spectrum, bound, table, json_out):
 @click.option("--k", type=int, required=True)
 @click.option("--action", default=None, help="Action of the new chord.")
 @with_output
-def surgery_ambient(spectrum, k, action, table, json_out):
+def surgery_ambient(spectrum, k, action, table):
     """Chord created by an ambient subcritical handle."""
     s = _load("surgery ambient", spectrum, chords_mod.ChordSpectrum.from_json)
     act = (None if action is None
@@ -454,7 +444,7 @@ def surgery_ambient(spectrum, k, action, table, json_out):
 @main.command("adc-check")
 @click.argument("certificate", type=click.Path())
 @with_output
-def adc_check_cmd(certificate, table, json_out):
+def adc_check_cmd(certificate, table):
     """Check a staged convexity certificate record by record."""
     cert = _load("adc-check", certificate, surgery_mod.ADCCertificate.from_json)
     verdict = _run("adc-check", lambda: surgery_mod.adc_check(cert))
@@ -469,7 +459,7 @@ def adc_check_cmd(certificate, table, json_out):
 @click.argument("certificate", type=click.Path())
 @click.option("--eps", required=True, help="Shrink factor in (0, 1).")
 @with_output
-def normalize_cert(certificate, eps, table, json_out):
+def normalize_cert(certificate, eps, table):
     """Extract a geometric subsequence with scale ratio <= eps."""
     cert = _load("normalize-cert", certificate,
                  surgery_mod.ADCCertificate.from_json)
@@ -491,7 +481,7 @@ def normalize_cert(certificate, eps, table, json_out):
 @click.option("--csv", "csv_path", type=click.Path(), default=None,
               help="Also dump the sampled profile (z, g, G) as CSV.")
 @with_output
-def scaling_verify(grid, t_max, height, tol, csv_path, table, json_out):
+def scaling_verify(grid, t_max, height, tol, csv_path, table):
     """Verify the scaling-profile bounds on a grid."""
     tolerance = float(_frac("scaling-verify", tol, "--tol"))
     profile = _run("scaling-verify",
@@ -529,14 +519,12 @@ def scaling_verify(grid, t_max, height, tol, csv_path, table, json_out):
 @click.option("--i", "i_param", type=int, default=None,
               help="Family parameter for entries that take one.")
 @with_output
-def examples(name, i_param, table, json_out):
+def examples(name, i_param, table):
     """Run the named worked example, or the whole corpus."""
     options = {} if i_param is None else {"i": i_param}
     names = None if name is None else [name]
     report = _run("examples",
                   lambda: corpus_mod.examples_corpus(names, **options))
-    # wall time varies run to run; the report must not
-    report.pop("elapsed_s", None)
     report["formula"] = ("each entry recomputes a worked example and "
                          "compares it to its stored answer")
     _emit(report, table, 0 if report["ok"] else 1)

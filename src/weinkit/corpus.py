@@ -7,7 +7,6 @@ degree-0 orbit and asserts the convexity check fails at exactly that
 record; the entry is "ok" when the failure lands where predicted.
 """
 
-import time
 from fractions import Fraction
 
 from .chords import choose_Q, min_positive_N, self_intersection_index, stabilize
@@ -295,12 +294,10 @@ def run_example(name, **options):
 
 def examples_corpus(names=None, **options):
     """Run the whole corpus (or a subset) and aggregate one batch report."""
-    start = time.perf_counter()
     results = [run_example(name, **options) for name in (names or CORPUS)]
     return {
         "schema": 1,
         "command": "examples",
         "results": results,
         "ok": all(r["ok"] for r in results),
-        "elapsed_s": round(time.perf_counter() - start, 3),
     }

@@ -2,13 +2,13 @@
 
 A GradedGroup stores, per degree, a free rank and the torsion invariant
 factors d_1 | d_2 | ... .  Construction canonicalizes arbitrary factor
-lists through elementary divisors, so descriptor equality is isomorphism.
+lists by gcd/lcm exchange, so descriptor equality is isomorphism.  No
+integer is ever factored into primes.
 """
 
 from collections import Counter
 from dataclasses import dataclass
-
-from sympy import factorint
+from math import gcd
 
 from .serialize import SCHEMA_VERSION, SchemaError, check_schema, matrix_from_json, matrix_to_json
 from .snf import mat_mul, smith_normal_form
@@ -18,37 +18,56 @@ def invariant_factor_chain(factors):
     """Canonical d_1 | d_2 | ... chain from any multiset of factors >= 2.
 
     Factors equal to 1 are dropped (trivial group); factors < 1 are
-    rejected.  Works by splitting into prime-power elementary divisors and
-    regrouping largest-first.
+    rejected.  Works by gcd/lcm exchange, Z/a + Z/b = Z/gcd + Z/lcm: after
+    pass i the entry i divides every later one.
     """
-    by_prime = {}
+    chain = []
     for f in factors:
         f = int(f)
         if f == 1:
             continue
         if f < 1:
             raise ValueError(f"torsion factor must be >= 1, got {f}")
-        for p, e in factorint(f).items():
-            by_prime.setdefault(p, []).append(e)
-    for exps in by_prime.values():
-        exps.sort(reverse=True)
-    chain = []
-    while any(by_prime.values()):
-        d = 1
-        for p, exps in by_prime.items():
-            if exps:
-                d *= p ** exps.pop(0)
-        chain.append(d)
-    chain.reverse()
-    return tuple(chain)
+        chain.append(f)
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] // g * chain[j]
+    return tuple(f for f in chain if f != 1)
 
 
-def _elementary_divisors(factors):
-    """Multiset of prime powers p^e underlying a factor list."""
+def _coprime_base(numbers):
+    """Pairwise coprime integers > 1 such that every number is a product
+    of their powers: split any two sharing g = gcd into b/g, g, n/g."""
+    if any(n < 1 for n in numbers):
+        raise ValueError(f"torsion factors must be >= 1, got {numbers}")
+    base, todo = [], [n for n in numbers if n > 1]
+    while todo:
+        n = todo.pop()
+        for i, b in enumerate(base):
+            g = gcd(n, b)
+            if g > 1:
+                del base[i]
+                todo.extend(x for x in (b // g, g, n // g) if x > 1)
+                break
+        else:
+            base.append(n)
+    return base
+
+
+def _elementary_divisors(factors, base):
+    """Multiset of (b, e) with b^e exactly dividing a factor, b in a
+    coprime base.  Each prime p divides one b, and v_p = e * v_p(b), so
+    over a shared base these multisets compare like prime-power ones."""
     out = Counter()
     for f in factors:
-        for p, e in factorint(int(f)).items():
-            out[p ** e] += 1
+        for b in base:
+            e = 0
+            while f % b == 0:
+                f //= b
+                e += 1
+            if e:
+                out[b, e] += 1
     return out
 
 
@@ -315,14 +334,15 @@ def semi_characteristic(g: GradedGroup, n: int, coeff="Q") -> int:
 def _subtract_summand(rank_in, factors_in, rank_c, factors_c, deg):
     if rank_c > rank_in:
         raise ValueError(f"degree {deg}: rank {rank_c} summand exceeds rank {rank_in}")
-    have = _elementary_divisors(factors_in)
-    need = _elementary_divisors(factors_c)
+    base = _coprime_base(list(factors_in) + list(factors_c))
+    have = _elementary_divisors(factors_in, base)
+    need = _elementary_divisors(factors_c, base)
     rem = have - need
     if sum(rem.values()) != sum(have.values()) - sum(need.values()):
         raise ValueError(f"degree {deg}: torsion is not a direct summand")
     left = []
-    for q, mult in rem.items():
-        left.extend([q] * mult)
+    for (b, e), mult in rem.items():
+        left.extend([b ** e] * mult)
     return rank_in - rank_c, invariant_factor_chain(left)
 
 

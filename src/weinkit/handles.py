@@ -270,9 +270,13 @@ def handlebody_boundary_homology(chain: ChainComplex, total_dim,
 
     euler = (1 + (-1) ** (d - 1)) * chain.euler_characteristic()
     if d % 2 == 0:
-        assert euler == 0
+        if euler != 0:
+            raise AssertionError("even-dimensional filling with nonzero "
+                                 "boundary Euler characteristic: engine bug")
     elif not undetermined:
-        assert euler == sum((-1) ** k * v for k, v in q_dims.items())
+        if euler != sum((-1) ** k * v for k, v in q_dims.items()):
+            raise AssertionError("boundary Euler characteristic disagrees "
+                                 "with the rational dimensions: engine bug")
 
     return BoundaryHomologyReport(
         boundary_dim=d - 1,

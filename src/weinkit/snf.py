@@ -25,7 +25,8 @@ def identity_matrix(n):
 def mat_mul(a, b):
     n = len(a)
     inner = len(a[0]) if a else 0
-    assert len(b) == inner, "shape mismatch"
+    if len(b) != inner:
+        raise ValueError("shape mismatch")
     p = len(b[0]) if b else 0
     out = [[0] * p for _ in range(n)]
     for i in range(n):

@@ -507,9 +507,13 @@ def normalize_certificate(cert: ADCCertificate, eps) -> ADCCertificate:
                          rescale(st.spectrum, factor)))
     result = ADCCertificate(tuple(out))
     for a, b in zip(result.stages, result.stages[1:]):
-        assert b.scale <= eps * a.scale
-        assert b.bound >= a.bound / eps
-    assert adc_check(result).fired
+        if b.scale > eps * a.scale or b.bound < a.bound / eps:
+            raise AssertionError("normalize postcondition failed: stages do "
+                                 "not shrink by eps")
+    final = adc_check(result)
+    if not final.fired:
+        raise AssertionError(
+            f"normalize postcondition failed: {final.witness}")
     return result
 
 
@@ -580,8 +584,11 @@ def flexible_surgery_certificate(cert: ADCCertificate, chords, n,
             "bound condition unsatisfiable: no stage has bound > k*4^k "
             "for any k >= 1")
     result = ADCCertificate(tuple(out))
-    assert [st.bound for st in result.stages] == \
-        [Fraction(i) for i in range(1, len(out) + 1)]
+    if [st.bound for st in result.stages] != \
+            [Fraction(i) for i in range(1, len(out) + 1)]:
+        raise AssertionError("pipeline postcondition failed: stage bounds "
+                             "are not 1, 2, ...")
     final = adc_check(result)
-    assert final.fired, f"pipeline postcondition failed: {final.witness}"
+    if not final.fired:
+        raise AssertionError(f"pipeline postcondition failed: {final.witness}")
     return result

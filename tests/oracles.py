@@ -117,7 +117,7 @@ def exp_series(x, terms=60):
 def simpson_composite(values, step):
     """Composite Simpson on an odd count of uniformly spaced samples.
 
-    Hand-rolled second route for scipy.integrate.simpson.
+    Textbook second route for the quadrature in weinkit.scaling.
     """
     n = len(values)
     assert n >= 3 and n % 2 == 1

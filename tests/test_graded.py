@@ -1,4 +1,8 @@
+import time
+from contextlib import contextmanager
+
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +18,7 @@ from weinkit.graded import (
     semi_characteristic,
 )
 
-from oracles import homology_ranks_by_row_reduction
+from oracles import homology_ranks_by_row_reduction, sympy_invariant_factors
 
 
 def gg(d):
@@ -147,6 +151,73 @@ class TestCancelSummand:
         with pytest.raises(ValueError):
             cancel_summand(gg({0: (1, [])}), gg({0: (1, [])}),
                            gg({0: (2, [])}))
+
+
+# Known safe primes p, with (p - 1) / 2 prime too, so Pollard's p - 1
+# method gets no purchase: the largest below 2^61, 2^64, 2^70 and 2^89,
+# and the largest below 3 * 2^68, far from the 2^70 one so that Fermat's
+# method gets none either.  Factoring their products takes seconds to
+# hours; canonicalization must not try.
+P61, P64, P89 = 2 ** 61 - 2373, 2 ** 64 - 1469, 2 ** 89 - 3285
+P70, Q70 = 2 ** 70 - 15581, 3 * 2 ** 68 - 8449
+LARGE_PRIME_BUDGET_S = 0.1
+
+
+@contextmanager
+def large_prime_budget():
+    start = time.perf_counter()
+    yield
+    elapsed = time.perf_counter() - start
+    assert elapsed < LARGE_PRIME_BUDGET_S, (
+        f"{elapsed:.3f}s over the {LARGE_PRIME_BUDGET_S}s budget")
+
+
+class TestLargePrimes:
+    def test_known_safe_primes(self):
+        for p in (P61, P64, P89, P70, Q70):
+            assert sympy.isprime(p) and sympy.isprime((p - 1) // 2)
+        assert P70.bit_length() == Q70.bit_length() == 70
+
+    def test_from_dict_semiprime(self):
+        with large_prime_budget():
+            g = gg({0: (0, [P70 * Q70])})
+        assert g.torsion(0) == (P70 * Q70,)
+
+    def test_from_dict_regroups_shared_primes(self):
+        # Z/pq + Z/p + Z/q^2 = Z/pq + Z/pq^2
+        with large_prime_budget():
+            g = gg({0: (1, [P64 * P89, P64, P89 ** 2])})
+            assert g == gg({0: (1, [P64 * P89 ** 2, P64 * P89])})
+        assert g.torsion(0) == (P64 * P89, P64 * P89 ** 2)
+
+    def test_cancel_summand(self):
+        with large_prime_budget():
+            g = gg({0: (1, [P61 * P89]), 1: (0, [P61, P61 ** 2 * P70])})
+            g2 = gg({0: (1, [P61 ** 2 * P89]), 1: (0, [P64])})
+            c = gg({0: (0, [P61 * P64, P89 * P70]), 1: (2, [P64 ** 2])})
+            a, b, iso = cancel_summand(g.direct_sum(c), g2.direct_sum(c), c)
+        assert a == g
+        assert b == g2
+        assert not iso
+
+    def test_cancel_rejects_non_summand(self):
+        with large_prime_budget():
+            total = gg({0: (0, [P61 * Q70, P61])})
+            with pytest.raises(ValueError, match="not a direct summand"):
+                cancel_summand(total, total, gg({0: (0, [P61 ** 2])}))
+
+
+chain_factor = st.one_of(st.integers(min_value=1, max_value=360),
+                         st.sampled_from([P61, 2 * P61, P61 * P89, P70 * 12]))
+
+
+# budget: 1 s per example, the sympy oracle included
+@settings(max_examples=100, deadline=1000)
+@given(st.lists(chain_factor, max_size=6))
+def test_invariant_factor_chain_matches_sympy_snf(fs):
+    diag = [[f if i == j else 0 for j in range(len(fs))]
+            for i, f in enumerate(fs)]
+    assert list(invariant_factor_chain(fs)) == sympy_invariant_factors(diag)
 
 
 graded_strategy = st.dictionaries(

@@ -67,6 +67,16 @@ class TestProfileConstruction:
         p = build_g()
         assert abs(p.integral_residual()) < 1e-12
 
+    @pytest.mark.parametrize("nodes, residual", [
+        (1999, -1.4690061056477077e-08),
+        (2001, 5.551115123125783e-17),
+        (2003, 1.4571349404857159e-08),
+    ])
+    def test_residual_golden(self, nodes, residual):
+        # the exact floats `weinkit scaling-verify --grid <nodes>` prints;
+        # another summation order would change them in the last digits
+        assert build_g(nodes=nodes).integral_residual() == residual
+
     def test_residual_agrees_with_handrolled_simpson(self):
         p = build_g()
         r = p.own_grid()
