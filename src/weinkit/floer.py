@@ -222,9 +222,12 @@ class LoopHomologyTable:
     @staticmethod
     def from_json(doc):
         check_schema(doc, "LoopHomologyTable")
+        for key in ("dims", "base"):
+            if not isinstance(doc.get(key), dict):
+                raise SchemaError(f"LoopHomologyTable: '{key}' must be an object")
         try:
             return LoopHomologyTable(doc["dims"], doc["base"], doc.get("horizon"))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise SchemaError(f"LoopHomologyTable: {exc}") from None
 
 

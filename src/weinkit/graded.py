@@ -168,8 +168,12 @@ class GradedGroup:
                 k = int(deg)
             except ValueError:
                 raise SchemaError(f"GradedGroup: bad degree key {deg!r}") from None
-            parsed[k] = (int(entry.get("rank", 0)),
-                         [int(f) for f in entry.get("torsion", [])])
+            if not isinstance(entry, dict):
+                raise SchemaError(f"GradedGroup: degree {deg} entry must be an object")
+            torsion = entry.get("torsion", [])
+            if not isinstance(torsion, list):
+                raise SchemaError(f"GradedGroup: degree {deg} torsion must be a list")
+            parsed[k] = (int(entry.get("rank", 0)), [int(f) for f in torsion])
         return GradedGroup.from_dict(parsed)
 
 

@@ -365,22 +365,8 @@ def boundary_connect_sum(p: HandlePresentation,
     handles += [(k, f"L.{label}") for k, label in p.handles if k > 0]
     handles += [(k, f"R.{label}") for k, label in q.handles if k > 0]
 
-    boundaries = {}
-    for k in set(p.chain.boundaries) | set(q.chain.boundaries):
-        rows = (1 if k == 1 else p.chain.dim(k - 1) + q.chain.dim(k - 1))
-        cols = p.chain.dim(k) + q.chain.dim(k)
-        block = [[0] * cols for _ in range(rows)]
-        a = p.chain.boundary(k)
-        if a and k > 1:
-            for i, row in enumerate(a):
-                block[i][: len(row)] = row
-        bm = q.chain.boundary(k)
-        if bm and k > 1:
-            r0, c0 = p.chain.dim(k - 1), p.chain.dim(k)
-            for i, row in enumerate(bm):
-                for j, x in enumerate(row):
-                    block[r0 + i][c0 + j] = x
-        boundaries[k] = block
+    # merging the two 0-handles changes only d_1, which is zero on each side
+    boundaries = p.chain.direct_sum(q.chain).boundaries
 
     form = None
     pn, qn = p.chain.dim(p.n), q.chain.dim(q.n)

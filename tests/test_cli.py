@@ -119,6 +119,26 @@ class TestHomologyCommands:
         assert invoke(runner, ["homology", "nope.json"]).exit_code == 2
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize("entry", [[1], {"rank": 0, "torsion": "16"}])
+    def test_group_degree_entry(self, runner, files, entry):
+        path = files("g.json", {"schema": 1, "graded_group": {"0": entry}})
+        for args in (["omega-check", path, "--n", "5"],
+                     ["sh-plus", path, "--n", "3"],
+                     ["distinguish", path, path, "--n", "3"]):
+            result = invoke(runner, args)
+            assert result.exit_code == 2
+            doc = report_of(result)
+            assert doc["ok"] is False and "GradedGroup: degree 0" in doc["error"]
+
+    def test_loop_table_dims_not_an_object(self, runner, files):
+        lm = files("lm.json", {"schema": 1, "dims": [1], "base": {"0": 1}})
+        hy = files("hy.json", GradedGroup.free({0: 1}).to_json())
+        result = invoke(runner, ["loops-distinguish", lm, lm, hy, "--n", "4"])
+        assert result.exit_code == 2
+        assert "'dims' must be an object" in report_of(result)["error"]
+
+
 class TestDetectors:
     def test_distinguish_fires_and_exits_zero(self, runner, files):
         a = files("a.json", GradedGroup.free({0: 1, 3: 1}).to_json())
@@ -289,6 +309,15 @@ class TestScalingVerify:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "z,g,G"
         assert len(lines) == 302
+
+    def test_unwritable_csv_is_invalid_input(self, runner, tmp_path):
+        csv_path = tmp_path / "missing" / "profile.csv"
+        result = invoke(runner, ["scaling-verify", "--grid", "301",
+                                 "--csv", str(csv_path)])
+        assert result.exit_code == 2
+        doc = report_of(result)
+        assert doc["command"] == "scaling-verify" and doc["ok"] is False
+        assert doc["error"].startswith(f"cannot write {csv_path}: ")
 
     def test_bad_height_is_invalid_input(self, runner):
         assert invoke(runner, ["scaling-verify", "--grid", "301",

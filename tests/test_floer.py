@@ -192,6 +192,14 @@ class TestLoopTables:
         t = LoopHomologyTable({0: 1, 2: 10}, {0: 1, 2: 1}, horizon=5)
         assert LoopHomologyTable.from_json(t.to_json()) == t
 
+    @pytest.mark.parametrize("key", ["dims", "base"])
+    @pytest.mark.parametrize("value", [[1], "1", None])
+    def test_json_tables_must_be_objects(self, key, value):
+        doc = LoopHomologyTable({0: 1}, {0: 1}, horizon=2).to_json()
+        doc[key] = value
+        with pytest.raises(SchemaError, match=f"'{key}' must be an object"):
+            LoopHomologyTable.from_json(doc)
+
     def test_distinguisher_fires(self):
         lm = LoopHomologyTable({0: 1, 2: 10}, {0: 1}, horizon=4)
         ln = LoopHomologyTable({0: 1}, {0: 1}, horizon=4)

@@ -17,6 +17,7 @@ from weinkit.graded import (
     invariant_factor_chain,
     semi_characteristic,
 )
+from weinkit.serialize import SchemaError
 
 from oracles import homology_ranks_by_row_reduction, sympy_invariant_factors
 
@@ -283,6 +284,20 @@ def test_json_roundtrips():
     c = ChainComplex({0: 1, 1: 2, 2: 1}, {2: [[3], [0]]})
     c2 = ChainComplex.from_json(c.to_json())
     assert c2.dims == c.dims and c2.boundaries == c.boundaries
+
+
+@pytest.mark.parametrize("entry", [[1], 3, "Z", None])
+def test_from_json_rejects_non_object_degree_entry(entry):
+    with pytest.raises(SchemaError, match="degree 0 entry must be an object"):
+        GradedGroup.from_json({"schema": 1, "graded_group": {"0": entry}})
+
+
+@pytest.mark.parametrize("torsion", ["16", 16, {"16": 1}])
+def test_from_json_rejects_non_list_torsion(torsion):
+    # a string used to be read digit by digit: "16" became Z/6
+    doc = {"schema": 1, "graded_group": {"0": {"rank": 0, "torsion": torsion}}}
+    with pytest.raises(SchemaError, match="degree 0 torsion must be a list"):
+        GradedGroup.from_json(doc)
 
 
 def test_direct_sum_of_complexes_adds_homology():
