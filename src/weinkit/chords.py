@@ -17,6 +17,7 @@ from .serialize import (
     check_schema,
     frac_from_str,
     frac_to_str,
+    int_from_json,
 )
 
 
@@ -107,9 +108,12 @@ class ChordRecord(_LazyAction):
     @staticmethod
     def from_json(doc):
         try:
+            front = doc.get("front")
+            if front is not None:
+                front = tuple(int_from_json(x, "front entry") for x in front)
             return ChordRecord(
-                str(doc["id"]), int(doc["degree"]), frac_from_str(doc["action"]),
-                tuple(doc["front"]) if doc.get("front") is not None else None,
+                str(doc["id"]), int_from_json(doc["degree"], "degree"),
+                frac_from_str(doc["action"]), front,
                 bool(doc.get("null_homotopic", True)))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"ChordRecord: {exc}") from None
@@ -170,7 +174,8 @@ class ChordSpectrum:
         check_schema(doc, "ChordSpectrum")
         try:
             chords = tuple(ChordRecord.from_json(c) for c in doc["chords"])
-            return ChordSpectrum(int(doc["n"]), chords, frac_from_str(doc["bound"]))
+            return ChordSpectrum(int_from_json(doc["n"], "n"), chords,
+                                 frac_from_str(doc["bound"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"ChordSpectrum: {exc}") from None
 
@@ -214,9 +219,11 @@ class MorseData:
     def from_json(doc):
         check_schema(doc, "MorseData")
         try:
-            return MorseData(str(doc["name"]), int(doc["dimension"]),
-                             int(doc["chi"]), bool(doc["orientable"]),
-                             tuple(doc["critical_points"]))
+            return MorseData(
+                str(doc["name"]), int_from_json(doc["dimension"], "dimension"),
+                int_from_json(doc["chi"], "chi"), bool(doc["orientable"]),
+                tuple(int_from_json(i, "critical index")
+                      for i in doc["critical_points"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"MorseData: {exc}") from None
 
@@ -239,6 +246,14 @@ def _shifted(chords, amount):
         null_homotopic=[c.null_homotopic for c in chords])
 
 
+def _fresh_id(cid, used):
+    """cid with "_" appended until it is not in the set used; adds it."""
+    while cid in used:
+        cid += "_"
+    used.add(cid)
+    return cid
+
+
 def min_positive_N(spectrum: ChordSpectrum):
     """Smallest stabilization count making every degree positive: 0 when
     already positive, else 1 - (minimum degree)."""
@@ -248,21 +263,23 @@ def min_positive_N(spectrum: ChordSpectrum):
     return 1 - m
 
 
-def stabilize(spectrum: ChordSpectrum, N, q_data: MorseData, zigzag_action,
-              sites=None) -> ChordSpectrum:
+def stabilize(spectrum: ChordSpectrum, N, q_data: MorseData,
+              zigzag_action=None, sites=None) -> ChordSpectrum:
     """Zig-zag stabilization: every existing chord's degree rises by 2N
     (its front gains 2N down-cusps), and each of the `sites` modified
     endpoints picks up 2N new chords per critical point of Q, of degree
     1 + Ind(p) and action strictly below zigzag_action.
 
-    sites defaults to the number of non-positive-degree chords (one
-    modification site each).  N = 0 is allowed and is the identity.
+    zigzag_action defaults to half of min(1, spectrum bound).  sites
+    defaults to the number of non-positive-degree chords (one modification
+    site each).  N = 0 is allowed and is the identity.
     """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     if N == 0:
         return spectrum
-    eps = Fraction(zigzag_action)
+    eps = (Fraction(zigzag_action) if zigzag_action is not None
+           else min(Fraction(1), spectrum.bound) / 2)
     if eps <= 0:
         raise ValueError("zigzag action scale must be positive")
     if eps >= spectrum.bound:
@@ -290,11 +307,7 @@ def stabilize(spectrum: ChordSpectrum, N, q_data: MorseData, zigzag_action,
     used = {c.id for c in out}
     if not used.isdisjoint(ids):
         # e.g. re-stabilizing: an old zz<t> pushes the new one to zz<t>_
-        for i, cid in enumerate(ids):
-            while cid in used:
-                cid += "_"
-            used.add(cid)
-            ids[i] = cid
+        ids = [_fresh_id(cid, used) for cid in ids]
     # the actions share one denominator; each Fraction is made only when
     # the action is read
     degrees = [1 + ind for ind in q_data.critical_points

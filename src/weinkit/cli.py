@@ -305,8 +305,6 @@ def stabilize(spectrum, big_n, eps, sites):
     s = _load(spectrum, chords_mod.ChordSpectrum.from_json)
     n_stab = chords_mod.min_positive_N(s) if big_n is None else big_n
     budget = _frac(eps, "--eps")
-    if budget is None:
-        budget = min(Fraction(1), s.bound) / 2
     q_data = chords_mod.choose_Q(s.n)
     out = chords_mod.stabilize(s, n_stab, q_data, budget, sites=sites)
     return dict(N=n_stab, Q=q_data.name, result=out.to_json())

@@ -10,7 +10,7 @@ input; "the two are the same" is never claimed.
 from dataclasses import dataclass
 
 from .graded import GradedGroup
-from .serialize import SCHEMA_VERSION, SchemaError, check_schema
+from .serialize import SCHEMA_VERSION, SchemaError, check_schema, int_from_json
 
 
 @dataclass(frozen=True)
@@ -83,18 +83,21 @@ def sh_plus_from_vanishing(hstar_w: GradedGroup, n, weinstein=True) -> SHPlusPro
     domain built from handles of index <= n), which pins the profile inside
     [1, n+1]; in particular nothing survives in degrees k <= 0.
     """
-    parts = {}
-    for j in hstar_w.support:
-        k = n - j + 1
-        parts[k] = (hstar_w.rank(j), hstar_w.torsion(j))
-    group = GradedGroup.from_dict(parts)
-    if weinstein:
-        bad = [k for k in group.support if k <= 0 or k > n + 1]
+    return _cohomology_profile(hstar_w, n, n + 1, weinstein)
+
+
+def _cohomology_profile(hstar, n, shift, check=True):
+    """The profile k -> H^{shift - k}; with check, H^* must lie in degrees
+    [0, n]."""
+    if check:
+        bad = sorted(shift - j for j in hstar.support if not 0 <= j <= n)
         if bad:
             raise ValueError(
                 f"cohomology reaches outside degrees [0, {n}]; "
-                f"profile would be supported at k = {sorted(bad)}")
-    return SHPlusProfile(group, "formula")
+                f"profile would be supported at k = {bad}")
+    parts = {shift - j: (hstar.rank(j), hstar.torsion(j))
+             for j in hstar.support}
+    return SHPlusProfile(GradedGroup.from_dict(parts), "formula")
 
 
 def sh_plus_reindex_back(profile: SHPlusProfile, n) -> GradedGroup:
@@ -226,7 +229,13 @@ class LoopHomologyTable:
             if not isinstance(doc.get(key), dict):
                 raise SchemaError(f"LoopHomologyTable: '{key}' must be an object")
         try:
-            return LoopHomologyTable(doc["dims"], doc["base"], doc.get("horizon"))
+            dims, base = ({int_from_json(k, "degree"): int_from_json(v, key)
+                           for k, v in doc[key].items()}
+                          for key in ("dims", "base"))
+            horizon = doc.get("horizon")
+            if horizon is not None:
+                horizon = int_from_json(horizon, "horizon")
+            return LoopHomologyTable(dims, base, horizon)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"LoopHomologyTable: {exc}") from None
 
@@ -250,11 +259,10 @@ def boundedinfinite_distinguisher(lm: LoopHomologyTable, ln: LoopHomologyTable,
 
 
 def wh_plus_from_vanishing(hstar_l: GradedGroup, n) -> SHPlusProfile:
-    """WH_k+ = H^{n-k-1}(L;Z) for an exact filling L, once WH(L,L) = 0."""
-    parts = {}
-    for j in hstar_l.support:
-        parts[n - j - 1] = (hstar_l.rank(j), hstar_l.torsion(j))
-    return SHPlusProfile(GradedGroup.from_dict(parts), "formula")
+    """WH_k+ = H^{n-k-1}(L;Z) for an exact filling L, once WH(L,L) = 0.
+    The n-manifold L has cohomology in degrees [0, n] only, which pins the
+    profile inside [-1, n-1]."""
+    return _cohomology_profile(hstar_l, n, n - 1)
 
 
 def wrapped_loop_grading(h_omega: GradedGroup, n) -> SHPlusProfile:

@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from .serialize import SCHEMA_VERSION, SchemaError, check_schema, matrix_from_json, matrix_to_json
+from .serialize import SCHEMA_VERSION, SchemaError, check_schema, int_from_json, matrix_from_json, matrix_to_json
 from .snf import mat_mul, smith_normal_form
 
 
@@ -165,15 +165,17 @@ class GradedGroup:
         parsed = {}
         for deg, entry in groups.items():
             try:
-                k = int(deg)
-            except ValueError:
+                k = int_from_json(deg, "degree key")
+            except SchemaError:
                 raise SchemaError(f"GradedGroup: bad degree key {deg!r}") from None
             if not isinstance(entry, dict):
                 raise SchemaError(f"GradedGroup: degree {deg} entry must be an object")
             torsion = entry.get("torsion", [])
             if not isinstance(torsion, list):
                 raise SchemaError(f"GradedGroup: degree {deg} torsion must be a list")
-            parsed[k] = (int(entry.get("rank", 0)), [int(f) for f in torsion])
+            what = f"GradedGroup: degree {deg}"
+            parsed[k] = (int_from_json(entry.get("rank", 0), f"{what} rank"),
+                         [int_from_json(f, f"{what} torsion factor") for f in torsion])
         return GradedGroup.from_dict(parsed)
 
 
@@ -267,15 +269,12 @@ class ChainComplex:
         if not isinstance(dims, dict):
             raise SchemaError("ChainComplex: missing 'dims' object")
         try:
-            dims = {int(k): int(v) for k, v in dims.items()}
-        except ValueError as exc:
-            raise SchemaError(f"ChainComplex: bad dims: {exc}") from None
-        boundaries = {}
-        for k, rows in (doc.get("boundaries") or {}).items():
-            boundaries[int(k)] = matrix_from_json(rows)
-        try:
+            dims = {int_from_json(k, "degree"): int_from_json(v, "dim")
+                    for k, v in dims.items()}
+            boundaries = {int_from_json(k, "degree"): matrix_from_json(rows)
+                          for k, rows in (doc.get("boundaries") or {}).items()}
             return ChainComplex(dims, boundaries)
-        except ValueError as exc:
+        except ValueError as exc:  # SchemaError is a ValueError
             raise SchemaError(f"ChainComplex: {exc}") from None
 
 

@@ -24,7 +24,7 @@ from .graded import (
     homology,
     semi_characteristic,
 )
-from .serialize import SCHEMA_VERSION, SchemaError, check_schema, matrix_from_json, matrix_to_json
+from .serialize import SCHEMA_VERSION, SchemaError, check_schema, int_from_json, matrix_from_json, matrix_to_json
 from .snf import smith_normal_form
 
 
@@ -107,12 +107,13 @@ class HandlePresentation:
     def from_json(doc):
         check_schema(doc, "HandlePresentation")
         try:
-            n = int(doc["n"])
-            handles = [(int(h["index"]), str(h.get("label", f"h{i}")))
+            n = int_from_json(doc["n"], "n")
+            handles = [(int_from_json(h["index"], "handle index"),
+                        str(h.get("label", f"h{i}")))
                        for i, h in enumerate(doc["handles"])]
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"HandlePresentation: {exc}") from None
-        boundaries = {int(k): matrix_from_json(m)
+        boundaries = {int_from_json(k, "boundary degree"): matrix_from_json(m)
                       for k, m in (doc.get("boundary_matrices") or {}).items()}
         form = doc.get("intersection_form")
         if form is not None:

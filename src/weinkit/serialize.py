@@ -6,6 +6,7 @@ matrix entries as decimal strings, so arbitrary precision survives JSON.
 """
 
 import json
+import re
 from fractions import Fraction
 
 SCHEMA_VERSION = 1
@@ -31,6 +32,14 @@ def frac_from_str(s) -> Fraction:
         raise SchemaError(f"bad rational {s!r}: {exc}") from None
 
 
+def int_from_json(value, what) -> int:
+    """A JSON integer (not a bool) or a decimal-integer string, as an int."""
+    if type(value) is int or (isinstance(value, str)
+                              and re.fullmatch(r"[+-]?[0-9]+", value)):
+        return int(value)
+    raise SchemaError(f"{what} must be an integer, got {value!r}")
+
+
 def matrix_to_json(rows) -> list:
     """Integer matrix -> rows of decimal strings."""
     return [[str(int(x)) for x in row] for row in rows]
@@ -39,10 +48,7 @@ def matrix_to_json(rows) -> list:
 def matrix_from_json(rows) -> list:
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise SchemaError("matrix must be a list of rows")
-    try:
-        out = [[int(x) for x in row] for row in rows]
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"matrix entries must be integer strings: {exc}") from None
+    out = [[int_from_json(x, "matrix entry") for x in row] for row in rows]
     widths = {len(r) for r in out}
     if len(widths) > 1:
         raise SchemaError("ragged matrix")

@@ -9,8 +9,9 @@ are exact rationals throughout; nothing is compared in floating point.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .chords import ChordRecord, ChordSpectrum, choose_Q, min_positive_N, stabilize
+from .chords import ChordRecord, ChordSpectrum, _fresh_id, choose_Q, min_positive_N, stabilize
 from .floer import Verdict
 from .serialize import (
     SCHEMA_VERSION,
@@ -18,6 +19,7 @@ from .serialize import (
     check_schema,
     frac_from_str,
     frac_to_str,
+    int_from_json,
 )
 
 
@@ -26,7 +28,9 @@ def canonical_rotation(seq):
     seq = tuple(seq)
     if not seq:
         raise ValueError("empty word has no canonical rotation")
-    return min(seq[i:] + seq[:i] for i in range(len(seq)))
+    # the least rotation starts with the least letter
+    least, twice, n = min(seq), seq + seq, len(seq)
+    return min(twice[i:i + n] for i in range(n) if seq[i] == least)
 
 
 @dataclass(frozen=True)
@@ -39,7 +43,8 @@ class CyclicWord:
 
     def __post_init__(self):
         object.__setattr__(self, "letters", canonical_rotation(self.letters))
-        object.__setattr__(self, "action", Fraction(self.action))
+        if type(self.action) is not Fraction:
+            object.__setattr__(self, "action", Fraction(self.action))
 
     def __len__(self):
         return len(self.letters)
@@ -77,28 +82,43 @@ def enumerate_words(spectrum: ChordSpectrum, bound,
                 f"chord {c.id!r} is not null-homotopic and has no canonical "
                 "grading (pass skip_non_null_homotopic to drop such chords)")
         alphabet.append(c)
-    alphabet.sort(key=lambda c: c.id)
-    by_id = {c.id: c for c in alphabet}
+    letters, (cap,), den = _lattice(alphabet, bound)
+    position = {cid: i for i, (_, cid, _) in enumerate(letters)}
+    # Fredricksen-Kessler-Maiorana: a prenecklace whose longest Lyndon
+    # prefix has period p extends by the letters >= seq[-p]; seq[-p] keeps
+    # p, a larger letter makes the extension Lyndon.  It is a necklace (a
+    # least rotation) iff p divides its length.  Prefixes of a word below
+    # the cap are prenecklaces below it, so pruning at the cap loses none.
+    found = []
+    stack = [((), 1, 0, 0)]
+    while stack:
+        seq, p, act, deg = stack.pop()
+        first = position[seq[-p]] if seq else 0
+        for i in range(first, len(letters)):
+            num, cid, d = letters[i]
+            if act + num < cap:
+                ext = seq + (cid,)
+                q = p if i == first else len(ext)
+                if len(ext) % q == 0:
+                    found.append(CyclicWord(ext, deg + d,
+                                            Fraction(act + num, den)))
+                stack.append((ext, q, act + num, deg + d))
+    found.sort(key=lambda w: (len(w.letters), w.letters))
+    return tuple(found)
 
-    words = []
-    # a canonical rotation starts with a minimal letter, so fix the first
-    # letter and only append letters >= it; filter true canonicity at emit
-    for i, start in enumerate(alphabet):
-        allowed = alphabet[i:]
-        stack = [((start.id,), start.action)]
-        while stack:
-            seq, act = stack.pop()
-            if seq == canonical_rotation(seq):
-                words.append(CyclicWord(
-                    seq,
-                    sum(by_id[cid].degree for cid in seq),
-                    act))
-            for c in allowed:
-                nact = act + c.action
-                if nact < bound:
-                    stack.append((seq + (c.id,), nact))
-    words.sort(key=lambda w: (len(w.letters), w.letters))
-    return tuple(words)
+
+def _lattice(chords, *actions):
+    """The chords sorted by id as (action numerator, id, degree), the
+    numerators of the further actions, and their one common denominator:
+    sums and comparisons of actions become int operations."""
+    den = lcm(*(a.denominator for a in actions),
+              *(c.action.denominator for c in chords))
+
+    def num(a):
+        return a.numerator * (den // a.denominator)
+    letters = [(num(c.action), c.id, c.degree)
+               for c in sorted(chords, key=lambda c: c.id)]
+    return letters, [num(a) for a in actions], den
 
 
 @dataclass(frozen=True)
@@ -145,7 +165,8 @@ class OrbitRecord:
     @staticmethod
     def from_json(doc):
         try:
-            return OrbitRecord(int(doc["degree"]), frac_from_str(doc["action"]),
+            return OrbitRecord(int_from_json(doc["degree"], "degree"),
+                               frac_from_str(doc["action"]),
                                str(doc.get("origin", "old")),
                                bool(doc.get("contractible", True)))
         except (KeyError, TypeError, ValueError) as exc:
@@ -190,7 +211,7 @@ class OrbitSpectrum:
         check_schema(doc, "OrbitSpectrum")
         try:
             orbits = tuple(OrbitRecord.from_json(r) for r in doc["orbits"])
-            return OrbitSpectrum(int(doc["n"]), orbits,
+            return OrbitSpectrum(int_from_json(doc["n"], "n"), orbits,
                                  frac_from_str(doc["bound"]),
                                  bool(doc.get("generic", True)))
         except (KeyError, TypeError, ValueError) as exc:
@@ -267,10 +288,7 @@ def add_surgery_chord(spectrum: ChordSpectrum, k,
         else spectrum.bound / 1000
     if not 0 < action < spectrum.bound:
         raise ValueError(f"new chord action must lie in (0, {spectrum.bound})")
-    cid = "surg"
-    used = {c.id for c in spectrum.chords}
-    while cid in used:
-        cid += "_"
+    cid = _fresh_id("surg", {c.id for c in spectrum.chords})
     new = ChordRecord(cid, n - k - 1, action)
     return ChordSpectrum(n, spectrum.chords + (new,), spectrum.bound)
 
@@ -311,34 +329,40 @@ def nonsimultaneous_words(s_minus: ChordSpectrum, aux: ChordSpectrum,
             raise ValueError(
                 f"{name} has degree {c.degree} <= 0; stabilize the complement "
                 "presentation until connectors are positive")
-    if min_positive_N(aux) > 0:
-        eps = Fraction(zigzag_action) if zigzag_action is not None \
-            else min(Fraction(1), aux.bound) / 2
-        aux = stabilize(aux, min_positive_N(aux), choose_Q(n), eps)
+    aux = _positive(aux, zigzag_action)
 
     bound = s_minus.bound
     base_action = connector_in.action + connector_out.action
     base_degree = connector_in.degree + connector_out.degree
-    alphabet = sorted(aux.chords, key=lambda c: c.id)
+    letters, (cap, base), den = _lattice(aux.chords, bound - base_action,
+                                         base_action)
     mixed = []
-    stack = [((), Fraction(0), 0)]
+    stack = [((), 0, 0)]
     while stack:
         seq, act, deg = stack.pop()
-        if base_action + act < bound:
-            mixed.append((seq, base_action + act, base_degree + deg))
-            for c in alphabet:
-                stack.append((seq + (c.id,), act + c.action, deg + c.degree))
-    mixed.sort(key=lambda m: (len(m[0]), m[0]))
+        if act < cap:
+            mixed.append((len(seq), seq, act, deg))
+            for num, cid, d in letters:
+                stack.append((seq + (cid,), act + num, deg + d))
+    mixed.sort()
     null = connector_in.null_homotopic and connector_out.null_homotopic
     out = list(s_minus.chords)
     used = {c.id for c in out}
-    for seq, act, deg in mixed:
-        cid = "mix:" + ".".join((connector_in.id,) + seq + (connector_out.id,))
-        while cid in used:
-            cid += "_"
-        used.add(cid)
-        out.append(ChordRecord(cid, deg, act, None, null))
+    for _, seq, act, deg in mixed:
+        cid = _fresh_id(
+            "mix:" + ".".join((connector_in.id,) + seq + (connector_out.id,)),
+            used)
+        out.append(ChordRecord(cid, base_degree + deg,
+                               Fraction(base + act, den), None, null))
     return ChordSpectrum(n, tuple(out), bound)
+
+
+def _positive(spectrum, zigzag_action):
+    """The spectrum stabilized the fewest times that make all degrees > 0."""
+    N = min_positive_N(spectrum)
+    if N == 0:
+        return spectrum
+    return stabilize(spectrum, N, choose_Q(spectrum.n), zigzag_action)
 
 
 def legendrian_surgery_rules(kind, **params):
@@ -568,11 +592,7 @@ def flexible_surgery_certificate(cert: ADCCertificate, chords, n,
                     f"need {window}")
             s = ChordSpectrum(n, tuple(c for c in s.chords if c.action < window),
                               window)
-        pos = min_positive_N(s)
-        if pos > 0:
-            eps = Fraction(zigzag_action) if zigzag_action is not None \
-                else min(Fraction(1), window) / 2
-            s = stabilize(s, pos, choose_Q(n), eps)
+        s = _positive(s, zigzag_action)
 
         merged = orbits_after_surgery(st.spectrum, s, window)
         factor = Fraction(1, 4 ** k)

@@ -68,8 +68,8 @@ class Budget:
         if exc_type is None:
             assert elapsed < self.seconds, (
                 f"{self.label}: {elapsed:.2f}s exceeds the "
-                f"{self.seconds:.0f}s budget")
-            print(f"{self.label}: PASS ({elapsed:.2f}s / {self.seconds:.0f}s)")
+                f"{self.seconds:g}s budget")
+            print(f"{self.label}: PASS ({elapsed:.2f}s / {self.seconds:g}s)")
         return False
 
 

@@ -78,6 +78,15 @@ class TestRecordsAndSpectra:
         with pytest.raises(SchemaError):
             ChordSpectrum.from_json({"schema": 1, "n": 3})
 
+    @pytest.mark.parametrize("field, value", [
+        ("degree", 1.5), ("degree", True), ("front", [2, 0, 0.5])])
+    def test_record_from_json_rejects_non_integers(self, field, value):
+        # a degree of 1.5 used to read as 1
+        doc = {"id": "c", "degree": 1, "action": "1", "front": None,
+               field: value}
+        with pytest.raises(SchemaError, match="must be an integer"):
+            ChordRecord.from_json(doc)
+
 
 class TestMorseData:
     def test_chi_consistency(self):
@@ -92,6 +101,11 @@ class TestMorseData:
     def test_json_roundtrip(self):
         q = choose_Q(5)
         assert MorseData.from_json(q.to_json()) == q
+
+    def test_from_json_rejects_non_integers(self):
+        doc = dict(choose_Q(3).to_json(), critical_points=[0, 1.0])
+        with pytest.raises(SchemaError, match="critical index must be"):
+            MorseData.from_json(doc)
 
 
 class TestStabilize:

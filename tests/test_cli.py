@@ -131,6 +131,14 @@ class TestMalformedInput:
             doc = report_of(result)
             assert doc["ok"] is False and "GradedGroup: degree 0" in doc["error"]
 
+    def test_group_rank_not_an_integer(self, runner, files):
+        path = files("g.json", {"schema": 1,
+                                "graded_group": {"0": {"rank": 1.7}}})
+        result = invoke(runner, ["omega-check", path, "--n", "5"])
+        assert result.exit_code == 2
+        assert ("GradedGroup: degree 0 rank must be an integer, got 1.7"
+                in report_of(result)["error"])
+
     def test_loop_table_dims_not_an_object(self, runner, files):
         lm = files("lm.json", {"schema": 1, "dims": [1], "base": {"0": 1}})
         hy = files("hy.json", GradedGroup.free({0: 1}).to_json())
@@ -200,6 +208,12 @@ class TestProfiles:
     def test_sh_plus_support_violation_is_invalid_input(self, runner, files):
         path = files("h.json", GradedGroup.free({0: 1, 7: 1}).to_json())
         assert invoke(runner, ["sh-plus", path, "--n", "3"]).exit_code == 2
+
+    def test_wh_plus_support_violation_is_invalid_input(self, runner, files):
+        path = files("h.json", GradedGroup.free({0: 1, 7: 1}).to_json())
+        result = invoke(runner, ["wh-plus", path, "--n", "3"])
+        assert result.exit_code == 2
+        assert "outside degrees [0, 3]" in report_of(result)["error"]
 
     def test_wh_plus(self, runner, files):
         path = files("h.json", GradedGroup.free({0: 1, 2: 1}).to_json())

@@ -176,6 +176,15 @@ class TestSupportTest:
 
 
 class TestLoopTables:
+    @pytest.mark.parametrize("change", [
+        {"dims": {"0": 1, "2": 1.5}}, {"base": {"0": True}},
+        {"dims": {"0.5": 1}}, {"horizon": 4.5}])
+    def test_from_json_rejects_non_integers(self, change):
+        doc = dict({"schema": 1, "dims": {"0": 1}, "base": {"0": 1},
+                    "horizon": 4}, **change)
+        with pytest.raises(SchemaError, match="must be an integer"):
+            LoopHomologyTable.from_json(doc)
+
     def test_constant_loops_enforced(self):
         with pytest.raises(ValueError, match="constant loops"):
             LoopHomologyTable({0: 1}, {0: 1, 2: 1}, horizon=4)
@@ -238,6 +247,13 @@ class TestWrapped:
         for n in (2, 3, 6):
             p = wh_plus_from_vanishing(GradedGroup.from_dict({0: (1, ())}), n)
             assert p.support == (n - 1,)
+
+    @pytest.mark.parametrize("degree", [-1, 4, 7])
+    def test_lagrangian_support_enforced(self, degree):
+        # a degree-7 class with n = 3 used to land at WH_{-5}
+        hstar = GradedGroup.from_dict({0: (1, ()), degree: (1, ())})
+        with pytest.raises(ValueError, match=r"outside degrees \[0, 3\]"):
+            wh_plus_from_vanishing(hstar, 3)
 
     def test_differing_fillings_have_distinct_profiles(self):
         a = wh_plus_from_vanishing(GradedGroup.from_dict({0: (1, ())}), 3)

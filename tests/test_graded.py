@@ -300,6 +300,34 @@ def test_from_json_rejects_non_list_torsion(torsion):
         GradedGroup.from_json(doc)
 
 
+@pytest.mark.parametrize("entry, what", [
+    ({"rank": 1.7}, "rank"), ({"rank": True}, "rank"), ({"rank": "1.0"}, "rank"),
+    ({"rank": 0, "torsion": [2.9]}, "torsion factor"),
+    ({"rank": 0, "torsion": [False]}, "torsion factor"),
+])
+def test_group_from_json_rejects_non_integers(entry, what):
+    # 1.7 used to read as rank 1 and [2.9] as Z/2
+    doc = {"schema": 1, "graded_group": {"0": entry}}
+    with pytest.raises(SchemaError, match=f"degree 0 {what} must be an integer"):
+        GradedGroup.from_json(doc)
+
+
+def test_group_from_json_reads_integer_strings():
+    doc = {"schema": 1, "graded_group": {"-1": {"rank": "2", "torsion": ["4", 6]}}}
+    assert GradedGroup.from_json(doc) == gg({-1: (2, [2, 12])})
+
+
+@pytest.mark.parametrize("dims, boundaries", [
+    ({"0": 1.9}, {}), ({"0": 1, "1.5": 1}, {}), ({"0": 1, "1": 1}, {"1": [[1.5]]}),
+    ({"0": 1, "1": 1}, {"1": [[True]]}),
+])
+def test_complex_from_json_rejects_non_integers(dims, boundaries):
+    # a dims entry of 1.9 used to read as 1
+    doc = {"schema": 1, "dims": dims, "boundaries": boundaries}
+    with pytest.raises(SchemaError, match="must be an integer"):
+        ChainComplex.from_json(doc)
+
+
 def test_direct_sum_of_complexes_adds_homology():
     a = ChainComplex({0: 1, 1: 1}, {1: [[2]]})
     b = ChainComplex({0: 1, 2: 3})

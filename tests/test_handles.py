@@ -282,6 +282,17 @@ class TestJson:
             HandlePresentation.from_json(
                 {"schema": 1, "n": 2, "handles": [{"index": 5}]})
 
+    @pytest.mark.parametrize("change", [
+        {"n": 2.5}, {"handles": [{"index": 0}, {"index": 1.0}]},
+        {"boundary_matrices": {"2.0": [["0"]]}},
+        {"boundary_matrices": {"2": [["0.5"]]}}])
+    def test_from_json_rejects_non_integers(self, change):
+        doc = dict({"schema": 1, "n": 2,
+                    "handles": [{"index": 0}, {"index": 1}, {"index": 2}]},
+                   **change)
+        with pytest.raises(SchemaError, match="must be an integer"):
+            HandlePresentation.from_json(doc)
+
 
 @st.composite
 def free_presentations(draw):

@@ -1,5 +1,6 @@
 """Word enumeration, surgery orbit rules, and ADC certificate machinery."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weinkit.chords import ChordRecord, ChordSpectrum
+from weinkit.serialize import SchemaError
 from weinkit.surgery import (
     ADCCertificate,
     CyclicWord,
@@ -30,6 +32,7 @@ from weinkit.surgery import (
 )
 
 import oracles
+from test_acceptance import Budget
 
 
 def spectrum_of(n, bound, *chords):
@@ -40,6 +43,26 @@ def spectrum_of(n, bound, *chords):
 
 
 AB_TABLE = spectrum_of(3, 4, ("a", 1, 1), ("b", 2, Fraction(3, 2)))
+
+
+@st.composite
+def word_alphabets(draw):
+    """A spectrum of 1-5 chords and a word bound.  The ids' string order
+    differs from their numeric order (c10 < c2), actions repeat, and some
+    chords are not null-homotopic.  Bounds stay below 6 times the least
+    action so the brute-force oracle stays small; chords may lie above
+    the bound."""
+    ids = draw(st.lists(st.sampled_from(["a", "b", "c2", "c10", "c9", "x"]),
+                        min_size=1, max_size=5, unique=True))
+    chords = tuple(
+        ChordRecord(cid, draw(st.integers(-3, 4)),
+                    draw(st.sampled_from([Fraction(1), Fraction(4, 3),
+                                          Fraction(3, 2), Fraction(2),
+                                          Fraction(5, 2)])),
+                    None, draw(st.booleans()) or draw(st.booleans()))
+        for cid in ids)
+    bound = draw(st.sampled_from([Fraction(k, 2) for k in range(2, 12)]))
+    return ChordSpectrum(3, chords, Fraction(6)), bound
 
 
 def orbit(deg, act, origin="old", contractible=True):
@@ -123,6 +146,37 @@ class TestEnumerateWords:
                 {c.id: c.action for c in s.chords}, bound)
             assert got == want
 
+    @given(word_alphabets())
+    @settings(max_examples=150, deadline=None)
+    def test_records_match_brute_force_in_order(self, case):
+        spectrum, bound = case
+        letters = {c.id: c for c in spectrum.chords if c.null_homotopic}
+        classes = oracles.brute_force_words(
+            {cid: c.action for cid, c in letters.items()}, bound)
+        want = [(w, sum(letters[x].degree for x in w),
+                 sum(letters[x].action for x in w))
+                for w in sorted(classes, key=lambda w: (len(w), w))]
+        got = [(w.letters, w.degree, w.action) for w in
+               enumerate_words(spectrum, bound, skip_non_null_homotopic=True)]
+        assert got == want
+
+    def test_letters_at_or_above_the_bound_are_not_words(self):
+        s = spectrum_of(3, 4, ("a", 1, 1), ("b", 2, Fraction(5, 2)))
+        assert [w.label() for w in enumerate_words(s, Fraction(5, 2))] == [
+            "a", "a.a"]
+        belt = belt_sphere_chords(s, 2)
+        assert [c.id for c in belt.chords] == ["w:a"]
+
+    def test_three_letters_at_bound_16_pinned(self):
+        s = spectrum_of(3, 16, ("a", 1, 1), ("b", 2, Fraction(3, 2)),
+                        ("c", 3, 2))
+        with Budget("words over a, b, c below action 16", 0.4):
+            words = enumerate_words(s, 16)
+        assert len(words) == 15516
+        text = "\n".join(f"{w.label()} {w.degree} {w.action}" for w in words)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "ab25fbe5af8bb06e52b10eaa6700487dcabc240205eddaa94a5b0b57d55af716")
+
 
 class TestOrbitRecords:
     def test_origin_vocabulary(self):
@@ -142,6 +196,14 @@ class TestOrbitRecords:
             OrbitSpectrum(3, (orbit(2, 5),), Fraction(5))
         with pytest.raises(ValueError, match=">= 1"):
             OrbitSpectrum(0, (), Fraction(1))
+
+    @pytest.mark.parametrize("doc", [
+        {"schema": 1, "n": 3, "bound": "2",
+         "orbits": [{"degree": 1.5, "action": "1"}]},
+        {"schema": 1, "n": "3/1", "bound": "2", "orbits": []}])
+    def test_from_json_rejects_non_integers(self, doc):
+        with pytest.raises(SchemaError, match="must be an integer"):
+            OrbitSpectrum.from_json(doc)
 
     def test_json_roundtrip(self):
         s = OrbitSpectrum(4, (orbit(3, Fraction(1, 3), "belt:2"),
