@@ -14,6 +14,7 @@ from itertools import repeat
 from .serialize import (
     SCHEMA_VERSION,
     SchemaError,
+    bool_from_json,
     check_schema,
     frac_from_str,
     frac_to_str,
@@ -114,7 +115,7 @@ class ChordRecord(_LazyAction):
             return ChordRecord(
                 str(doc["id"]), int_from_json(doc["degree"], "degree"),
                 frac_from_str(doc["action"]), front,
-                bool(doc.get("null_homotopic", True)))
+                bool_from_json(doc.get("null_homotopic", True), "null_homotopic"))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"ChordRecord: {exc}") from None
 
@@ -221,7 +222,8 @@ class MorseData:
         try:
             return MorseData(
                 str(doc["name"]), int_from_json(doc["dimension"], "dimension"),
-                int_from_json(doc["chi"], "chi"), bool(doc["orientable"]),
+                int_from_json(doc["chi"], "chi"),
+                bool_from_json(doc["orientable"], "orientable"),
                 tuple(int_from_json(i, "critical index")
                       for i in doc["critical_points"]))
         except (KeyError, TypeError, ValueError) as exc:

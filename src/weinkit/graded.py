@@ -268,11 +268,14 @@ class ChainComplex:
         dims = doc.get("dims")
         if not isinstance(dims, dict):
             raise SchemaError("ChainComplex: missing 'dims' object")
+        boundaries = doc.get("boundaries")
+        if boundaries is not None and not isinstance(boundaries, dict):
+            raise SchemaError("ChainComplex: 'boundaries' must be an object")
         try:
             dims = {int_from_json(k, "degree"): int_from_json(v, "dim")
                     for k, v in dims.items()}
             boundaries = {int_from_json(k, "degree"): matrix_from_json(rows)
-                          for k, rows in (doc.get("boundaries") or {}).items()}
+                          for k, rows in (boundaries or {}).items()}
             return ChainComplex(dims, boundaries)
         except ValueError as exc:  # SchemaError is a ValueError
             raise SchemaError(f"ChainComplex: {exc}") from None

@@ -24,7 +24,7 @@ from .graded import (
     homology,
     semi_characteristic,
 )
-from .serialize import SCHEMA_VERSION, SchemaError, check_schema, int_from_json, matrix_from_json, matrix_to_json
+from .serialize import SCHEMA_VERSION, SchemaError, bool_from_json, check_schema, int_from_json, matrix_from_json, matrix_to_json
 from .snf import smith_normal_form
 
 
@@ -113,15 +113,20 @@ class HandlePresentation:
                        for i, h in enumerate(doc["handles"])]
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"HandlePresentation: {exc}") from None
+        matrices = doc.get("boundary_matrices")
+        if matrices is not None and not isinstance(matrices, dict):
+            raise SchemaError(
+                "HandlePresentation: 'boundary_matrices' must be an object")
         boundaries = {int_from_json(k, "boundary degree"): matrix_from_json(m)
-                      for k, m in (doc.get("boundary_matrices") or {}).items()}
+                      for k, m in (matrices or {}).items()}
         form = doc.get("intersection_form")
         if form is not None:
             form = matrix_from_json(form)
         try:
             return HandlePresentation(n, handles, boundaries, form,
-                                      allow_many_zero_handles=bool(
-                                          doc.get("allow_many_zero_handles", False)))
+                                      allow_many_zero_handles=bool_from_json(
+                                          doc.get("allow_many_zero_handles", False),
+                                          "allow_many_zero_handles"))
         except ValueError as exc:
             raise SchemaError(f"HandlePresentation: {exc}") from None
 

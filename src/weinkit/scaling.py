@@ -15,10 +15,13 @@ bound e^{5/4} < 4.
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
+# numpy is imported inside the functions that build a float grid, not here,
+# so `import weinkit` and every command but scaling-verify and examples run
+# without loading it.
 
 RATIO_CAP = 1.25          # height budget for g and for g/(t g + 1)
 CONFORMAL_LIMIT = 4.0     # e^{height} must stay below this
+RATIO_BLOCK = 1 << 18     # grid cells of g/(t g + 1) held at once
 
 
 def _simpson(y, x):
@@ -26,6 +29,8 @@ def _simpson(y, x):
     spacing-aware form (Cartwright 2017).  Keep the operation order:
     reports print the result to the last bit, and the textbook uniform
     form rounds differently (0.0 where this gives 5.55e-17 at 2001 nodes)."""
+    import numpy as np
+
     h = np.diff(x)
     h0, h1 = h[0::2], h[1::2]
     hsum = h0 + h1
@@ -97,6 +102,8 @@ class GProfile:
 
     def g(self, r):
         """Profile values, vectorized; arguments are taken by |r|."""
+        import numpy as np
+
         r = np.abs(np.asarray(r, dtype=float))
         v = self.amplitude
         out = np.zeros_like(r)
@@ -113,6 +120,8 @@ class GProfile:
 
     def antiderivative(self, r):
         """G(r) = int_0^r g, vectorized, by the closed piecewise form."""
+        import numpy as np
+
         r = np.abs(np.asarray(r, dtype=float))
         v = self.amplitude
         w_r, w_f = self.rise_width, self.fall_width
@@ -136,17 +145,23 @@ class GProfile:
 
     def h(self, t, z):
         """The interpolation family, odd in z, broadcast over t and z."""
+        import numpy as np
+
         t = np.asarray(t, dtype=float)
         z = np.asarray(z, dtype=float)
         return z + t * self.antiderivative(np.abs(z)) * np.sign(z)
 
     def slope(self, t, z):
         """dh/dz = t g(|z|) + 1, the monotonicity quantity."""
+        import numpy as np
+
         t = np.asarray(t, dtype=float)
         z = np.asarray(z, dtype=float)
         return t * self.g(z) + 1.0
 
     def own_grid(self):
+        import numpy as np
+
         return np.linspace(0.0, 1.0, self.nodes)
 
     def integral_residual(self):
@@ -212,13 +227,27 @@ def bound_ratio(profile: GProfile = None, t_max=0.999, nodes=2001,
             f"{t_max}")
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
+    if nodes < 1:
+        raise ValueError(f"the grid needs at least one node, got {nodes}")
+    import numpy as np
+
     ts = np.linspace(0.0, t_max, nodes)
     zs = np.linspace(0.0, 1.0, nodes)
     g = profile.g(zs)
-    ratio = g[None, :] / (ts[:, None] * g[None, :] + 1.0)
-    flat = int(np.argmax(ratio))
-    it, iz = divmod(flat, nodes)
-    mx = float(ratio[it, iz])
+    # Blocks of rows keep memory linear in the node count.  A later block
+    # wins only when strictly larger, so the argmax is the first maximum in
+    # row-major order, as over the whole grid.  (NaN cells fill whole
+    # columns or the whole grid, so the first block holds the first one.)
+    rows = max(1, RATIO_BLOCK // nodes)
+    mx = None
+    for start in range(0, nodes, rows):
+        block = g[None, :] / (ts[start:start + rows, None] * g[None, :] + 1.0)
+        flat = int(np.argmax(block))
+        value = float(block.flat[flat])
+        if mx is None or value > mx:
+            mx = value
+            it, iz = divmod(flat, nodes)
+            it += start
     return RatioReport(mx, float(ts[it]), float(zs[iz]), RATIO_CAP,
                        tolerance, mx <= RATIO_CAP + tolerance)
 
@@ -296,6 +325,8 @@ def verify_h_family(profile: GProfile = None, nodes=2001, t_max=0.999,
     if t_max >= 1:
         raise ValueError(
             f"monotonicity fails at t = 1; need t_max < 1, got {t_max}")
+    import numpy as np
+
     zs = np.linspace(-1.5, 1.5, nodes)
     ts = np.linspace(0.0, t_max, t_nodes)[:, None]
     checks = {}

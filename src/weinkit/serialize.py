@@ -40,6 +40,13 @@ def int_from_json(value, what) -> int:
     raise SchemaError(f"{what} must be an integer, got {value!r}")
 
 
+def bool_from_json(value, what) -> bool:
+    """A JSON true or false, as a bool; a string or number is an error."""
+    if type(value) is bool:
+        return value
+    raise SchemaError(f"{what} must be true or false, got {value!r}")
+
+
 def matrix_to_json(rows) -> list:
     """Integer matrix -> rows of decimal strings."""
     return [[str(int(x)) for x in row] for row in rows]

@@ -16,6 +16,7 @@ from .floer import Verdict
 from .serialize import (
     SCHEMA_VERSION,
     SchemaError,
+    bool_from_json,
     check_schema,
     frac_from_str,
     frac_to_str,
@@ -168,7 +169,8 @@ class OrbitRecord:
             return OrbitRecord(int_from_json(doc["degree"], "degree"),
                                frac_from_str(doc["action"]),
                                str(doc.get("origin", "old")),
-                               bool(doc.get("contractible", True)))
+                               bool_from_json(doc.get("contractible", True),
+                                              "contractible"))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"OrbitRecord: {exc}") from None
 
@@ -213,7 +215,8 @@ class OrbitSpectrum:
             orbits = tuple(OrbitRecord.from_json(r) for r in doc["orbits"])
             return OrbitSpectrum(int_from_json(doc["n"], "n"), orbits,
                                  frac_from_str(doc["bound"]),
-                                 bool(doc.get("generic", True)))
+                                 bool_from_json(doc.get("generic", True),
+                                                "generic"))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"OrbitSpectrum: {exc}") from None
 

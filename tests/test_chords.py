@@ -87,6 +87,13 @@ class TestRecordsAndSpectra:
         with pytest.raises(SchemaError, match="must be an integer"):
             ChordRecord.from_json(doc)
 
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_record_from_json_rejects_non_booleans(self, value):
+        # the string "false" used to read as a null-homotopic chord
+        doc = {"id": "c", "degree": 1, "action": "1", "null_homotopic": value}
+        with pytest.raises(SchemaError, match="null_homotopic must be true"):
+            ChordRecord.from_json(doc)
+
 
 class TestMorseData:
     def test_chi_consistency(self):
@@ -105,6 +112,11 @@ class TestMorseData:
     def test_from_json_rejects_non_integers(self):
         doc = dict(choose_Q(3).to_json(), critical_points=[0, 1.0])
         with pytest.raises(SchemaError, match="critical index must be"):
+            MorseData.from_json(doc)
+
+    def test_from_json_rejects_non_booleans(self):
+        doc = dict(choose_Q(3).to_json(), orientable="false")
+        with pytest.raises(SchemaError, match="orientable must be true"):
             MorseData.from_json(doc)
 
 

@@ -146,6 +146,23 @@ class TestMalformedInput:
         assert result.exit_code == 2
         assert "'dims' must be an object" in report_of(result)["error"]
 
+    def test_boundary_matrices_not_an_object(self, runner, files):
+        path = files("p.json", {"schema": 1, "n": 2, "handles": [{"index": 0}],
+                                "boundary_matrices": [1]})
+        result = invoke(runner, ["homology", path])
+        assert result.exit_code == 2
+        assert ("'boundary_matrices' must be an object"
+                in report_of(result)["error"])
+
+    def test_boolean_field_not_a_boolean(self, runner, files):
+        doc = two_letter_table().to_json()
+        doc["chords"][0]["null_homotopic"] = "false"
+        path = files("chords.json", doc)
+        result = invoke(runner, ["words", path, "--bound", "4"])
+        assert result.exit_code == 2
+        assert ("null_homotopic must be true or false, got 'false'"
+                in report_of(result)["error"])
+
 
 class TestDetectors:
     def test_distinguish_fires_and_exits_zero(self, runner, files):

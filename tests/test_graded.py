@@ -328,6 +328,13 @@ def test_complex_from_json_rejects_non_integers(dims, boundaries):
         ChainComplex.from_json(doc)
 
 
+@pytest.mark.parametrize("boundaries", [[1], "1", 0])
+def test_complex_from_json_rejects_non_object_boundaries(boundaries):
+    doc = {"schema": 1, "dims": {"0": 1, "1": 1}, "boundaries": boundaries}
+    with pytest.raises(SchemaError, match="'boundaries' must be an object"):
+        ChainComplex.from_json(doc)
+
+
 def test_direct_sum_of_complexes_adds_homology():
     a = ChainComplex({0: 1, 1: 1}, {1: [[2]]})
     b = ChainComplex({0: 1, 2: 3})

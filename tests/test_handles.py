@@ -293,6 +293,16 @@ class TestJson:
         with pytest.raises(SchemaError, match="must be an integer"):
             HandlePresentation.from_json(doc)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"boundary_matrices": [1]}, "'boundary_matrices' must be an object"),
+        ({"allow_many_zero_handles": "false"},
+         "allow_many_zero_handles must be true or false")])
+    def test_from_json_rejects_wrong_types(self, change, message):
+        # a list of boundary matrices used to end in an AttributeError
+        doc = dict({"schema": 1, "n": 2, "handles": [{"index": 0}]}, **change)
+        with pytest.raises(SchemaError, match=message):
+            HandlePresentation.from_json(doc)
+
 
 @st.composite
 def free_presentations(draw):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weinkit import scaling
 from weinkit.scaling import (
     GProfile,
     bound_ratio,
@@ -152,11 +153,48 @@ class TestBoundRatio:
         b = bound_ratio(nodes=2001).max_ratio
         assert abs(a - b) < 1e-4
 
+    @staticmethod
+    def dense_ratio(profile, t_max, nodes):
+        """The whole (t, z) grid at once: first maximum in row-major order."""
+        ts = np.linspace(0.0, t_max, nodes)
+        zs = np.linspace(0.0, 1.0, nodes)
+        g = profile.g(zs)
+        ratio = g[None, :] / (ts[:, None] * g[None, :] + 1.0)
+        it, iz = divmod(int(np.argmax(ratio)), nodes)
+        return float(ratio[it, iz]), float(ts[it]), float(zs[iz])
+
+    @pytest.mark.parametrize("nodes", [3, 5, 301, 1999, 2001])
+    def test_blocks_match_dense_grid(self, nodes):
+        p = build_g()
+        rep = bound_ratio(p, t_max=0.999, nodes=nodes)
+        assert (rep.max_ratio, rep.at_t, rep.at_z) == \
+            self.dense_ratio(p, 0.999, nodes)
+
+    @pytest.mark.parametrize("values", [
+        # g < -1 turns the ratio up in t: the maximum sits in a late row
+        [-1.7, 0.4, -2.9, 0.4, -2.9],
+        # a g = 0 column ties every row at 0: the first row must win
+        [-0.5, 0.0, -0.25]])
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("nodes", [3, 10, 41])
+    def test_later_block_wins_only_when_larger(self, monkeypatch, values,
+                                               block, nodes):
+        class Stub:
+            def g(self, zs):
+                return np.resize(values, len(zs))
+
+        monkeypatch.setattr(scaling, "RATIO_BLOCK", block)
+        rep = bound_ratio(Stub(), t_max=0.95, nodes=nodes)
+        assert (rep.max_ratio, rep.at_t, rep.at_z) == \
+            self.dense_ratio(Stub(), 0.95, nodes)
+
     def test_t_range_validation(self):
         with pytest.raises(ValueError, match="t = 1"):
             bound_ratio(t_max=1.0)
         with pytest.raises(ValueError, match="nonnegative"):
             bound_ratio(t_max=-0.5)
+        with pytest.raises(ValueError, match="at least one node"):
+            bound_ratio(nodes=0)
 
 
 class TestConformalBound:

@@ -205,6 +205,16 @@ class TestOrbitRecords:
         with pytest.raises(SchemaError, match="must be an integer"):
             OrbitSpectrum.from_json(doc)
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"schema": 1, "n": 3, "bound": "2", "generic": "false",
+          "orbits": []}, "generic must be true or false"),
+        ({"schema": 1, "n": 3, "bound": "2",
+          "orbits": [{"degree": 1, "action": "1", "contractible": 0}]},
+         "contractible must be true or false")])
+    def test_from_json_rejects_non_booleans(self, doc, message):
+        with pytest.raises(SchemaError, match=message):
+            OrbitSpectrum.from_json(doc)
+
     def test_json_roundtrip(self):
         s = OrbitSpectrum(4, (orbit(3, Fraction(1, 3), "belt:2"),
                               orbit(1, 2, "word:a", False)),
