@@ -19,6 +19,7 @@ from .serialize import (
     frac_from_str,
     frac_to_str,
     int_from_json,
+    list_from_json,
 )
 
 
@@ -111,7 +112,8 @@ class ChordRecord(_LazyAction):
         try:
             front = doc.get("front")
             if front is not None:
-                front = tuple(int_from_json(x, "front entry") for x in front)
+                front = tuple(int_from_json(x, "front entry")
+                              for x in list_from_json(front, "front"))
             return ChordRecord(
                 str(doc["id"]), int_from_json(doc["degree"], "degree"),
                 frac_from_str(doc["action"]), front,
@@ -174,7 +176,8 @@ class ChordSpectrum:
     def from_json(doc):
         check_schema(doc, "ChordSpectrum")
         try:
-            chords = tuple(ChordRecord.from_json(c) for c in doc["chords"])
+            chords = tuple(ChordRecord.from_json(c)
+                           for c in list_from_json(doc["chords"], "chords"))
             return ChordSpectrum(int_from_json(doc["n"], "n"), chords,
                                  frac_from_str(doc["bound"]))
         except (KeyError, TypeError, ValueError) as exc:
@@ -225,7 +228,8 @@ class MorseData:
                 int_from_json(doc["chi"], "chi"),
                 bool_from_json(doc["orientable"], "orientable"),
                 tuple(int_from_json(i, "critical index")
-                      for i in doc["critical_points"]))
+                      for i in list_from_json(doc["critical_points"],
+                                              "critical_points")))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"MorseData: {exc}") from None
 

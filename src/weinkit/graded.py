@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from .serialize import SCHEMA_VERSION, SchemaError, check_schema, int_from_json, matrix_from_json, matrix_to_json
+from .serialize import SCHEMA_VERSION, SchemaError, check_schema, int_from_json, list_from_json, matrix_from_json, matrix_to_json
 from .snf import mat_mul, smith_normal_form
 
 
@@ -170,10 +170,8 @@ class GradedGroup:
                 raise SchemaError(f"GradedGroup: bad degree key {deg!r}") from None
             if not isinstance(entry, dict):
                 raise SchemaError(f"GradedGroup: degree {deg} entry must be an object")
-            torsion = entry.get("torsion", [])
-            if not isinstance(torsion, list):
-                raise SchemaError(f"GradedGroup: degree {deg} torsion must be a list")
             what = f"GradedGroup: degree {deg}"
+            torsion = list_from_json(entry.get("torsion", []), f"{what} torsion")
             parsed[k] = (int_from_json(entry.get("rank", 0), f"{what} rank"),
                          [int_from_json(f, f"{what} torsion factor") for f in torsion])
         return GradedGroup.from_dict(parsed)

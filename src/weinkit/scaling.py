@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 RATIO_CAP = 1.25          # height budget for g and for g/(t g + 1)
 CONFORMAL_LIMIT = 4.0     # e^{height} must stay below this
-RATIO_BLOCK = 1 << 18     # grid cells of g/(t g + 1) held at once
 
 
 def _simpson(y, x):
@@ -66,6 +65,10 @@ class GProfile:
     amplitude: float = field(init=False)
 
     def __post_init__(self):
+        for name in ("rise_width", "fall_start", "fall_width"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if not 0 < self.height <= RATIO_CAP:
             raise ValueError(
                 f"height must lie in (0, {RATIO_CAP}], got {self.height}")
@@ -212,44 +215,42 @@ class RatioReport:
         }
 
 
-def bound_ratio(profile: GProfile = None, t_max=0.999, nodes=2001,
-                tolerance=1e-6) -> RatioReport:
-    """Grid maximum of g/(t g + 1) for t in [0, t_max], z in [0, 1].
-
-    The denominator is t g + 1 >= 1 - t, so t must stay strictly below 1;
-    t_max >= 1 is rejected rather than silently clipped.
-    """
-    if profile is None:
-        profile = build_g()
+def _check_t_max(t_max):
+    """Both grid checks need 0 <= t_max < 1: t g + 1 >= 1 - t vanishes at
+    t = 1, so t_max >= 1 is rejected rather than silently clipped."""
     if t_max >= 1:
         raise ValueError(
             "t g + 1 vanishes at t = 1 where g = -1; need t_max < 1, got "
             f"{t_max}")
-    if t_max < 0:
-        raise ValueError("t_max must be nonnegative")
+    if not t_max >= 0:
+        raise ValueError(f"t_max must be nonnegative, got {t_max}")
+
+
+def bound_ratio(profile: GProfile = None, t_max=0.999, nodes=2001,
+                tolerance=1e-6) -> RatioReport:
+    """Grid maximum of g/(t g + 1) for t in [0, t_max], z in [0, 1].
+
+    The (t, z) grid's first maximum in row-major order is read off its
+    t = 0 row.  For finite g >= -1 and 0 <= t < 1 the rounded denominator
+    fl(fl(t g) + 1) is >= 1 when g >= 0 and lies in (0, 1] when g < 0, so
+    every cell rounds to at most g, the exact value of its t = 0 cell.
+    """
+    if profile is None:
+        profile = build_g()
+    _check_t_max(t_max)
     if nodes < 1:
         raise ValueError(f"the grid needs at least one node, got {nodes}")
     import numpy as np
 
-    ts = np.linspace(0.0, t_max, nodes)
     zs = np.linspace(0.0, 1.0, nodes)
     g = profile.g(zs)
-    # Blocks of rows keep memory linear in the node count.  A later block
-    # wins only when strictly larger, so the argmax is the first maximum in
-    # row-major order, as over the whole grid.  (NaN cells fill whole
-    # columns or the whole grid, so the first block holds the first one.)
-    rows = max(1, RATIO_BLOCK // nodes)
-    mx = None
-    for start in range(0, nodes, rows):
-        block = g[None, :] / (ts[start:start + rows, None] * g[None, :] + 1.0)
-        flat = int(np.argmax(block))
-        value = float(block.flat[flat])
-        if mx is None or value > mx:
-            mx = value
-            it, iz = divmod(flat, nodes)
-            it += start
-    return RatioReport(mx, float(ts[it]), float(zs[iz]), RATIO_CAP,
-                       tolerance, mx <= RATIO_CAP + tolerance)
+    if not (np.isfinite(g).all() and g.min() >= -1.0):
+        raise ValueError(
+            f"the ratio bound needs finite g >= -1, got min g = {g.min()}")
+    iz = int(np.argmax(g))
+    mx = float(g[iz])
+    return RatioReport(mx, 0.0, float(zs[iz]), RATIO_CAP, tolerance,
+                       mx <= RATIO_CAP + tolerance)
 
 
 @dataclass(frozen=True)
@@ -322,13 +323,21 @@ def verify_h_family(profile: GProfile = None, nodes=2001, t_max=0.999,
     """
     if profile is None:
         profile = build_g()
-    if t_max >= 1:
+    _check_t_max(t_max)
+    if nodes < 3:
+        raise ValueError(f"the z grid needs nodes >= 3, got {nodes}")
+    if not 0 < fd_step < math.inf:
         raise ValueError(
-            f"monotonicity fails at t = 1; need t_max < 1, got {t_max}")
+            f"fd_step must be a finite positive number, got {fd_step}")
     import numpy as np
 
     zs = np.linspace(-1.5, 1.5, nodes)
     ts = np.linspace(0.0, t_max, t_nodes)[:, None]
+    t_mid = ts[(ts[:, 0] >= fd_step) & (ts[:, 0] + fd_step <= 1.0)]
+    if not t_mid.size:
+        raise ValueError(
+            f"no grid t lies in [fd_step, 1 - fd_step] for t_max = {t_max}, "
+            f"t_nodes = {t_nodes}, fd_step = {fd_step}")
     checks = {}
 
     h0 = profile.h(0.0, zs)
@@ -347,7 +356,6 @@ def verify_h_family(profile: GProfile = None, nodes=2001, t_max=0.999,
     min_slope = float(np.min(slopes))
     checks["slope_positive"] = CheckResult(min_slope, 0.0, min_slope > 0.0)
 
-    t_mid = ts[(ts[:, 0] >= fd_step) & (ts[:, 0] + fd_step <= 1.0)]
     fd = (profile.slope(t_mid + fd_step, zs)
           - profile.slope(t_mid - fd_step, zs)) / (2.0 * fd_step)
     checks["mixed_partial_fd"] = _check(

@@ -22,7 +22,7 @@ def frac_to_str(x: Fraction) -> str:
 
 
 def frac_from_str(s) -> Fraction:
-    if isinstance(s, int):
+    if type(s) is int:
         return Fraction(s)
     if not isinstance(s, str):
         raise SchemaError(f"rational must be 'p/q' string or integer, got {s!r}")
@@ -45,6 +45,13 @@ def bool_from_json(value, what) -> bool:
     if type(value) is bool:
         return value
     raise SchemaError(f"{what} must be true or false, got {value!r}")
+
+
+def list_from_json(value, what) -> list:
+    """A JSON array, as a list; a string, object or number is an error."""
+    if isinstance(value, list):
+        return value
+    raise SchemaError(f"{what} must be a list, got {value!r}")
 
 
 def matrix_to_json(rows) -> list:

@@ -21,6 +21,7 @@ from .serialize import (
     frac_from_str,
     frac_to_str,
     int_from_json,
+    list_from_json,
 )
 
 
@@ -212,7 +213,8 @@ class OrbitSpectrum:
     def from_json(doc):
         check_schema(doc, "OrbitSpectrum")
         try:
-            orbits = tuple(OrbitRecord.from_json(r) for r in doc["orbits"])
+            orbits = tuple(OrbitRecord.from_json(r)
+                           for r in list_from_json(doc["orbits"], "orbits"))
             return OrbitSpectrum(int_from_json(doc["n"], "n"), orbits,
                                  frac_from_str(doc["bound"]),
                                  bool_from_json(doc.get("generic", True),
@@ -466,7 +468,8 @@ class ADCCertificate:
     def from_json(doc):
         check_schema(doc, "ADCCertificate")
         try:
-            stages = tuple(Stage.from_json(s) for s in doc["stages"])
+            stages = tuple(Stage.from_json(s) for s in list_from_json(
+                doc["stages"], "ADCCertificate: stages"))
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"ADCCertificate: {exc}") from None
         return ADCCertificate(stages)

@@ -94,6 +94,26 @@ class TestRecordsAndSpectra:
         with pytest.raises(SchemaError, match="null_homotopic must be true"):
             ChordRecord.from_json(doc)
 
+    @pytest.mark.parametrize("chords", ["", {}, "ab"])
+    def test_spectrum_from_json_rejects_non_list_chords(self, chords):
+        # "chords": "" used to read as an empty spectrum
+        with pytest.raises(SchemaError, match="chords must be a list"):
+            ChordSpectrum.from_json({"schema": 1, "n": 3, "bound": "2",
+                                     "chords": chords})
+
+    def test_record_from_json_rejects_non_list_front(self):
+        # "front": "201" used to read as the front (2, 0, 1)
+        doc = {"id": "c", "degree": 1, "action": "1", "front": "201"}
+        with pytest.raises(SchemaError, match="front must be a list"):
+            ChordRecord.from_json(doc)
+
+    @pytest.mark.parametrize("action", [True, False])
+    def test_record_from_json_rejects_boolean_action(self, action):
+        # "action": true used to read as action 1
+        doc = {"id": "c", "degree": 1, "action": action}
+        with pytest.raises(SchemaError, match="rational must be"):
+            ChordRecord.from_json(doc)
+
 
 class TestMorseData:
     def test_chi_consistency(self):
@@ -117,6 +137,12 @@ class TestMorseData:
     def test_from_json_rejects_non_booleans(self):
         doc = dict(choose_Q(3).to_json(), orientable="false")
         with pytest.raises(SchemaError, match="orientable must be true"):
+            MorseData.from_json(doc)
+
+    def test_from_json_rejects_non_list_critical_points(self):
+        # "critical_points": "01" used to read as (0, 1)
+        doc = dict(choose_Q(3).to_json(), critical_points="01")
+        with pytest.raises(SchemaError, match="critical_points must be a list"):
             MorseData.from_json(doc)
 
 

@@ -305,6 +305,15 @@ class TestCertificates:
         path = files("c.json", empty_certificate().to_json())
         assert invoke(runner, ["adc-check", path]).exit_code == 0
 
+    @pytest.mark.parametrize("stages", ["", {}])
+    def test_adc_check_non_list_stages_is_invalid_input(self, runner, files,
+                                                        stages):
+        # used to report a valid certificate and exit 0
+        path = files("c.json", {"schema": 1, "stages": stages})
+        result = invoke(runner, ["adc-check", path])
+        assert result.exit_code == 2
+        assert "stages must be a list" in report_of(result)["error"]
+
     def test_adc_check_fail(self, runner, files):
         path = files("c.json", degree_zero_orbit_fixture().to_json())
         result = invoke(runner, ["adc-check", path])
@@ -349,6 +358,16 @@ class TestScalingVerify:
         doc = report_of(result)
         assert doc["command"] == "scaling-verify" and doc["ok"] is False
         assert doc["error"].startswith(f"cannot write {csv_path}: ")
+
+    @pytest.mark.parametrize("t_max, message", [
+        ("0", "no grid t lies in [fd_step, 1 - fd_step]"),
+        ("nan", "t_max must be nonnegative, got nan")])
+    def test_degenerate_t_grid_is_invalid_input(self, runner, t_max, message):
+        # used to exit 2 with numpy's zero-size reduction error
+        result = invoke(runner, ["scaling-verify", "--grid", "301",
+                                 "--t-max", t_max])
+        assert result.exit_code == 2
+        assert report_of(result)["error"].startswith(message)
 
     def test_bad_height_is_invalid_input(self, runner):
         assert invoke(runner, ["scaling-verify", "--grid", "301",

@@ -296,7 +296,9 @@ class TestJson:
     @pytest.mark.parametrize("change, message", [
         ({"boundary_matrices": [1]}, "'boundary_matrices' must be an object"),
         ({"allow_many_zero_handles": "false"},
-         "allow_many_zero_handles must be true or false")])
+         "allow_many_zero_handles must be true or false"),
+        ({"handles": "0"}, "handles must be a list"),
+        ({"handles": {"0": {"index": 0}}}, "handles must be a list")])
     def test_from_json_rejects_wrong_types(self, change, message):
         # a list of boundary matrices used to end in an AttributeError
         doc = dict({"schema": 1, "n": 2, "handles": [{"index": 0}]}, **change)

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weinkit import scaling
 from weinkit.scaling import (
     GProfile,
     bound_ratio,
@@ -18,6 +17,7 @@ from weinkit.scaling import (
 )
 
 import oracles
+from test_acceptance import Budget
 
 
 def exact_amplitude(rise_w, fall_start, fall_w):
@@ -120,6 +120,11 @@ class TestProfileConstruction:
             build_g(fall_start=0.98, fall_width=0.03)
         with pytest.raises(ValueError, match="odd node count"):
             build_g(nodes=2000)
+        # a NaN width used to build a profile with NaN amplitude
+        for name, value in [("rise_width", math.nan), ("fall_start", math.nan),
+                            ("fall_width", math.inf)]:
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                build_g(**{name: value})
 
     def test_infeasible_height_rejected(self):
         # the default widths force amplitude ~1.12, above a 0.9 cap
@@ -159,40 +164,58 @@ class TestBoundRatio:
         ts = np.linspace(0.0, t_max, nodes)
         zs = np.linspace(0.0, 1.0, nodes)
         g = profile.g(zs)
-        ratio = g[None, :] / (ts[:, None] * g[None, :] + 1.0)
+        ratio = ts[:, None] * g[None, :]
+        ratio += 1.0
+        np.divide(g[None, :], ratio, out=ratio)
         it, iz = divmod(int(np.argmax(ratio)), nodes)
         return float(ratio[it, iz]), float(ts[it]), float(zs[iz])
 
-    @pytest.mark.parametrize("nodes", [3, 5, 301, 1999, 2001])
+    @pytest.mark.parametrize("nodes", [1, 2, 3, 5, 301, 1999, 2001, 4001])
     def test_blocks_match_dense_grid(self, nodes):
+        # the t = 0 read-off equals the whole grid's first maximum, bit for
+        # bit, up to the largest double below 1
         p = build_g()
-        rep = bound_ratio(p, t_max=0.999, nodes=nodes)
-        assert (rep.max_ratio, rep.at_t, rep.at_z) == \
-            self.dense_ratio(p, 0.999, nodes)
+        for t_max in (0.0, 0.5, 0.999, 1 - 2 ** -53):
+            rep = bound_ratio(p, t_max=t_max, nodes=nodes)
+            assert (rep.max_ratio, rep.at_t, rep.at_z) == \
+                self.dense_ratio(p, t_max, nodes)
 
-    @pytest.mark.parametrize("values", [
-        # g < -1 turns the ratio up in t: the maximum sits in a late row
-        [-1.7, 0.4, -2.9, 0.4, -2.9],
-        # a g = 0 column ties every row at 0: the first row must win
-        [-0.5, 0.0, -0.25]])
-    @pytest.mark.parametrize("block", [1, 7, 64])
-    @pytest.mark.parametrize("nodes", [3, 10, 41])
-    def test_later_block_wins_only_when_larger(self, monkeypatch, values,
-                                               block, nodes):
+    @staticmethod
+    def stub(values):
         class Stub:
             def g(self, zs):
                 return np.resize(values, len(zs))
+        return Stub()
 
-        monkeypatch.setattr(scaling, "RATIO_BLOCK", block)
-        rep = bound_ratio(Stub(), t_max=0.95, nodes=nodes)
+    @pytest.mark.parametrize("nodes", [3, 10, 41])
+    def test_zero_column_tie_keeps_first_row(self, nodes):
+        # a g = 0 column ties every row at 0: the first row must win
+        stub = self.stub([-0.5, 0.0, -0.25])
+        rep = bound_ratio(stub, t_max=0.95, nodes=nodes)
         assert (rep.max_ratio, rep.at_t, rep.at_z) == \
-            self.dense_ratio(Stub(), 0.95, nodes)
+            self.dense_ratio(stub, 0.95, nodes)
+
+    @pytest.mark.parametrize("values", [
+        # g < -1 turns the ratio up in t: the maximum leaves the t = 0 row
+        [-1.7, 0.4, -2.9, 0.4, -2.9],
+        # at t = 0 an infinite g gives 0 * inf = NaN, not g
+        [0.4, math.inf], [0.4, math.nan]])
+    def test_g_outside_read_off_range_rejected(self, values):
+        with pytest.raises(ValueError, match="finite g >= -1"):
+            bound_ratio(self.stub(values), t_max=0.95, nodes=10)
+
+    def test_large_grid_is_one_row(self):
+        with Budget("bound_ratio at 20001 nodes", 0.25):
+            rep = bound_ratio(nodes=20001)
+        assert rep.at_t == 0.0 and rep.holds
 
     def test_t_range_validation(self):
         with pytest.raises(ValueError, match="t = 1"):
             bound_ratio(t_max=1.0)
         with pytest.raises(ValueError, match="nonnegative"):
             bound_ratio(t_max=-0.5)
+        with pytest.raises(ValueError, match="nonnegative, got nan"):
+            bound_ratio(t_max=math.nan)
         with pytest.raises(ValueError, match="at least one node"):
             bound_ratio(nodes=0)
 
@@ -253,6 +276,21 @@ class TestHFamily:
         with pytest.raises(ValueError, match="t = 1"):
             verify_h_family(t_max=1.0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(t_max=math.nan), "t_max must be nonnegative"),
+        (dict(nodes=2), "nodes >= 3, got 2"),
+        (dict(t_nodes=1), "no grid t lies in"),
+        (dict(t_max=0.0), "no grid t lies in"),
+        (dict(fd_step=0.6), "no grid t lies in"),
+        (dict(fd_step=0), "fd_step must be a finite positive number"),
+        (dict(fd_step=math.nan), "fd_step must be a finite positive number"),
+        (dict(fd_step=math.inf), "fd_step must be a finite positive number")])
+    def test_grid_validation(self, kwargs, message):
+        # each used to end in numpy's zero-size reduction error or, for
+        # fd_step = 0, a NaN check
+        with pytest.raises(ValueError, match=message):
+            verify_h_family(**{"nodes": 301, **kwargs})
+
     def test_json_shape(self):
         doc = verify_h_family(nodes=501, t_nodes=21).to_json()
         assert doc["ok"] is True
@@ -282,4 +320,7 @@ class TestRandomFeasibleProfiles:
         assert abs(p.antiderivative(1.0)) < 1e-12
         rep = verify_h_family(p, nodes=401, t_nodes=11)
         assert rep.ok, {k: v for k, v in rep.checks.items() if not v.ok}
-        assert bound_ratio(p, nodes=301).holds
+        ratio = bound_ratio(p, nodes=301)
+        assert ratio.holds
+        assert (ratio.max_ratio, ratio.at_t, ratio.at_z) == \
+            TestBoundRatio.dense_ratio(p, 0.999, 301)

@@ -215,6 +215,12 @@ class TestOrbitRecords:
         with pytest.raises(SchemaError, match=message):
             OrbitSpectrum.from_json(doc)
 
+    @pytest.mark.parametrize("orbits", ["", {}])
+    def test_from_json_rejects_non_list_orbits(self, orbits):
+        with pytest.raises(SchemaError, match="orbits must be a list"):
+            OrbitSpectrum.from_json({"schema": 1, "n": 3, "bound": "2",
+                                     "orbits": orbits})
+
     def test_json_roundtrip(self):
         s = OrbitSpectrum(4, (orbit(3, Fraction(1, 3), "belt:2"),
                               orbit(1, 2, "word:a", False)),
@@ -486,6 +492,12 @@ class TestCertificates:
         ))
         back = ADCCertificate.from_json(json.loads(json.dumps(cert.to_json())))
         assert back == cert
+
+    @pytest.mark.parametrize("stages", ["", {}])
+    def test_from_json_rejects_non_list_stages(self, stages):
+        # "stages": "" used to read as an empty, vacuously valid certificate
+        with pytest.raises(SchemaError, match="stages must be a list"):
+            ADCCertificate.from_json({"schema": 1, "stages": stages})
 
 
 class TestNormalize:
