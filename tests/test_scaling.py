@@ -187,17 +187,46 @@ class TestBoundRatio:
                 return np.resize(values, len(zs))
         return Stub()
 
-    @pytest.mark.parametrize("nodes", [3, 10, 41])
-    def test_zero_column_tie_keeps_first_row(self, nodes):
-        # a g = 0 column ties every row at 0: the first row must win
-        stub = self.stub([-0.5, 0.0, -0.25])
-        rep = bound_ratio(stub, t_max=0.95, nodes=nodes)
-        assert (rep.max_ratio, rep.at_t, rep.at_z) == \
-            self.dense_ratio(stub, 0.95, nodes)
+    @staticmethod
+    def blocked_ratio(profile, t_max, nodes, block):
+        """The (t, z) grid scanned in blocks of about `block` cells, whole
+        rows at a time; a later block replaces the maximum only when
+        strictly larger."""
+        ts = np.linspace(0.0, t_max, nodes)
+        zs = np.linspace(0.0, 1.0, nodes)
+        g = profile.g(zs)
+        rows = max(1, block // nodes)
+        best = None
+        for start in range(0, nodes, rows):
+            cells = g[None, :] / (ts[start:start + rows, None] * g[None, :]
+                                  + 1.0)
+            it, iz = divmod(int(np.argmax(cells)), nodes)
+            if best is None or cells[it, iz] > best[0]:
+                best = (float(cells[it, iz]), float(ts[start + it]),
+                        float(zs[iz]))
+        return best
 
     @pytest.mark.parametrize("values", [
-        # g < -1 turns the ratio up in t: the maximum leaves the t = 0 row
+        # g < -1 turns the ratio up in t: the maximum sits in a late row,
+        # which the t = 0 read-off cannot see, so it must refuse
         [-1.7, 0.4, -2.9, 0.4, -2.9],
+        # a g = 0 column ties every row at 0: the first row must win
+        [-0.5, 0.0, -0.25]])
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("nodes", [3, 10, 41])
+    def test_later_block_wins_only_when_larger(self, values, block, nodes):
+        stub = self.stub(values)
+        scanned = self.blocked_ratio(stub, 0.95, nodes, block)
+        assert scanned == self.dense_ratio(stub, 0.95, nodes)
+        if min(values) < -1:
+            assert scanned[1] > 0.0
+            with pytest.raises(ValueError, match="finite g >= -1"):
+                bound_ratio(stub, t_max=0.95, nodes=nodes)
+        else:
+            rep = bound_ratio(stub, t_max=0.95, nodes=nodes)
+            assert (rep.max_ratio, rep.at_t, rep.at_z) == scanned
+
+    @pytest.mark.parametrize("values", [
         # at t = 0 an infinite g gives 0 * inf = NaN, not g
         [0.4, math.inf], [0.4, math.nan]])
     def test_g_outside_read_off_range_rejected(self, values):
