@@ -20,6 +20,7 @@ from .serialize import (
     frac_to_str,
     int_from_json,
     list_from_json,
+    str_from_json,
 )
 
 
@@ -114,8 +115,11 @@ class ChordRecord(_LazyAction):
             if front is not None:
                 front = tuple(int_from_json(x, "front entry")
                               for x in list_from_json(front, "front"))
+            chord_id = str_from_json(doc["id"], "chord id")
+            if not chord_id:
+                raise SchemaError("chord id must not be empty")
             return ChordRecord(
-                str(doc["id"]), int_from_json(doc["degree"], "degree"),
+                chord_id, int_from_json(doc["degree"], "degree"),
                 frac_from_str(doc["action"]), front,
                 bool_from_json(doc.get("null_homotopic", True), "null_homotopic"))
         except (KeyError, TypeError, ValueError) as exc:
@@ -224,7 +228,8 @@ class MorseData:
         check_schema(doc, "MorseData")
         try:
             return MorseData(
-                str(doc["name"]), int_from_json(doc["dimension"], "dimension"),
+                str_from_json(doc["name"], "name"),
+                int_from_json(doc["dimension"], "dimension"),
                 int_from_json(doc["chi"], "chi"),
                 bool_from_json(doc["orientable"], "orientable"),
                 tuple(int_from_json(i, "critical index")

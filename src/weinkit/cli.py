@@ -38,10 +38,10 @@ import click
 from . import chords as chords_mod
 from . import corpus as corpus_mod
 from . import floer as floer_mod
+from . import graded as graded_mod
 from . import handles as handles_mod
 from . import scaling as scaling_mod
 from . import surgery as surgery_mod
-from .graded import GradedGroup
 from .serialize import SchemaError, dumps_canonical
 
 
@@ -193,7 +193,7 @@ def rank_form(presentation):
          "chi = 2 (n even) or chi_1/2 = 1 (n odd)", holds="result.member")
 def omega_check(group, n, closed, simply_connected, stably_parallelizable):
     """Membership in the surgery-ready class of n-manifolds."""
-    g = _load(group, GradedGroup.from_json)
+    g = _load(group, graded_mod.GradedGroup.from_json)
     verdict = handles_mod.omega_membership(
         g, n, closed, simply_connected, stably_parallelizable)
     return dict(n=n, result={"member": verdict.member,
@@ -208,7 +208,7 @@ def omega_check(group, n, closed, simply_connected, stably_parallelizable):
 def sh_plus(group, n, weinstein):
     """Positive symplectic homology from filling cohomology, once the
     full invariant vanishes."""
-    g = _load(group, GradedGroup.from_json)
+    g = _load(group, graded_mod.GradedGroup.from_json)
     profile = floer_mod.sh_plus_from_vanishing(g, n, weinstein)
     return dict(n=n, result=profile.to_json())
 
@@ -219,7 +219,7 @@ def sh_plus(group, n, weinstein):
 @reports("WH+_k = H^{n-k-1}(L)")
 def wh_plus(group, n):
     """Positive wrapped homology of an exact Lagrangian filling."""
-    g = _load(group, GradedGroup.from_json)
+    g = _load(group, graded_mod.GradedGroup.from_json)
     return dict(n=n, result=floer_mod.wh_plus_from_vanishing(g, n).to_json())
 
 
@@ -231,8 +231,8 @@ def wh_plus(group, n):
          holds="result.fired")
 def distinguish(group_a, group_b, n):
     """Contact-distinguish boundaries of two flexible domains."""
-    a = _load(group_a, GradedGroup.from_json)
-    b = _load(group_b, GradedGroup.from_json)
+    a = _load(group_a, graded_mod.GradedGroup.from_json)
+    b = _load(group_b, graded_mod.GradedGroup.from_json)
     verdict = floer_mod.distinguish_flexible_fillings(a, b, n)
     return dict(n=n, result=verdict.to_json())
 
@@ -260,7 +260,7 @@ def loops_distinguish(table_m, table_n, boundary_group, n):
     """Separate two contact boundaries by free-loop-space homology."""
     lm = _load(table_m, floer_mod.LoopHomologyTable.from_json)
     ln = _load(table_n, floer_mod.LoopHomologyTable.from_json)
-    hy = _load(boundary_group, GradedGroup.from_json)
+    hy = _load(boundary_group, graded_mod.GradedGroup.from_json)
     hy_dims = {k: hy.dim(k, "Q") for k in hy.support}
     verdict = floer_mod.boundedinfinite_distinguisher(lm, ln, hy_dims, n)
     return dict(n=n, result=verdict.to_json())
@@ -274,8 +274,8 @@ def loops_distinguish(table_m, table_n, boundary_group, n):
          "groups is an isomorphism", holds="result.fired")
 def nearby(group_l, group_m, degree_pm1):
     """Isomorphism verdict for the projection of an exact Lagrangian."""
-    hl = _load(group_l, GradedGroup.from_json)
-    hm = _load(group_m, GradedGroup.from_json)
+    hl = _load(group_l, graded_mod.GradedGroup.from_json)
+    hm = _load(group_m, graded_mod.GradedGroup.from_json)
     verdict = floer_mod.nearby_conclusion(hl, hm, degree_pm1)
     return dict(result=verdict.to_json())
 

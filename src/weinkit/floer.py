@@ -10,28 +10,7 @@ input; "the two are the same" is never claimed.
 from dataclasses import dataclass
 
 from .graded import GradedGroup
-from .serialize import SCHEMA_VERSION, SchemaError, check_schema, int_from_json
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of a test; fired means the obstruction/distinction holds."""
-    outcome: str
-    fired: bool
-    witness: dict = None
-    coefficients: str = "Z"
-
-    def __bool__(self):
-        return self.fired
-
-    def to_json(self):
-        return {
-            "schema": SCHEMA_VERSION,
-            "outcome": self.outcome,
-            "fired": self.fired,
-            "witness": self.witness,
-            "coefficients": self.coefficients,
-        }
+from .serialize import SCHEMA_VERSION, SchemaError, Verdict, check_schema, int_from_json
 
 
 INDISTINGUISHABLE = "indistinguishable by this invariant"

@@ -24,7 +24,7 @@ from .graded import (
     homology,
     semi_characteristic,
 )
-from .serialize import SCHEMA_VERSION, SchemaError, bool_from_json, check_schema, int_from_json, list_from_json, matrix_from_json, matrix_to_json
+from .serialize import SCHEMA_VERSION, SchemaError, bool_from_json, check_schema, int_from_json, list_from_json, matrix_from_json, matrix_to_json, str_from_json
 from .snf import smith_normal_form
 
 
@@ -109,7 +109,8 @@ class HandlePresentation:
         try:
             n = int_from_json(doc["n"], "n")
             handles = [(int_from_json(h["index"], "handle index"),
-                        str(h.get("label", f"h{i}")))
+                        str_from_json(h.get("label", f"h{i}"),
+                                      "handle label"))
                        for i, h in enumerate(list_from_json(doc["handles"],
                                                             "handles"))]
         except (KeyError, TypeError, ValueError) as exc:

@@ -3,10 +3,13 @@
 Every document this package reads or writes carries ``"schema": 1``.
 Rationals travel as strings "p/q" (or "p" when the denominator is 1) and
 matrix entries as decimal strings, so arbitrary precision survives JSON.
+`Verdict`, the outcome both floer's distinguishers and surgery's
+certificate check return, lives here so that surgery need not load floer.
 """
 
 import json
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 SCHEMA_VERSION = 1
@@ -14,6 +17,27 @@ SCHEMA_VERSION = 1
 
 class SchemaError(ValueError):
     """Input document does not match the expected schema."""
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Outcome of a test; fired means the obstruction/distinction holds."""
+    outcome: str
+    fired: bool
+    witness: dict = None
+    coefficients: str = "Z"
+
+    def __bool__(self):
+        return self.fired
+
+    def to_json(self):
+        return {
+            "schema": SCHEMA_VERSION,
+            "outcome": self.outcome,
+            "fired": self.fired,
+            "witness": self.witness,
+            "coefficients": self.coefficients,
+        }
 
 
 def frac_to_str(x: Fraction) -> str:
@@ -38,6 +62,13 @@ def int_from_json(value, what) -> int:
                               and re.fullmatch(r"[+-]?[0-9]+", value)):
         return int(value)
     raise SchemaError(f"{what} must be an integer, got {value!r}")
+
+
+def str_from_json(value, what) -> str:
+    """A JSON string, as a str; a number, null, array or object is an error."""
+    if isinstance(value, str):
+        return value
+    raise SchemaError(f"{what} must be a string, got {value!r}")
 
 
 def bool_from_json(value, what) -> bool:

@@ -12,16 +12,17 @@ from fractions import Fraction
 from math import lcm
 
 from .chords import ChordRecord, ChordSpectrum, _fresh_id, choose_Q, min_positive_N, stabilize
-from .floer import Verdict
 from .serialize import (
     SCHEMA_VERSION,
     SchemaError,
+    Verdict,
     bool_from_json,
     check_schema,
     frac_from_str,
     frac_to_str,
     int_from_json,
     list_from_json,
+    str_from_json,
 )
 
 
@@ -169,7 +170,8 @@ class OrbitRecord:
         try:
             return OrbitRecord(int_from_json(doc["degree"], "degree"),
                                frac_from_str(doc["action"]),
-                               str(doc.get("origin", "old")),
+                               str_from_json(doc.get("origin", "old"),
+                                             "origin"),
                                bool_from_json(doc.get("contractible", True),
                                               "contractible"))
         except (KeyError, TypeError, ValueError) as exc:

@@ -107,6 +107,23 @@ class TestRecordsAndSpectra:
         with pytest.raises(SchemaError, match="front must be a list"):
             ChordRecord.from_json(doc)
 
+    @pytest.mark.parametrize("chord_id, message", [
+        (None, "chord id must be a string, got None"),
+        (["a"], r"chord id must be a string, got \['a'\]"),
+        ("", "chord id must not be empty")])
+    def test_record_from_json_rejects_non_string_ids(self, chord_id, message):
+        # null used to read as the chord "None", ["a"] as "['a']"
+        with pytest.raises(SchemaError, match=message):
+            ChordRecord.from_json({"id": chord_id, "degree": 1, "action": "1"})
+
+    def test_spectrum_from_json_rejects_integer_ids(self):
+        # ids 1 and "1" used to be reported as a duplicate chord id '1'
+        chords = [{"id": 1, "degree": 1, "action": "1"},
+                  {"id": "1", "degree": 1, "action": "1"}]
+        with pytest.raises(SchemaError, match="chord id must be a string, got 1"):
+            ChordSpectrum.from_json({"schema": 1, "n": 3, "bound": "2",
+                                     "chords": chords})
+
     @pytest.mark.parametrize("action", [True, False])
     def test_record_from_json_rejects_boolean_action(self, action):
         # "action": true used to read as action 1
@@ -137,6 +154,12 @@ class TestMorseData:
     def test_from_json_rejects_non_booleans(self):
         doc = dict(choose_Q(3).to_json(), orientable="false")
         with pytest.raises(SchemaError, match="orientable must be true"):
+            MorseData.from_json(doc)
+
+    def test_from_json_rejects_non_string_name(self):
+        # a name of 3 used to read as "3"
+        doc = dict(choose_Q(3).to_json(), name=3)
+        with pytest.raises(SchemaError, match="name must be a string, got 3"):
             MorseData.from_json(doc)
 
     def test_from_json_rejects_non_list_critical_points(self):

@@ -163,6 +163,16 @@ class TestMalformedInput:
         assert ("null_homotopic must be true or false, got 'false'"
                 in report_of(result)["error"])
 
+    def test_chord_id_not_a_string(self, runner, files):
+        # "id": null used to read as the chord "None"
+        doc = two_letter_table().to_json()
+        doc["chords"][0]["id"] = None
+        path = files("chords.json", doc)
+        result = invoke(runner, ["words", path, "--bound", "4"])
+        assert result.exit_code == 2
+        assert ("chord id must be a string, got None"
+                in report_of(result)["error"])
+
 
 class TestDetectors:
     def test_distinguish_fires_and_exits_zero(self, runner, files):

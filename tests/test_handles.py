@@ -298,7 +298,9 @@ class TestJson:
         ({"allow_many_zero_handles": "false"},
          "allow_many_zero_handles must be true or false"),
         ({"handles": "0"}, "handles must be a list"),
-        ({"handles": {"0": {"index": 0}}}, "handles must be a list")])
+        ({"handles": {"0": {"index": 0}}}, "handles must be a list"),
+        ({"handles": [{"index": 0, "label": None}]},
+         "handle label must be a string, got None")])
     def test_from_json_rejects_wrong_types(self, change, message):
         # a list of boundary matrices used to end in an AttributeError
         doc = dict({"schema": 1, "n": 2, "handles": [{"index": 0}]}, **change)

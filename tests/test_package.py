@@ -1,25 +1,93 @@
 """Package-wide properties: postconditions survive `python -O`, the import
-pulls in no dependency beyond click, and numpy loads only for the float
-grids of scaling-verify and the examples corpus."""
+pulls in no dependency beyond click, numpy loads only for the float grids
+of scaling-verify and the examples corpus, `import weinkit` executes no
+submodule and each command executes only the modules it uses, and the
+public names are those of the eager package."""
 
 import ast
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import weinkit
+from test_cli_golden import COMMANDS, RUNS, write_fixtures
 
 SRC = Path(weinkit.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
 
 
-def _python(args, cwd=None):
+# home module -> the public names `weinkit` re-exports from it; the same
+# names, from the same modules, as when the package imported them eagerly
+FACADE = {
+    "graded": """ChainComplex GradedGroup cancel_summand
+        cohomology_from_homology euler_characteristic homology
+        homology_from_cohomology invariant_factor_chain
+        semi_characteristic""",
+    "snf": "SNFResult bareiss_determinant is_unimodular smith_normal_form",
+    "handles": """BoundaryHomologyReport C1Report HandlePresentation
+        OmegaVerdict boundary_connect_sum boundary_homology
+        c1_propagation_check cohomology handlebody_boundary_homology
+        intersection_form_rank omega_membership""",
+    "floer": """LoopHomologyTable SHPlusProfile Verdict
+        boundedinfinite_distinguisher cem_flexible_obstruction
+        distinguish_flexible_fillings flexible_support_test nearby_conclusion
+        sh_plus_from_vanishing sh_plus_reindex_back
+        sh_support_adc_obstruction taut_les_bounds wh_plus_from_vanishing
+        wrapped_loop_grading""",
+    "chords": """ChordRecord ChordSpectrum MorseData SelfIntersectionIndex
+        chord_degree choose_Q min_positive_N self_intersection_index
+        stabilize""",
+    "surgery": """ADCCertificate CyclicWord OrbitRecord OrbitSpectrum Stage
+        adc_check add_surgery_chord belt_sphere_chords canonical_rotation
+        enumerate_words flexible_surgery_certificate legendrian_surgery_rules
+        nonsimultaneous_words normalize_certificate orbits_after_surgery
+        rescale subcritical_surgery""",
+    "scaling": "GProfile bound_ratio build_g conformal_bound verify_h_family",
+    "corpus": "CORPUS examples_corpus run_example",
+}
+PUBLIC = {name: module for module, names in FACADE.items()
+          for name in names.split()}
+
+# the weinkit modules a `weinkit` process executes, over every golden run of
+# each command
+EXECUTED = {
+    **dict.fromkeys(["homology", "boundary", "rank-form", "omega-check"],
+                    "cli serialize graded snf handles"),
+    **dict.fromkeys(["sh-plus", "wh-plus", "distinguish", "cem-bound",
+                     "loops-distinguish", "nearby"],
+                    "cli serialize graded snf floer"),
+    **dict.fromkeys(["chord-degree", "stabilize", "self-index"],
+                    "cli serialize chords"),
+    **dict.fromkeys(["words", "surgery subcritical", "surgery flexible",
+                     "surgery belt", "surgery ambient", "adc-check",
+                     "normalize-cert"], "cli serialize chords surgery"),
+    "scaling-verify": "cli serialize scaling",
+    "examples": ("cli serialize graded snf handles floer chords surgery "
+                 "scaling models corpus"),
+}
+
+# defines executed(): the submodules of weinkit that have executed.  A module
+# registered for lazy loading is of a subclass of ModuleType until it
+# executes, and type(), unlike an attribute lookup, does not trigger the load
+EXECUTED_CODE = (
+    "def executed():\n"
+    "    return sorted(n.removeprefix('weinkit.')\n"
+    "                  for n, m in sys.modules.items()\n"
+    "                  if n.startswith('weinkit.')\n"
+    "                  and type(m) is types.ModuleType)\n")
+
+
+def _python(args, cwd=None, python=sys.executable):
     """Run the interpreter on ARGS with src/ and tests/ importable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC.parent), str(TESTS), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+    return subprocess.run([python, *args], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=60)
 
 
@@ -65,3 +133,107 @@ def test_every_other_command_leaves_out_numpy(tmp_path):
     out = _python(["-c", code], cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "", f"loaded numpy: {out.stdout}"
+
+
+def test_import_executes_no_submodule_but_registers_each():
+    code = ("import json, sys, types\n" + EXECUTED_CODE
+            + "import weinkit\n"
+            "print(json.dumps([executed(), sorted(n for n in sys.modules\n"
+            "                  if n.startswith('weinkit.'))]))\n")
+    out = _python(["-c", code])
+    assert out.returncode == 0, out.stderr
+    executed, registered = json.loads(out.stdout)
+    assert executed == []
+    # every module but the command line, which is imported as usual
+    assert registered == sorted(f"weinkit.{p.stem}" for p in SRC.glob("*.py")
+                                if p.stem not in ("__init__", "cli"))
+
+
+def _executed_by(args_list, cwd):
+    """The weinkit modules one process executes running each ARGS of
+    ARGS_LIST through the command line, in order."""
+    code = ("import json, sys, types\n" + EXECUTED_CODE
+            + "from click.testing import CliRunner\n"
+            "from weinkit.cli import main\n"
+            "for args in json.loads(sys.argv[1]):\n"
+            "    CliRunner().invoke(main, args)\n"
+            "print(' '.join(executed()))\n")
+    out = _python(["-c", code, json.dumps(args_list)], cwd=cwd)
+    assert out.returncode == 0, out.stderr
+    return set(out.stdout.split())
+
+
+@pytest.fixture(scope="module")
+def fixtures(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("cli-fixtures")
+    write_fixtures(str(directory))
+    return directory
+
+
+def test_every_command_has_an_executed_set():
+    assert set(EXECUTED) == {" ".join(c) for c in COMMANDS}
+
+
+@pytest.mark.parametrize("command", sorted(EXECUTED))
+def test_command_executes_only_its_modules(command, fixtures):
+    words = command.split()
+    runs = [r for r in RUNS if r[:len(words)] == words]
+    assert _executed_by(runs, fixtures) == set(EXECUTED[command].split())
+
+
+def test_help_executes_only_the_command_line(fixtures):
+    assert _executed_by([["--help"], ["surgery", "--help"]],
+                        fixtures) == {"cli", "serialize"}
+
+
+def test_public_names_are_those_of_the_eager_package():
+    assert weinkit.__all__ == sorted(PUBLIC)
+    for name, module in PUBLIC.items():
+        home = sys.modules[f"weinkit.{module}"]
+        assert getattr(weinkit, name) is getattr(home, name), name
+    assert set(dir(weinkit)) >= set(weinkit.__all__)
+    namespace = {}
+    exec("from weinkit import *", namespace)
+    assert set(weinkit.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        weinkit.no_such_name
+
+
+def test_verdict_lives_in_serialize():
+    # surgery takes Verdict from serialize, so it need not execute floer
+    assert weinkit.floer.Verdict is weinkit.serialize.Verdict
+
+
+LIBRARY_CODE = ("import json, sys, types\n" + EXECUTED_CODE + """\
+import weinkit
+report = {"import": executed()}
+report["attribute"] = (weinkit.GradedGroup
+                       is sys.modules["weinkit.graded"].GradedGroup)
+import weinkit.chords
+report["submodule"] = (weinkit.chords is sys.modules["weinkit.chords"]
+                       and "chords" in executed())
+spectrum = weinkit.ChordSpectrum(3, (weinkit.ChordRecord("a", 1, 1),
+                                     weinkit.ChordRecord("b", 2, "3/2")), 4)
+report["words"] = sorted(".".join(w.letters)
+                         for w in weinkit.enumerate_words(spectrum, 4))
+report["executed"] = executed()
+print(json.dumps(report))
+""")
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
+def test_lazy_loading_on_each_installed_interpreter(version):
+    # LazyLoader changed in 3.12 (it takes a lock); run the library part of
+    # the contract, which needs no click, on every supported interpreter
+    python = shutil.which(f"python{version}")
+    probe = python and subprocess.run(
+        [python, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+        capture_output=True, text=True, timeout=60)
+    if not probe or probe.returncode != 0 or probe.stdout.strip() != version:
+        pytest.skip(f"python{version} is not installed")
+    out = _python(["-c", LIBRARY_CODE], python=python)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {
+        "import": [], "attribute": True, "submodule": True,
+        "words": ["a", "a.a", "a.a.a", "a.a.b", "a.b", "b", "b.b"],
+        "executed": ["chords", "graded", "serialize", "snf", "surgery"]}

@@ -215,6 +215,14 @@ class TestOrbitRecords:
         with pytest.raises(SchemaError, match=message):
             OrbitSpectrum.from_json(doc)
 
+    @pytest.mark.parametrize("origin", [None, 1, ["old"]])
+    def test_from_json_rejects_non_string_origin(self, origin):
+        # an origin of null used to read as "None"
+        doc = {"schema": 1, "n": 3, "bound": "2",
+               "orbits": [{"degree": 1, "action": "1", "origin": origin}]}
+        with pytest.raises(SchemaError, match="origin must be a string"):
+            OrbitSpectrum.from_json(doc)
+
     @pytest.mark.parametrize("orbits", ["", {}])
     def test_from_json_rejects_non_list_orbits(self, orbits):
         with pytest.raises(SchemaError, match="orbits must be a list"):
