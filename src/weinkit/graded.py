@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .serialize import SCHEMA_VERSION, SchemaError, check_schema, int_from_json, list_from_json, matrix_from_json, matrix_to_json
-from .snf import mat_mul, smith_normal_form
+from .snf import _as_rows, mat_mul, smith_normal_form
 
 
 def invariant_factor_chain(factors):
@@ -194,11 +194,12 @@ class ChainComplex:
         self.boundaries = {}
         for k, rows in (boundaries or {}).items():
             k = int(k)
-            rows = [[int(x) for x in row] for row in rows]
+            try:
+                rows = _as_rows(rows)
+            except ValueError as e:
+                raise ValueError(f"boundary d_{k}: {e}") from None
             nrows = len(rows)
             ncols = len(rows[0]) if rows else 0
-            if any(len(r) != ncols for r in rows):
-                raise ValueError(f"ragged boundary matrix at degree {k}")
             if nrows != self.dims.get(k - 1, 0) or ncols != self.dims.get(k, 0):
                 raise ValueError(
                     f"boundary d_{k} has shape {nrows}x{ncols}, expected "

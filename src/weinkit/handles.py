@@ -25,7 +25,7 @@ from .graded import (
     semi_characteristic,
 )
 from .serialize import SCHEMA_VERSION, SchemaError, bool_from_json, check_schema, int_from_json, list_from_json, matrix_from_json, matrix_to_json, str_from_json
-from .snf import smith_normal_form
+from .snf import _as_rows, smith_normal_form
 
 
 class HandlePresentation:
@@ -68,7 +68,10 @@ class HandlePresentation:
                 "with a single 0-handle every 1-handle boundary is zero")
         self.intersection_form = None
         if intersection_form is not None:
-            m = [[int(x) for x in row] for row in intersection_form]
+            try:
+                m = _as_rows(intersection_form)
+            except ValueError as e:
+                raise ValueError(f"intersection form: {e}") from None
             nn = counts.get(self.n, 0)
             if len(m) != nn or any(len(r) != nn for r in m):
                 raise ValueError(

@@ -1,20 +1,46 @@
 """Smith normal form over the integers, with verified postconditions.
 
 All arithmetic is exact (Python big integers).  ``smith_normal_form``
-re-multiplies U*A*V and checks unimodularity and the divisibility chain on
-every call, so a result object is itself a certificate.
+checks every postcondition on every call, so a result object is itself a
+certificate.  For an m x n input A with transforms U (m x m), V (n x n):
+
+- U*A*V = D costs two products that skip zero entries: one multiply-add
+  per pair of nonzeros u_ik, a_kj, then per pair (UA)_ik, v_kj, plus one
+  pass over each matrix;
+- det U = +-1 and det V = +-1 cost one Bareiss elimination each.  Under a
+  +-1 pivot a row changes only if it is nonzero in the pivot column, and
+  only on the support of the pivot row, so a sparse unit transform costs
+  about n^2 / 2 comparisons plus its fill-in, not n^3 / 3 big-integer
+  multiply-and-divide steps;
+- positive factors, the divisibility chain, zero off-diagonal entries and
+  the rank cost one pass over D.
+
+The elimination touches only the nonzeros of the pivot row (or column) on
+a quotient step, and skips the "pivot divides the rest" scan under a +-1
+pivot, which divides everything.
 """
 
 from dataclasses import dataclass
+from operator import index
 
 
 def _as_rows(a):
-    """Copy input (any nested sequence / numpy object array) to lists of int."""
-    rows = [[int(x) for x in row] for row in a]
-    if rows:
-        widths = {len(r) for r in rows}
-        if len(widths) > 1:
-            raise ValueError("ragged matrix")
+    """Copy a matrix (nested sequences, numpy integer or object arrays) to
+    lists of Python ints.  An entry that is not an integer (a float, a
+    string) is an error, never truncated."""
+    try:
+        rows = [[index(x) for x in row] for row in a]
+    except TypeError:
+        for i, row in enumerate(a):
+            for j, x in enumerate(row):
+                try:
+                    index(x)
+                except TypeError:
+                    raise ValueError(f"matrix entry ({i}, {j}) = {x!r} is "
+                                     "not an integer") from None
+        raise
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError("ragged matrix")
     return rows
 
 
@@ -23,32 +49,31 @@ def identity_matrix(n):
 
 
 def mat_mul(a, b):
-    n = len(a)
+    """Exact product; costs one multiply-add per pair of nonzeros a_ik,
+    b_kj."""
     inner = len(a[0]) if a else 0
     if len(b) != inner:
         raise ValueError("shape mismatch")
     p = len(b[0]) if b else 0
-    out = [[0] * p for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            aik = ai[k]
+    b_support = [[(j, x) for j, x in enumerate(bk) if x] for bk in b]
+    out = []
+    for ai in a:
+        oi = [0] * p
+        for aik, bk in zip(ai, b_support):
             if aik:
-                bk = b[k]
-                for j in range(p):
-                    oi[j] += aik * bk[j]
+                for j, x in bk:
+                    oi[j] += aik * x
+        out.append(oi)
     return out
 
 
-def bareiss_determinant(a):
-    """Exact determinant by Bareiss fraction-free elimination."""
-    m = [row[:] for row in _as_rows(a)]
+def _det(m):
+    """Bareiss fraction-free elimination on a square list of rows, in
+    place.  Under a repeated pivot (pivot == prev, as for +-1 pivots) a
+    row changes only on the support of the pivot row, and not at all if
+    it is zero in the pivot column.  A pivot of -prev is made one by
+    negating its row."""
     n = len(m)
-    if n == 0:
-        return 1
-    if any(len(r) != n for r in m):
-        raise ValueError("determinant needs a square matrix")
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -60,12 +85,38 @@ def bareiss_determinant(a):
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+        rk = m[k]
+        p = rk[k]
+        if p == -prev:
+            # the entries below row k are minors without row k, so
+            # negating it changes only the sign of det
+            rk = m[k] = [-x for x in rk]
+            p = prev
+            sign = -sign
+        support = [j for j in range(k + 1, n) if rk[j]]
+        for ri in m[k + 1:]:
+            e = ri[k]
+            if p == prev:
+                # (r*p - e*c) / prev = r - e*c / prev, an exact quotient
+                if e:
+                    for j in support:
+                        ri[j] -= e * rk[j] // prev
+            elif e:
+                for j in range(k + 1, n):
+                    ri[j] = (ri[j] * p - e * rk[j]) // prev
+            else:
+                for j in range(k + 1, n):
+                    ri[j] = ri[j] * p // prev
+        prev = p
+    return sign * m[n - 1][n - 1] if n else 1
+
+
+def bareiss_determinant(a):
+    """Exact determinant by Bareiss fraction-free elimination."""
+    m = _as_rows(a)
+    if any(len(r) != len(m) for r in m):
+        raise ValueError("determinant needs a square matrix")
+    return _det(m)
 
 
 def is_unimodular(a):
@@ -86,19 +137,20 @@ class SNFResult:
         return tuple(f for f in self.invariant_factors if f >= 2)
 
 
-def _pivot_position(m, s, nrows, ncols):
+def _pivot_position(m, s, nrows):
     """Smallest nonzero |entry| in the block starting at (s, s), else None."""
     best = None
     best_val = 0
     for i in range(s, nrows):
-        row = m[i]
-        for j in range(s, ncols):
-            v = row[j]
-            if v != 0 and (best is None or abs(v) < best_val):
-                best = (i, j)
-                best_val = abs(v)
-                if best_val == 1:
-                    return best
+        tail = m[i][s:]
+        if not any(tail):
+            continue
+        val = min(map(abs, filter(None, tail)))
+        if best is None or val < best_val:
+            j = min(tail.index(x) for x in (val, -val) if x in tail)
+            best, best_val = (i, s + j), val
+            if val == 1:
+                return best
     return best
 
 
@@ -127,7 +179,8 @@ def smith_normal_form(a):
     Returns SNFResult(d, u, v, rank, invariant_factors) with u*a*v = d.
     Total function: any shape, including empty, is accepted.
     """
-    m = _as_rows(a)
+    rows = _as_rows(a)
+    m = [r[:] for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     u = identity_matrix(nrows)
@@ -138,10 +191,11 @@ def smith_normal_form(a):
         p, e = m[s][s], m[i][s]
         q, r = divmod(e, p)
         if r == 0:
-            for t in range(ncols):
-                m[i][t] -= q * m[s][t]
-            for t in range(nrows):
-                u[i][t] -= q * u[s][t]
+            for mat in (m, u):
+                ri = mat[i]
+                for t, x in enumerate(mat[s]):
+                    if x:
+                        ri[t] -= q * x
             return
         g, x, y = _xgcd(p, e)
         pa, eb = p // g, e // g
@@ -156,10 +210,10 @@ def smith_normal_form(a):
         p, e = m[s][s], m[s][j]
         q, r = divmod(e, p)
         if r == 0:
-            for row in m:
-                row[j] -= q * row[s]
-            for row in v:
-                row[j] -= q * row[s]
+            for mat in (m, v):
+                for row in mat:
+                    if row[s]:
+                        row[j] -= q * row[s]
             return
         g, x, y = _xgcd(p, e)
         pa, eb = p // g, e // g
@@ -172,7 +226,7 @@ def smith_normal_form(a):
     s = 0
     limit = min(nrows, ncols)
     while s < limit:
-        pos = _pivot_position(m, s, nrows, ncols)
+        pos = _pivot_position(m, s, nrows)
         if pos is None:
             break
         i0, j0 = pos
@@ -186,63 +240,51 @@ def smith_normal_form(a):
                 row[s], row[j0] = row[j0], row[s]
 
         # column ops can dirty the pivot column and vice versa; loop until
-        # both are clear (pivot |value| only ever shrinks, so this halts)
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(s + 1, nrows):
-                if m[i][s] != 0:
-                    combine_rows(s, i)
-            for j in range(s + 1, ncols):
-                if m[s][j] != 0:
-                    combine_cols(s, j)
-            for i in range(s + 1, nrows):
-                if m[i][s] != 0:
-                    dirty = True
-                    break
-
-        # pivot must divide every remaining entry; absorb a witness row if not
-        offender = None
-        p = m[s][s]
-        for i in range(s + 1, nrows):
-            for j in range(s + 1, ncols):
-                if m[i][j] % p != 0:
-                    offender = i
-                    break
-            if offender is not None:
+        # both are clear (pivot |value| only ever shrinks, so this halts).
+        # A step on row i changes only rows s and i, so the rows to clear
+        # can be listed up front; likewise for columns.
+        while True:
+            for i in [i for i in range(s + 1, nrows) if m[i][s]]:
+                combine_rows(s, i)
+            for j in [j for j in range(s + 1, ncols) if m[s][j]]:
+                combine_cols(s, j)
+            if not any(row[s] for row in m[s + 1:]):
                 break
-        if offender is not None:
-            for j in range(ncols):
-                m[s][j] += m[offender][j]
-            for j in range(nrows):
-                u[s][j] += u[offender][j]
-            continue  # redo this pivot with the enlarged row
 
-        if m[s][s] < 0:
-            for j in range(ncols):
-                m[s][j] = -m[s][j]
-            for j in range(nrows):
-                u[s][j] = -u[s][j]
+        # pivot must divide every remaining entry; absorb a witness row if
+        # not (a +-1 pivot divides everything)
+        p = m[s][s]
+        if p not in (1, -1):
+            offender = next((i for i in range(s + 1, nrows)
+                             if any(x % p for x in m[i][s + 1:] if x)), None)
+            if offender is not None:
+                m[s] = [x + y for x, y in zip(m[s], m[offender])]
+                u[s] = [x + y for x, y in zip(u[s], u[offender])]
+                continue  # redo this pivot with the enlarged row
+
+        if p < 0:
+            m[s] = [-x for x in m[s]]
+            u[s] = [-x for x in u[s]]
         s += 1
 
     rank = s
     factors = tuple(m[i][i] for i in range(rank))
 
     # postconditions, every call
-    if mat_mul(mat_mul(u, _as_rows(a)), v) != m:
+    if mat_mul(mat_mul(u, rows), v) != m:
         raise AssertionError("SNF postcondition failed: U*A*V != D")
-    if not is_unimodular(u) or not is_unimodular(v):
+    if (_det([r[:] for r in u]) not in (1, -1)
+            or _det([r[:] for r in v]) not in (1, -1)):
         raise AssertionError("SNF postcondition failed: transform not unimodular")
     for i in range(rank):
         if factors[i] <= 0:
             raise AssertionError("SNF postcondition failed: nonpositive factor")
         if i + 1 < rank and factors[i + 1] % factors[i] != 0:
             raise AssertionError("SNF postcondition failed: divisibility chain")
-    for i in range(nrows):
-        for j in range(ncols):
-            if i != j and m[i][j] != 0:
-                raise AssertionError("SNF postcondition failed: off-diagonal entry")
-        if i < ncols and i >= rank and m[i][i] != 0:
+    for i, row in enumerate(m):
+        if any(row[:i]) or any(row[i + 1:]):
+            raise AssertionError("SNF postcondition failed: off-diagonal entry")
+        if rank <= i < ncols and row[i] != 0:
             raise AssertionError("SNF postcondition failed: rank miscount")
 
     return SNFResult(d=m, u=u, v=v, rank=rank, invariant_factors=factors)

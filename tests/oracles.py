@@ -75,6 +75,92 @@ def homology_ranks_by_row_reduction(dims, boundaries):
     return ranks
 
 
+def _mat_mul(a, b):
+    """Schoolbook integer product (the SNF module's own product is not used
+    to build the inputs it is tested on)."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols]
+            for row in a]
+
+
+def unimodular_pair(rng, n, steps, coeffs=(-1, 1)):
+    """(P, P^-1): a random signed permutation times `steps` elementary
+    operations row_i += c * row_j, c drawn from `coeffs`.  The inverse is
+    built alongside, so det P = +-1 and P P^-1 = I hold by construction."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    p = [[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    q = [list(col) for col in zip(*p)]  # a signed permutation's inverse
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice(coeffs)
+        # P <- (I + c e_ij) P;  P^-1 <- P^-1 (I - c e_ij)
+        p[i] = [x + c * y for x, y in zip(p[i], p[j])]
+        for row in q:
+            row[j] -= c * row[i]
+    return p, q
+
+
+def divisibility_chain(rng, length, unit_share):
+    """d_1 | d_2 | ... of `length` factors, each step 1 with probability
+    `unit_share`, else times 2, 3, 5 or 6."""
+    out, current = [], 1
+    for _ in range(length):
+        if rng.random() > unit_share:
+            current *= rng.choice((2, 2, 3, 5, 6))
+        out.append(current)
+    return out
+
+
+def conjugated_matrix(rng, rows, cols, rank, unit_share, steps, coeffs=(-1, 1)):
+    """(P D Q^-1, factors): D is rows x cols with a divisibility chain of
+    `rank` factors on its diagonal, P and Q random unimodular with
+    `steps` elementary operations per dimension.  The invariant factors
+    of the result are those of D by construction."""
+    factors = divisibility_chain(rng, rank, unit_share)
+    d = [[factors[i] if i == j < rank else 0 for j in range(cols)]
+         for i in range(rows)]
+    p, _ = unimodular_pair(rng, rows, steps * rows, coeffs)
+    _, q_inv = unimodular_pair(rng, cols, steps * cols, coeffs)
+    return _mat_mul(_mat_mul(p, d), q_inv), factors
+
+
+def conjugated_complex(rng, betti, ranks, unit_share, steps, coeffs=(-1, 1)):
+    """(dims, boundaries, homology parts) of a chain complex built in
+    standard form and conjugated degree by degree.
+
+    betti: {k: b_k}; ranks: {k: rank d_k} for k >= 1.  In degree k the
+    basis is [images of d_{k+1} | homology | mapped by d_k]; d_k sends the
+    i-th mapped generator to f_i times the i-th image generator, with
+    (f_i) a divisibility chain.  Then d'_k = P_{k-1} d_k P_k^-1, so
+    d' d' = 0 and each d'_k keeps its invariant factors.  The parts are
+    sorted (degree, b_k, torsion chain of d_{k+1}), as in GradedGroup.
+    """
+    degrees = sorted(set(betti) | set(ranks) | {k - 1 for k in ranks})
+    dims = {k: ranks.get(k + 1, 0) + betti.get(k, 0) + ranks.get(k, 0)
+            for k in degrees}
+    factors = {k: divisibility_chain(rng, r, unit_share)
+               for k, r in ranks.items()}
+    pairs = {k: unimodular_pair(rng, n, steps * n, coeffs)
+             for k, n in dims.items() if n}
+    boundaries = {}
+    for k, r in ranks.items():
+        if r == 0:
+            continue
+        first_mapped = ranks.get(k + 1, 0) + betti.get(k, 0)
+        d = [[0] * dims[k] for _ in range(dims[k - 1])]
+        for i, f in enumerate(factors[k]):
+            d[i][first_mapped + i] = f
+        boundaries[k] = _mat_mul(_mat_mul(pairs[k - 1][0], d), pairs[k][1])
+    parts = []
+    for k in degrees:
+        torsion = tuple(f for f in factors.get(k + 1, ()) if f >= 2)
+        if betti.get(k, 0) or torsion:
+            parts.append((k, betti.get(k, 0), torsion))
+    return dims, boundaries, tuple(parts)
+
+
 def canonical_rotation(letters):
     """Lexicographically least rotation of a tuple, by trying all rotations."""
     w = tuple(letters)

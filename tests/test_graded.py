@@ -1,3 +1,4 @@
+import random
 import time
 from contextlib import contextmanager
 
@@ -19,7 +20,8 @@ from weinkit.graded import (
 )
 from weinkit.serialize import SchemaError
 
-from oracles import homology_ranks_by_row_reduction, sympy_invariant_factors
+from oracles import conjugated_complex, homology_ranks_by_row_reduction, sympy_invariant_factors
+from test_acceptance import Budget
 
 
 def gg(d):
@@ -73,6 +75,29 @@ class TestHomology:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             ChainComplex({0: 1, 1: 2}, {1: [[1]]})
+
+    def test_rejects_non_integer_entries(self):
+        # 2.5 used to be truncated to 2, giving Z/2 in degree 0
+        with pytest.raises(ValueError, match=r"d_1: .*2\.5.*not an integer"):
+            ChainComplex({0: 1, 1: 1}, {1: [[2.5]]})
+
+    def test_rejects_ragged_boundary(self):
+        with pytest.raises(ValueError, match="d_2: ragged"):
+            ChainComplex({1: 2, 2: 2}, {2: [[1, 0], [0]]})
+
+    def test_sparse_unit_complex_of_64_generators(self):
+        # degrees 2 and 3 have 64 generators each; conjugated by one
+        # elementary +-1 operation per generator, as the benchmark's
+        # sparse class is
+        rng = random.Random("homology-64")
+        dims, maps, parts = conjugated_complex(
+            rng, {0: 1, 1: 0, 2: 2, 3: 2, 4: 1, 5: 1},
+            {1: 24, 2: 32, 3: 30, 4: 32, 5: 24}, 0.9, 1)
+        assert max(dims.values()) == 64
+        cx = ChainComplex(dims, maps)
+        with Budget("homology of a sparse unit complex, n = 64", 0.2):
+            h = homology(cx)
+        assert h.parts == parts
 
     def test_projective_plane_like(self):
         # one cell each in degrees 0,1,2 with d2 = [2], d1 = 0

@@ -49,6 +49,13 @@ class TestPresentationValidation:
         p = HandlePresentation(2, [0, 1], {1: [[0]]})
         assert p.chain.boundary(1) is None
 
+    def test_form_entries_must_be_integers(self):
+        # 0.5 used to be truncated to 0, reading the form as zero
+        with pytest.raises(ValueError,
+                           match=r"intersection form: .*0\.5.*not an integer"):
+            HandlePresentation(3, [0, 3, 3],
+                               intersection_form=[[0.5, 0], [0, 0]])
+
     def test_form_shape_checked(self):
         with pytest.raises(ValueError, match="intersection form"):
             HandlePresentation(2, [0, 2], intersection_form=[[1, 0], [0, 1]])

@@ -1,8 +1,17 @@
+import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
+import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weinkit.snf as snf
 from weinkit.snf import (
     bareiss_determinant,
     identity_matrix,
@@ -11,7 +20,7 @@ from weinkit.snf import (
     smith_normal_form,
 )
 
-from oracles import rational_rank, sympy_invariant_factors
+from oracles import conjugated_matrix, rational_rank, sympy_invariant_factors
 
 
 def test_identity_is_fixed():
@@ -90,5 +99,133 @@ def test_bareiss_against_permanent_cases():
     for _ in range(50):
         n = rng.randint(1, 5)
         m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        import sympy
         assert bareiss_determinant(m) == int(sympy.Matrix(m).det())
+
+
+def _rows(n, c, entries):
+    return st.lists(st.lists(st.sampled_from(entries), min_size=c, max_size=c),
+                    min_size=n, max_size=n)
+
+
+# mostly 0, so that most rows skip a pivot; the 2s and 3s make pivots
+# that differ from the previous one, so those rows must be rescaled
+SPARSE_SMALL = (0, 0, 0, 0, 0, 0, 1, -1, 2, -2, 3, -3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=0, max_value=12).flatmap(
+    lambda n: _rows(n, n, SPARSE_SMALL)))
+def test_bareiss_sparse_matches_sympy(m):
+    assert bareiss_determinant(m) == (int(sympy.Matrix(m).det()) if m else 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=16).flatmap(
+    lambda r: st.integers(min_value=0, max_value=16).flatmap(
+        lambda c: _rows(r, c, (0, 0, 0, 0, 0, 1, -1, 1, -1, 2)))))
+def test_snf_sparse_unit_matches_sympy_oracle(m):
+    res = smith_normal_form(m)
+    assert sorted(res.torsion_factors) == sympy_invariant_factors(m)
+    assert res.rank == rational_rank(m)
+
+
+def _pinned_shape(rng, cls):
+    """(rows, cols, rank, unit share, steps per dimension) of one matrix
+    in a class of the benchmark's algebra workload."""
+    if cls == "sparse-unit":
+        r, c = rng.randint(18, 24), rng.randint(18, 24)
+        return r, c, rng.randint(min(r, c) // 3, min(r, c) // 2), 0.9, 1
+    if cls == "full-rank":
+        n = rng.randint(14, 16)
+        return n, n, n - rng.randint(0, 1), 0.9, 1
+    if cls == "dense-torsion":
+        n = rng.randint(8, 10)
+        return n, n, n - rng.randint(0, 1), 0.6, 2
+    r, c = rng.randint(4, 10), rng.randint(4, 10)
+    return r, c, rng.randint(0, min(r, c)), 0.6, 2
+
+
+# sha256 of the repr of (d, u, v, rank, invariant_factors) over 50 seeded
+# matrices per class.  Any change to the pivot order, the 2x2 transforms
+# or the sign normalization changes U and V, and so these digests.
+PINNED_SNF = {
+    "sparse-unit": "e2636aac3c2cabe257e4fb08e1528473f622ce84765fad56f8f0dc4d309d8cbd",
+    "full-rank": "85756bc85cbfb6f191e14d3102e31f323cf51220455abc4f26b4b431db9424ce",
+    "dense-torsion": "8b56502902e6383d190da6b2cafdd14f56d2367a6eed8c65791d6f3102dc49a8",
+    "rectangular": "3eeff0733f6449a67715f6335101fa2217f2b08322180057243c1d02a97c3887",
+}
+
+
+@pytest.mark.parametrize("cls", sorted(PINNED_SNF))
+def test_results_are_pinned(cls):
+    rng = random.Random(f"snf-pin:{cls}")
+    digest = hashlib.sha256()
+    for _ in range(50):
+        m, factors = conjugated_matrix(rng, *_pinned_shape(rng, cls))
+        res = smith_normal_form(m)
+        assert res.invariant_factors == tuple(factors)
+        digest.update(repr((res.d, res.u, res.v, res.rank,
+                            res.invariant_factors)).encode())
+    assert digest.hexdigest() == PINNED_SNF[cls]
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: smith_normal_form([[2.7, 0], [0, 3.9]]), id="snf"),
+    pytest.param(lambda: bareiss_determinant([[1.5, 0], [0, 1]]), id="det"),
+    pytest.param(lambda: is_unimodular([[1, 0], [0, 1.0]]), id="unimodular"),
+    pytest.param(lambda: smith_normal_form(np.array([[1, 0], [0, 0.5]])),
+                 id="float-array"),
+    pytest.param(lambda: smith_normal_form([[1, "2"]]), id="string"),
+])
+def test_non_integer_entries_rejected(call):
+    with pytest.raises(ValueError, match="not an integer"):
+        call()
+
+
+def test_integer_arrays_accepted():
+    want = smith_normal_form([[2, 4], [6, 8]])
+    for a in (np.array([[2, 4], [6, 8]]),
+              np.array([[2, 4], [6, 8]], dtype=np.int8),
+              np.array([[2, 4], [6, 8]], dtype=object)):
+        assert smith_normal_form(a) == want
+    assert bareiss_determinant(np.array([[1, 2], [3, 4]])) == -2
+
+
+def test_ragged_rejected():
+    with pytest.raises(ValueError, match="ragged"):
+        smith_normal_form([[1, 2], [3]])
+
+
+def _doubled_xgcd(xgcd):
+    def doubled(a, b):
+        g, x, y = xgcd(a, b)
+        return g, 2 * x, 2 * y
+    return doubled
+
+
+def test_certificate_catches_a_non_unimodular_step(monkeypatch):
+    # the doubled Bezout pair gives a 2x2 column step of determinant 2;
+    # U*A*V = D still holds, so only det V = +-1 can catch it
+    monkeypatch.setattr(snf, "_xgcd", _doubled_xgcd(snf._xgcd))
+    with pytest.raises(AssertionError, match="not unimodular"):
+        smith_normal_form([[2, 3]])
+
+
+def test_certificate_survives_optimized_mode():
+    script = (
+        "import weinkit.snf as snf\n"
+        "xgcd = snf._xgcd\n"
+        "def doubled(a, b):\n"
+        "    g, x, y = xgcd(a, b)\n"
+        "    return g, 2 * x, 2 * y\n"
+        "snf._xgcd = doubled\n"
+        "try:\n"
+        "    snf.smith_normal_form([[2, 3]])\n"
+        "except AssertionError as e:\n"
+        "    print(e)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert "not unimodular" in out.stdout
