@@ -43,9 +43,9 @@ _EXPORTS = {
         "ADCCertificate", "CyclicWord", "OrbitRecord", "OrbitSpectrum",
         "Stage", "adc_check", "add_surgery_chord", "belt_sphere_chords",
         "canonical_rotation", "enumerate_words",
-        "flexible_surgery_certificate", "legendrian_surgery_rules",
-        "nonsimultaneous_words", "normalize_certificate",
-        "orbits_after_surgery", "rescale", "subcritical_surgery"),
+        "flexible_surgery_certificate", "nonsimultaneous_words",
+        "normalize_certificate", "orbits_after_surgery", "rescale",
+        "subcritical_surgery"),
     "scaling": ("GProfile", "bound_ratio", "build_g", "conformal_bound",
                 "verify_h_family"),
     "corpus": ("CORPUS", "examples_corpus", "run_example"),

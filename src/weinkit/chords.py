@@ -14,6 +14,7 @@ from itertools import repeat
 from .serialize import (
     SCHEMA_VERSION,
     SchemaError,
+    as_int,
     bool_from_json,
     check_schema,
     frac_from_str,
@@ -64,7 +65,8 @@ class ChordRecord(_LazyAction):
             except ValueError:
                 raise ValueError(
                     f"chord {self.id!r}: front must be (D, U, ind)") from None
-            front = (int(d), int(u), int(ind))
+            front = tuple(as_int(x, f"chord {self.id!r}: front entry")
+                          for x in (d, u, ind))
             object.__setattr__(self, "front", front)
             expect = chord_degree(*front)
             if expect != self.degree:
@@ -94,10 +96,6 @@ class ChordRecord(_LazyAction):
             # about half of setting the fields record by record in Python
             deque(map(getattr(cls, name).__set__, records, values), maxlen=0)
         return records
-
-    def shifted(self, amount):
-        """Same chord after a degree shift by 2N: down-cusp count absorbs it."""
-        return _shifted((self,), amount)[0]
 
     def to_json(self):
         return {
@@ -200,8 +198,8 @@ class MorseData:
     critical_points: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "critical_points",
-                           tuple(int(i) for i in self.critical_points))
+        object.__setattr__(self, "critical_points", tuple(
+            as_int(i, "critical index") for i in self.critical_points))
         if self.dimension < 0:
             raise ValueError("dimension must be >= 0")
         for i in self.critical_points:
@@ -299,7 +297,7 @@ def stabilize(spectrum: ChordSpectrum, N, q_data: MorseData,
             "new chords would break the bound")
     if sites is None:
         sites = sum(1 for c in spectrum.chords if c.degree <= 0)
-    sites = int(sites)
+    sites = as_int(sites, "sites")
     if sites < 0:
         raise ValueError("sites must be >= 0")
 

@@ -1,39 +1,32 @@
-"""Command line front end.
+"""Command line front end, on the standard library's argparse.
 
-Every command prints one JSON report (schema 1, canonical key order, so
-identical inputs and options give byte-identical output) with a "formula"
-field naming the rule it applied.  --table renders the same report as
-aligned text; the JSON remains the source of truth.
+`main(args=None, prog_name="weinkit")` runs `weinkit ARGS` (default
+sys.argv[1:]) and ends the process with `sys.exit(code)`: 0 when the
+computation succeeds and any property it checks holds (for detector
+commands, "distinguished" counts as holding), 1 when a checked property
+fails or stdout is closed early, 2 on invalid input (unreadable files,
+schema and hypothesis violations, usage errors).
 
-Exit codes: 0 when the computation succeeds and any property it checks
-holds (for detector commands, "distinguished" counts as holding), 1 when a
-checked property fails, 2 on invalid input (unreadable files, schema
-violations, hypothesis violations, unknown commands).
-
-Every command runs through one runner, `reports(formula, holds)`.  The
-command body only loads its inputs (`_load`, `_frac`), computes, and
-returns the report fields in their display order.  The runner:
-
-- adds --table as the last option;
-- names the report after the command path below the root, such as
-  "surgery subcritical";
-- prints {"schema": 1, "command": name, "formula": formula, **fields};
-  with formula None the body returns the whole report itself;
-- exits 1 when `holds` names a report entry ("result.fired", "ok") that is
-  false, and 0 otherwise;
-- turns a SchemaError or ValueError from the body into the error report
-  {"schema", "command", "error", "ok": false}, always as JSON, and exits 2.
-  It is the only place that does.
+Each command is declared once, as `command(name, *params)` over
+`reports(formula, holds)`, the one runner.  The body loads its inputs
+(`_load`, `_frac`), computes, and returns the report fields in display
+order.  The runner prints one JSON report, {"schema": 1, "command": name,
+"formula": formula, **fields} in canonical key order (with formula None the
+body returns the whole report), or aligned text under --table.  It exits 1
+when `holds` names a false report entry ("result.fired", "ok"), else 0.
+It alone turns a SchemaError or ValueError from the body into the JSON
+error report {"schema", "command", "error", "ok": false}, with exit 2.
 """
 
+import argparse
 import csv
 import functools
 import json
 import operator
+import os
 import sys
+from argparse import BooleanOptionalAction
 from fractions import Fraction
-
-import click
 
 from . import chords as chords_mod
 from . import corpus as corpus_mod
@@ -72,14 +65,11 @@ def _frac(text, option):
 
 def _rows_to_table(rows):
     headers = list(rows[0])
-    cells = [[str(r.get(h, "")) for h in headers] for r in rows]
-    widths = [max(len(h), *(len(c[i]) for c in cells))
-              for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-    lines.append("  ".join("-" * w for w in widths))
-    lines.extend("  ".join(c.ljust(w) for c, w in zip(row, widths))
-                 for row in cells)
-    return "\n".join(lines)
+    cells = [headers, *([str(r.get(h, "")) for h in headers] for r in rows)]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(headers))]
+    cells.insert(1, ["-" * w for w in widths])
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths))
+                     for row in cells)
 
 
 def _render_table(doc, indent=0):
@@ -106,67 +96,123 @@ def _scalar(value):
     return value
 
 
-def _emit(report, table, code):
-    click.echo(_render_table(report) if table else dumps_canonical(report))
-    sys.exit(code)
-
-
-def _command_name(ctx):
-    names = []
-    while ctx.parent is not None:
-        names.append(ctx.info_name)
-        ctx = ctx.parent
-    return " ".join(reversed(names))
-
-
 def reports(formula, holds=None):
-    """Turn a command body into a report command (see the module docstring)."""
+    """Turn a command body into its report runner (see above)."""
     def decorate(body):
-        @click.option("--table", "table", is_flag=True,
-                      help="Render the report as text instead of JSON.")
-        @functools.wraps(body)
-        def command(table, **params):
-            name = _command_name(click.get_current_context())
+        def run(command, table, **params):
             try:
-                fields = body(**params)
+                report = body(**params)
             except ValueError as exc:  # SchemaError is a ValueError
-                _emit({"schema": 1, "command": name, "error": str(exc),
-                       "ok": False}, False, 2)
-            report = (fields if formula is None else
-                      {"schema": 1, "command": name, "formula": formula,
-                       **fields})
-            fails = holds is not None and not functools.reduce(
-                operator.getitem, holds.split("."), report)
-            _emit(report, table, 1 if fails else 0)
-        return command
+                table, code = False, 2
+                report = {"schema": 1, "command": command, "error": str(exc),
+                          "ok": False}
+            else:
+                if formula is not None:
+                    report = {"schema": 1, "command": command,
+                              "formula": formula, **report}
+                code = int(holds is not None and not functools.reduce(
+                    operator.getitem, holds.split("."), report))
+            print(_render_table(report) if table else dumps_canonical(report))
+            return code
+        run.__doc__ = body.__doc__
+        return run
     return decorate
 
 
-@click.group()
-def main():
-    """Exact handle-calculus, grading, and convexity toolkit."""
+# command name -> (runner, params), in the order of --help
+COMMANDS = {}
+GROUPS = {"": "Exact handle-calculus, grading, and convexity toolkit.",
+          "surgery": "Effect of handle attachment on chord and orbit spectra."}
 
 
-@main.command()
-@click.argument("presentation", type=click.Path())
-@click.option("--coeff", type=click.Choice(["Z", "Q", "F2"]), default="Z")
+def command(name, *params):
+    """Register a report runner as the command NAME.  Each of PARAMS is an
+    argument's name or the (names, keywords) of an `add_argument` call."""
+    def register(run):
+        COMMANDS[name] = run, params
+        return run
+    return register
+
+
+def _arg(*names, **keywords):
+    return names, keywords
+
+
+_N, _K = (_arg(flag, type=int, required=True) for flag in ("--n", "--k"))
+_TABLE = _arg("--table", action="store_true",
+              help="Render the report as text instead of JSON.")
+
+
+class _Parser(argparse.ArgumentParser):
+    """No abbreviations, no -h; a `takes_value` option takes any next token."""
+
+    def __init__(self, **keywords):
+        super().__init__(allow_abbrev=False, add_help=False, **keywords)
+        self.takes_value = set()
+        self.add_argument("--help", action="help",
+                          help="Show this message and exit.")
+
+    def parse_known_args(self, args=None, namespace=None):
+        tokens, joined = list(args), []  # "--eps -1/2" -> "--eps=-1/2"
+        while tokens and tokens[0] != "--":
+            token = tokens.pop(0)
+            if token in self.takes_value and tokens:
+                token += "=" + tokens.pop(0)
+            joined.append(token)
+        return super().parse_known_args(joined + tokens, namespace)
+
+
+def _parser(prog):
+    root = _Parser(prog=prog, description=GROUPS[""])
+    choices = {"": root.add_subparsers(metavar="COMMAND", required=True)}
+    for name, (run, params) in COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group not in choices:
+            choices[group] = choices[""].add_parser(
+                group, help=GROUPS[group], description=GROUPS[group]
+            ).add_subparsers(metavar="COMMAND", required=True)
+        parser = choices[group].add_parser(leaf, help=run.__doc__,
+                                           description=run.__doc__)
+        for param in (*params, _TABLE):
+            names, keywords = _arg(param) if isinstance(param, str) else param
+            action = parser.add_argument(*names, **keywords)
+            if action.nargs != 0:
+                parser.takes_value.update(action.option_strings)
+        parser.set_defaults(command=name)
+    return root
+
+
+def main(args=None, prog_name="weinkit"):
+    """Run `weinkit ARGS` and end the process with its exit code."""
+    try:
+        try:
+            params = vars(_parser(prog_name).parse_args(
+                sys.argv[1:] if args is None else args))
+            code = COMMANDS[params["command"]][0](**params)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: exit 1, flushing what is left to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
+
+
+@command("homology", "presentation",
+         _arg("--coeff", choices=("Z", "Q", "F2"), default="Z"))
 @reports("H_k of the handle chain complex by Smith normal form")
 def homology(presentation, coeff):
     """Homology of a handle presentation, over Z, Q, or F2."""
     p = _load(presentation, handles_mod.HandlePresentation.from_json)
     h = p.homology()
-    if coeff == "Z":
-        result = h.to_json()["graded_group"]
-    else:
-        result = {str(k): h.dim(k, coeff) for k in h.support
-                  if h.dim(k, coeff)}
+    result = (h.to_json()["graded_group"] if coeff == "Z" else
+              {str(k): h.dim(k, coeff) for k in h.support if h.dim(k, coeff)})
     return dict(coefficients=coeff, n=p.n, result=result,
                 euler_characteristic=p.euler_characteristic(),
                 describe=h.describe())
 
 
-@main.command()
-@click.argument("presentation", type=click.Path())
+@command("boundary", "presentation")
 @reports("dim H^k(Y;Q) = (b_k - r_k) + (b_{d-k-1} - r_{k+1})")
 def boundary(presentation):
     """Rational homology of the boundary of a handle presentation."""
@@ -174,8 +220,7 @@ def boundary(presentation):
     return dict(result=handles_mod.boundary_homology(p).to_json())
 
 
-@main.command("rank-form")
-@click.argument("presentation", type=click.Path())
+@command("rank-form", "presentation")
 @reports("rank over Q of the middle-degree intersection form")
 def rank_form(presentation):
     """Rank of the middle intersection form over Q."""
@@ -183,12 +228,9 @@ def rank_form(presentation):
     return dict(n=p.n, result=handles_mod.intersection_form_rank(p))
 
 
-@main.command("omega-check")
-@click.argument("group", type=click.Path())
-@click.option("--n", type=int, required=True)
-@click.option("--closed", is_flag=True)
-@click.option("--simply-connected", is_flag=True)
-@click.option("--stably-parallelizable", is_flag=True)
+@command("omega-check", "group", _N, *(
+    _arg(flag, action="store_true")
+    for flag in ("--closed", "--simply-connected", "--stably-parallelizable")))
 @reports("closed + simply connected + stably parallelizable + "
          "chi = 2 (n even) or chi_1/2 = 1 (n odd)", holds="result.member")
 def omega_check(group, n, closed, simply_connected, stably_parallelizable):
@@ -200,10 +242,8 @@ def omega_check(group, n, closed, simply_connected, stably_parallelizable):
                              "reason": verdict.reason})
 
 
-@main.command("sh-plus")
-@click.argument("group", type=click.Path())
-@click.option("--n", type=int, required=True)
-@click.option("--weinstein/--no-weinstein", default=True)
+@command("sh-plus", "group", _N,
+         _arg("--weinstein", action=BooleanOptionalAction, default=True))
 @reports("SH+_k = H^{n-k+1}(W)")
 def sh_plus(group, n, weinstein):
     """Positive symplectic homology from filling cohomology, once the
@@ -213,9 +253,7 @@ def sh_plus(group, n, weinstein):
     return dict(n=n, result=profile.to_json())
 
 
-@main.command("wh-plus")
-@click.argument("group", type=click.Path())
-@click.option("--n", type=int, required=True)
+@command("wh-plus", "group", _N)
 @reports("WH+_k = H^{n-k-1}(L)")
 def wh_plus(group, n):
     """Positive wrapped homology of an exact Lagrangian filling."""
@@ -223,10 +261,7 @@ def wh_plus(group, n):
     return dict(n=n, result=floer_mod.wh_plus_from_vanishing(g, n).to_json())
 
 
-@main.command()
-@click.argument("group_a", type=click.Path())
-@click.argument("group_b", type=click.Path())
-@click.option("--n", type=int, required=True)
+@command("distinguish", "group_a", "group_b", _N)
 @reports("flexible fillings transport H^*(W) to a contact invariant",
          holds="result.fired")
 def distinguish(group_a, group_b, n):
@@ -237,23 +272,17 @@ def distinguish(group_a, group_b, n):
     return dict(n=n, result=verdict.to_json())
 
 
-@main.command("cem-bound")
-@click.option("--k", type=int, required=True)
-@click.option("--dim", "dim_h1", type=int, required=True)
+@command("cem-bound", _K, _arg("--dim", type=int, required=True))
 @reports("no flexible filling once k >= dim H^1(Y;Z/2) + 2",
          holds="result.fires")
-def cem_bound(k, dim_h1):
+def cem_bound(k, dim):
     """Copy-count obstruction to flexible fillings."""
-    fires = floer_mod.cem_flexible_obstruction(k, dim_h1)
-    return dict(k=k, dim_h1_mod2=dim_h1,
-                result={"fires": fires, "threshold": dim_h1 + 2})
+    fires = floer_mod.cem_flexible_obstruction(k, dim)
+    return dict(k=k, dim_h1_mod2=dim,
+                result={"fires": fires, "threshold": dim + 2})
 
 
-@main.command("loops-distinguish")
-@click.argument("table_m", type=click.Path())
-@click.argument("table_n", type=click.Path())
-@click.argument("boundary_group", type=click.Path())
-@click.option("--n", type=int, required=True)
+@command("loops-distinguish", "table_m", "table_n", "boundary_group", _N)
 @reports("fires when |dim H_k(LM) - dim H_k(LN)| exceeds "
          "2 H^{n-k}(Y) + 2 H^{n-k+1}(Y)", holds="result.fired")
 def loops_distinguish(table_m, table_n, boundary_group, n):
@@ -266,10 +295,8 @@ def loops_distinguish(table_m, table_n, boundary_group, n):
     return dict(n=n, result=verdict.to_json())
 
 
-@main.command()
-@click.argument("group_l", type=click.Path())
-@click.argument("group_m", type=click.Path())
-@click.option("--degree-pm1/--no-degree-pm1", default=True)
+@command("nearby", "group_l", "group_m",
+         _arg("--degree-pm1", action=BooleanOptionalAction, default=True))
 @reports("a degree +-1 surjection between equal finitely generated "
          "groups is an isomorphism", holds="result.fired")
 def nearby(group_l, group_m, degree_pm1):
@@ -280,10 +307,8 @@ def nearby(group_l, group_m, degree_pm1):
     return dict(result=verdict.to_json())
 
 
-@main.command("chord-degree")
-@click.option("--down", type=int, required=True)
-@click.option("--up", type=int, required=True)
-@click.option("--ind", type=int, required=True)
+@command("chord-degree", *(_arg(name, type=int, required=True)
+                           for name in ("--down", "--up", "--ind")))
 @reports("|c| = D - U + ind - 1")
 def chord_degree_cmd(down, up, ind):
     """Grading of a Reeb chord from front-projection data."""
@@ -291,13 +316,11 @@ def chord_degree_cmd(down, up, ind):
                 result=chords_mod.chord_degree(down, up, ind))
 
 
-@main.command()
-@click.argument("spectrum", type=click.Path())
-@click.option("--big-n", "big_n", type=int, default=None,
-              help="Stabilization count; default is the minimal N making "
-                   "every degree positive.")
-@click.option("--eps", default=None, help="Total zig-zag action budget.")
-@click.option("--sites", type=int, default=None)
+@command("stabilize", "spectrum",
+         _arg("--big-n", type=int, help="Stabilization count; default is "
+              "the minimal N making every degree positive."),
+         _arg("--eps", help="Total zig-zag action budget."),
+         _arg("--sites", type=int))
 @reports("old degrees shift by 2N; 2Nqk zig-zag chords enter at "
          "degree 1 + ind")
 def stabilize(spectrum, big_n, eps, sites):
@@ -310,9 +333,7 @@ def stabilize(spectrum, big_n, eps, sites):
     return dict(N=n_stab, Q=q_data.name, result=out.to_json())
 
 
-@main.command("self-index")
-@click.option("--n", type=int, required=True)
-@click.option("--big-n", "big_n", type=int, required=True)
+@command("self-index", _N, _arg("--big-n", type=int, required=True))
 @reports("(-1)^{(n-1)(n-2)/2} N chi(Q)")
 def self_index(n, big_n):
     """Self-intersection index of the stabilizing regular homotopy."""
@@ -323,9 +344,8 @@ def self_index(n, big_n):
                         "vanishes": idx.vanishes})
 
 
-@main.command()
-@click.argument("spectrum", type=click.Path())
-@click.option("--bound", required=True, help="Action window, as a rational.")
+@command("words", "spectrum",
+         _arg("--bound", required=True, help="Action window, as a rational."))
 @reports("one class per rotation; degree and action add over letters")
 def words(spectrum, bound):
     """Cyclic words in the chord alphabet below an action bound."""
@@ -337,19 +357,11 @@ def words(spectrum, bound):
     return dict(bound=str(window), count=len(rows), result=rows)
 
 
-@main.group()
-def surgery():
-    """Effect of handle attachment on chord and orbit spectra."""
-
-
-@surgery.command("subcritical")
-@click.argument("orbits", type=click.Path())
-@click.option("--n", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--iterates", type=int, required=True)
-@click.option("--eps", default=None, help="Action of the first belt iterate.")
-@click.option("--assert-hypotheses", is_flag=True,
-              help="Caller asserts pi_1 hypotheses for k = 2.")
+@command("surgery subcritical", "orbits", _N, _K,
+         _arg("--iterates", type=int, required=True),
+         _arg("--eps", help="Action of the first belt iterate."),
+         _arg("--assert-hypotheses", action="store_true",
+              help="Caller asserts pi_1 hypotheses for k = 2."))
 @reports("iterate j of the belt orbit has degree 2n - k - 4 + 2j")
 def surgery_subcritical(orbits, n, k, iterates, eps, assert_hypotheses):
     """Belt-sphere orbit iterates created by a subcritical handle."""
@@ -362,26 +374,21 @@ def surgery_subcritical(orbits, n, k, iterates, eps, assert_hypotheses):
     return dict(n=n, k=k, iterates=iterates, result=out.to_json())
 
 
-@surgery.command("flexible")
-@click.argument("certificate", type=click.Path())
-@click.option("--chords", "chords_path", type=click.Path(), default=None)
-@click.option("--n", type=int, required=True)
-@click.option("--zigzag", default=None,
-              help="Zig-zag action budget used when stabilizing.")
+@command("surgery flexible", "certificate", _arg("--chords"), _N,
+         _arg("--zigzag", help="Zig-zag action budget used when stabilizing."))
 @reports("widen to action k*4^k, adjoin word orbits, rescale by 4^-k")
-def surgery_flexible(certificate, chords_path, n, zigzag):
+def surgery_flexible(certificate, chords, n, zigzag):
     """Run a convexity certificate through the critical-surgery pipeline."""
     cert = _load(certificate, surgery_mod.ADCCertificate.from_json)
-    chord_data = (None if chords_path is None
-                  else _load(chords_path, chords_mod.ChordSpectrum.from_json))
+    chord_data = (None if chords is None
+                  else _load(chords, chords_mod.ChordSpectrum.from_json))
     out = surgery_mod.flexible_surgery_certificate(
         cert, chord_data, n, zigzag_action=_frac(zigzag, "--zigzag"))
     return dict(n=n, result=out.to_json())
 
 
-@surgery.command("belt")
-@click.argument("spectrum", type=click.Path())
-@click.option("--bound", default=None, help="Chord window, as a rational.")
+@command("surgery belt", "spectrum",
+         _arg("--bound", help="Chord window, as a rational."))
 @reports("the word w contributes a chord of degree |w| + n - 2")
 def surgery_belt(spectrum, bound):
     """Belt-sphere chords after critical surgery: one per cyclic word."""
@@ -390,10 +397,8 @@ def surgery_belt(spectrum, bound):
     return dict(result=out.to_json())
 
 
-@surgery.command("ambient")
-@click.argument("spectrum", type=click.Path())
-@click.option("--k", type=int, required=True)
-@click.option("--action", default=None, help="Action of the new chord.")
+@command("surgery ambient", "spectrum", _K,
+         _arg("--action", help="Action of the new chord."))
 @reports("an index-k handle adds one chord of degree n - k - 1")
 def surgery_ambient(spectrum, k, action):
     """Chord created by an ambient subcritical handle."""
@@ -402,8 +407,7 @@ def surgery_ambient(spectrum, k, action):
     return dict(k=k, result=out.to_json())
 
 
-@main.command("adc-check")
-@click.argument("certificate", type=click.Path())
+@command("adc-check", "certificate")
 @reports("scales weakly decrease, bounds strictly increase, "
          "contractible orbits have positive degree", holds="result.fired")
 def adc_check_cmd(certificate):
@@ -412,9 +416,8 @@ def adc_check_cmd(certificate):
     return dict(result=surgery_mod.adc_check(cert).to_json())
 
 
-@main.command("normalize-cert")
-@click.argument("certificate", type=click.Path())
-@click.option("--eps", required=True, help="Shrink factor in (0, 1).")
+@command("normalize-cert", "certificate",
+         _arg("--eps", required=True, help="Shrink factor in (0, 1)."))
 @reports("stage m is rescaled by eps^m; scales contract by eps, "
          "bounds grow by 1/eps")
 def normalize_cert(certificate, eps):
@@ -425,14 +428,13 @@ def normalize_cert(certificate, eps):
     return dict(eps=str(factor), result=out.to_json())
 
 
-@main.command("scaling-verify")
-@click.option("--grid", type=int, default=2001)
-@click.option("--t-max", type=float, default=0.999)
-@click.option("--height", type=float, default=1.25)
-@click.option("--tol", default="1/1000000",
-              help="Slack on the ratio cap, as a rational.")
-@click.option("--csv", "csv_path", type=click.Path(), default=None,
-              help="Also dump the sampled profile (z, g, G) as CSV.")
+@command("scaling-verify", _arg("--grid", type=int, default=2001),
+         _arg("--t-max", type=float, default=0.999),
+         _arg("--height", type=float, default=1.25),
+         _arg("--tol", default="1/1000000",
+              help="Slack on the ratio cap, as a rational."),
+         _arg("--csv", dest="csv_path",
+              help="Also dump the sampled profile (z, g, G) as CSV."))
 @reports("g/(t g + 1) <= cap, integral of g vanishes, exp(cap) < 4, "
          "family identities hold on the grid", holds="result.ok")
 def scaling_verify(grid, t_max, height, tol, csv_path):
@@ -454,21 +456,19 @@ def scaling_verify(grid, t_max, height, tol, csv_path):
                                  for row in samples)
         except OSError as exc:
             raise ValueError(f"cannot write {csv_path}: {exc}") from None
-    return dict(result={"profile": profile.to_json(),
-                        "ratio": ratio.to_json(),
-                        "conformal": conf.to_json(),
-                        "family": family.to_json(),
-                        "ok": ratio.holds and conf.holds and family.ok})
+    return dict(result={
+        "profile": profile.to_json(), "ratio": ratio.to_json(),
+        "conformal": conf.to_json(), "family": family.to_json(),
+        "ok": ratio.holds and conf.holds and family.ok})
 
 
-@main.command()
-@click.argument("name", required=False)
-@click.option("--i", "i_param", type=int, default=None,
-              help="Family parameter for entries that take one.")
+@command("examples", _arg("name", nargs="?"),
+         _arg("--i", type=int,
+              help="Family parameter for entries that take one."))
 @reports(None, holds="ok")
-def examples(name, i_param):
+def examples(name, i):
     """Run the named worked example, or the whole corpus."""
-    options = {} if i_param is None else {"i": i_param}
+    options = {} if i is None else {"i": i}
     report = corpus_mod.examples_corpus(None if name is None else [name],
                                         **options)
     report["formula"] = ("each entry recomputes a worked example and "

@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from .serialize import SCHEMA_VERSION, SchemaError, check_schema, int_from_json, list_from_json, matrix_from_json, matrix_to_json
+from .serialize import SCHEMA_VERSION, SchemaError, as_int, check_schema, int_from_json, list_from_json, matrix_from_json, matrix_to_json
 from .snf import _as_rows, mat_mul, smith_normal_form
 
 
@@ -23,7 +23,7 @@ def invariant_factor_chain(factors):
     """
     chain = []
     for f in factors:
-        f = int(f)
+        f = as_int(f, "torsion factor")
         if f == 1:
             continue
         if f < 1:
@@ -81,12 +81,12 @@ class GradedGroup:
         """groups: {degree: (rank, iterable of torsion factors)}."""
         parts = []
         for deg, (rank, factors) in groups.items():
-            rank = int(rank)
+            rank = as_int(rank, f"rank at degree {deg}")
             if rank < 0:
                 raise ValueError(f"negative rank at degree {deg}")
             chain = invariant_factor_chain(factors)
             if rank or chain:
-                parts.append((int(deg), rank, chain))
+                parts.append((as_int(deg, "degree"), rank, chain))
         parts.sort()
         return GradedGroup(tuple(parts))
 
@@ -185,7 +185,9 @@ class ChainComplex:
     """
 
     def __init__(self, dims, boundaries=None):
-        self.dims = {int(k): int(v) for k, v in dims.items() if int(v) != 0}
+        counts = ((k, as_int(v, f"generator count at degree {k}"))
+                  for k, v in dims.items())
+        self.dims = {as_int(k, "degree"): v for k, v in counts if v}
         for k, v in self.dims.items():
             if v < 0:
                 raise ValueError(f"negative generator count at degree {k}")
@@ -193,7 +195,7 @@ class ChainComplex:
                 raise ValueError("negative degrees are not supported")
         self.boundaries = {}
         for k, rows in (boundaries or {}).items():
-            k = int(k)
+            k = as_int(k, "boundary degree")
             try:
                 rows = _as_rows(rows)
             except ValueError as e:

@@ -24,7 +24,7 @@ from .graded import (
     homology,
     semi_characteristic,
 )
-from .serialize import SCHEMA_VERSION, SchemaError, bool_from_json, check_schema, int_from_json, list_from_json, matrix_from_json, matrix_to_json, str_from_json
+from .serialize import SCHEMA_VERSION, SchemaError, as_int, bool_from_json, check_schema, int_from_json, list_from_json, matrix_from_json, matrix_to_json, str_from_json
 from .snf import _as_rows, smith_normal_form
 
 
@@ -40,7 +40,7 @@ class HandlePresentation:
 
     def __init__(self, n, handles, boundaries=None, intersection_form=None,
                  allow_many_zero_handles=False):
-        self.n = int(n)
+        self.n = as_int(n, "half-dimension n")
         if self.n < 1:
             raise ValueError(f"half-dimension n must be >= 1, got {n}")
         norm = []
@@ -49,7 +49,7 @@ class HandlePresentation:
                 norm.append((h, f"h{h}.{i}"))
             else:
                 k, label = h
-                norm.append((int(k), str(label)))
+                norm.append((as_int(k, f"handle {label!r} index"), str(label)))
         self.handles = tuple(norm)
         for k, label in self.handles:
             if not 0 <= k <= self.n:

@@ -4,13 +4,16 @@ Every document this package reads or writes carries ``"schema": 1``.
 Rationals travel as strings "p/q" (or "p" when the denominator is 1) and
 matrix entries as decimal strings, so arbitrary precision survives JSON.
 `Verdict`, the outcome both floer's distinguishers and surgery's
-certificate check return, lives here so that surgery need not load floer.
+certificate check return, lives here so that surgery need not load floer,
+and `as_int`, the Python API's reader of counts and indices, so that every
+module can use it.
 """
 
 import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 SCHEMA_VERSION = 1
 
@@ -62,6 +65,15 @@ def int_from_json(value, what) -> int:
                               and re.fullmatch(r"[+-]?[0-9]+", value)):
         return int(value)
     raise SchemaError(f"{what} must be an integer, got {value!r}")
+
+
+def as_int(value, what) -> int:
+    """An int, bool or numpy integer of the Python API, as an int; a float,
+    string or Fraction is an error naming WHAT, never truncated."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def str_from_json(value, what) -> str:

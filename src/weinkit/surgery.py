@@ -52,14 +52,6 @@ class CyclicWord:
     def __len__(self):
         return len(self.letters)
 
-    @staticmethod
-    def from_chords(records):
-        records = tuple(records)
-        return CyclicWord(
-            tuple(r.id for r in records),
-            sum(r.degree for r in records),
-            sum((r.action for r in records), Fraction(0)))
-
     def label(self):
         return ".".join(self.letters)
 
@@ -370,21 +362,6 @@ def _positive(spectrum, zigzag_action):
     if N == 0:
         return spectrum
     return stabilize(spectrum, N, choose_Q(spectrum.n), zigzag_action)
-
-
-def legendrian_surgery_rules(kind, **params):
-    """Dispatch a named surgery rule; kinds: ambient, simultaneous, belt,
-    nonsimultaneous."""
-    rules = {
-        "ambient": add_surgery_chord,
-        "simultaneous": add_surgery_chord,
-        "belt": belt_sphere_chords,
-        "nonsimultaneous": nonsimultaneous_words,
-    }
-    if kind not in rules:
-        raise ValueError(f"unknown surgery rule {kind!r}; "
-                         f"known: {sorted(rules)}")
-    return rules[kind](**params)
 
 
 def rescale(x, s):

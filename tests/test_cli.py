@@ -5,12 +5,14 @@ Exit codes: 0 success/property holds (detectors count "fired" as holding),
 """
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
-from weinkit.cli import main
+import weinkit
 from weinkit.graded import GradedGroup
 from weinkit.models import (
     degree_zero_orbit_fixture,
@@ -21,11 +23,8 @@ from weinkit.models import (
     two_letter_table,
 )
 from weinkit.surgery import OrbitSpectrum
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
+from cli_invoke import invoke
+from test_package import _python
 
 
 @pytest.fixture
@@ -37,19 +36,14 @@ def files(tmp_path):
     return write
 
 
-def invoke(runner, args):
-    result = runner.invoke(main, args, catch_exceptions=False)
-    return result
-
-
 def report_of(result):
-    return json.loads(result.output)
+    return json.loads(result.stdout)
 
 
 class TestWords:
-    def test_two_letter_table(self, runner, files):
+    def test_two_letter_table(self, files):
         path = files("chords.json", two_letter_table().to_json())
-        result = invoke(runner, ["words", path, "--bound", "4"])
+        result = invoke(["words", path, "--bound", "4"])
         assert result.exit_code == 0
         doc = report_of(result)
         assert doc["schema"] == 1
@@ -63,188 +57,188 @@ class TestWords:
             "a.a.b": (4, "7/2"),
         }
 
-    def test_bad_bound_is_invalid_input(self, runner, files):
+    def test_bad_bound_is_invalid_input(self, files):
         path = files("chords.json", two_letter_table().to_json())
-        assert invoke(runner, ["words", path, "--bound", "0"]).exit_code == 2
-        assert invoke(runner, ["words", path, "--bound", "x"]).exit_code == 2
+        assert invoke(["words", path, "--bound", "0"]).exit_code == 2
+        assert invoke(["words", path, "--bound", "x"]).exit_code == 2
 
-    def test_byte_identical_runs(self, runner, files):
+    def test_byte_identical_runs(self, files):
         path = files("chords.json", two_letter_table().to_json())
-        a = invoke(runner, ["words", path, "--bound", "4"]).output
-        b = invoke(runner, ["words", path, "--bound", "4"]).output
+        a = invoke(["words", path, "--bound", "4"]).stdout
+        b = invoke(["words", path, "--bound", "4"]).stdout
         assert a == b
 
 
 class TestHomologyCommands:
-    def test_homology_integral(self, runner, files):
+    def test_homology_integral(self, files):
         path = files("p.json", t_star_sphere(3).to_json())
-        doc = report_of(invoke(runner, ["homology", path]))
+        doc = report_of(invoke(["homology", path]))
         assert doc["result"] == {"0": {"rank": 1, "torsion": []},
                                  "3": {"rank": 1, "torsion": []}}
         assert doc["euler_characteristic"] == 0
 
-    def test_homology_field_dims(self, runner, files):
+    def test_homology_field_dims(self, files):
         path = files("p.json", t_star_sphere(3).to_json())
         for coeff in ("Q", "F2"):
-            doc = report_of(invoke(runner, ["homology", path,
-                                            "--coeff", coeff]))
+            doc = report_of(invoke(["homology", path,
+                                    "--coeff", coeff]))
             assert doc["result"] == {"0": 1, "3": 1}
             assert doc["coefficients"] == coeff
 
-    def test_boundary(self, runner, files):
+    def test_boundary(self, files):
         path = files("p.json", t_star_sphere(3).to_json())
-        result = invoke(runner, ["boundary", path])
+        result = invoke(["boundary", path])
         assert result.exit_code == 0
         doc = report_of(result)
         assert doc["result"]["boundary_dim"] == 5
         assert doc["result"]["euler"] == 0
 
-    def test_rank_form(self, runner, files):
+    def test_rank_form(self, files):
         path = files("p.json", t_star_sphere(4).to_json())
-        doc = report_of(invoke(runner, ["rank-form", path]))
+        doc = report_of(invoke(["rank-form", path]))
         assert doc["result"] == 1
 
-    def test_malformed_json_is_invalid_input(self, runner, tmp_path):
+    def test_malformed_json_is_invalid_input(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        result = invoke(runner, ["homology", str(bad)])
+        result = invoke(["homology", str(bad)])
         assert result.exit_code == 2
         assert "error" in report_of(result)
 
-    def test_schema_violation_is_invalid_input(self, runner, files):
+    def test_schema_violation_is_invalid_input(self, files):
         path = files("p.json", {"schema": 99, "n": 3, "handles": []})
-        assert invoke(runner, ["homology", path]).exit_code == 2
+        assert invoke(["homology", path]).exit_code == 2
 
-    def test_missing_file_is_invalid_input(self, runner):
-        assert invoke(runner, ["homology", "nope.json"]).exit_code == 2
+    def test_missing_file_is_invalid_input(self):
+        assert invoke(["homology", "nope.json"]).exit_code == 2
 
 
 class TestMalformedInput:
     @pytest.mark.parametrize("entry", [[1], {"rank": 0, "torsion": "16"}])
-    def test_group_degree_entry(self, runner, files, entry):
+    def test_group_degree_entry(self, files, entry):
         path = files("g.json", {"schema": 1, "graded_group": {"0": entry}})
         for args in (["omega-check", path, "--n", "5"],
                      ["sh-plus", path, "--n", "3"],
                      ["distinguish", path, path, "--n", "3"]):
-            result = invoke(runner, args)
+            result = invoke(args)
             assert result.exit_code == 2
             doc = report_of(result)
             assert doc["ok"] is False and "GradedGroup: degree 0" in doc["error"]
 
-    def test_group_rank_not_an_integer(self, runner, files):
+    def test_group_rank_not_an_integer(self, files):
         path = files("g.json", {"schema": 1,
                                 "graded_group": {"0": {"rank": 1.7}}})
-        result = invoke(runner, ["omega-check", path, "--n", "5"])
+        result = invoke(["omega-check", path, "--n", "5"])
         assert result.exit_code == 2
         assert ("GradedGroup: degree 0 rank must be an integer, got 1.7"
                 in report_of(result)["error"])
 
-    def test_loop_table_dims_not_an_object(self, runner, files):
+    def test_loop_table_dims_not_an_object(self, files):
         lm = files("lm.json", {"schema": 1, "dims": [1], "base": {"0": 1}})
         hy = files("hy.json", GradedGroup.free({0: 1}).to_json())
-        result = invoke(runner, ["loops-distinguish", lm, lm, hy, "--n", "4"])
+        result = invoke(["loops-distinguish", lm, lm, hy, "--n", "4"])
         assert result.exit_code == 2
         assert "'dims' must be an object" in report_of(result)["error"]
 
-    def test_boundary_matrices_not_an_object(self, runner, files):
+    def test_boundary_matrices_not_an_object(self, files):
         path = files("p.json", {"schema": 1, "n": 2, "handles": [{"index": 0}],
                                 "boundary_matrices": [1]})
-        result = invoke(runner, ["homology", path])
+        result = invoke(["homology", path])
         assert result.exit_code == 2
         assert ("'boundary_matrices' must be an object"
                 in report_of(result)["error"])
 
-    def test_boolean_field_not_a_boolean(self, runner, files):
+    def test_boolean_field_not_a_boolean(self, files):
         doc = two_letter_table().to_json()
         doc["chords"][0]["null_homotopic"] = "false"
         path = files("chords.json", doc)
-        result = invoke(runner, ["words", path, "--bound", "4"])
+        result = invoke(["words", path, "--bound", "4"])
         assert result.exit_code == 2
         assert ("null_homotopic must be true or false, got 'false'"
                 in report_of(result)["error"])
 
-    def test_chord_id_not_a_string(self, runner, files):
+    def test_chord_id_not_a_string(self, files):
         # "id": null used to read as the chord "None"
         doc = two_letter_table().to_json()
         doc["chords"][0]["id"] = None
         path = files("chords.json", doc)
-        result = invoke(runner, ["words", path, "--bound", "4"])
+        result = invoke(["words", path, "--bound", "4"])
         assert result.exit_code == 2
         assert ("chord id must be a string, got None"
                 in report_of(result)["error"])
 
 
 class TestDetectors:
-    def test_distinguish_fires_and_exits_zero(self, runner, files):
+    def test_distinguish_fires_and_exits_zero(self, files):
         a = files("a.json", GradedGroup.free({0: 1, 3: 1}).to_json())
         b = files("b.json", GradedGroup.free({0: 1, 3: 2}).to_json())
-        result = invoke(runner, ["distinguish", a, b, "--n", "3"])
+        result = invoke(["distinguish", a, b, "--n", "3"])
         assert result.exit_code == 0
         assert report_of(result)["result"]["fired"] is True
 
-    def test_distinguish_quiet_exits_one(self, runner, files):
+    def test_distinguish_quiet_exits_one(self, files):
         a = files("a.json", GradedGroup.free({0: 1, 3: 1}).to_json())
-        result = invoke(runner, ["distinguish", a, a, "--n", "3"])
+        result = invoke(["distinguish", a, a, "--n", "3"])
         assert result.exit_code == 1
         assert report_of(result)["result"]["fired"] is False
 
-    def test_cem_bound(self, runner):
-        assert invoke(runner, ["cem-bound", "--k", "5",
-                               "--dim", "2"]).exit_code == 0
-        assert invoke(runner, ["cem-bound", "--k", "2",
-                               "--dim", "2"]).exit_code == 1
-        assert invoke(runner, ["cem-bound", "--k", "0",
-                               "--dim", "2"]).exit_code == 2
+    def test_cem_bound(self):
+        assert invoke(["cem-bound", "--k", "5",
+                       "--dim", "2"]).exit_code == 0
+        assert invoke(["cem-bound", "--k", "2",
+                       "--dim", "2"]).exit_code == 1
+        assert invoke(["cem-bound", "--k", "0",
+                       "--dim", "2"]).exit_code == 2
 
-    def test_loops_distinguish(self, runner, files):
+    def test_loops_distinguish(self, files):
         lm = files("lm.json", {"schema": 1, "dims": {"0": 1, "2": 12},
                                "base": {"0": 1}, "horizon": 4})
         ln = files("ln.json", {"schema": 1, "dims": {"0": 1, "2": 2},
                                "base": {"0": 1}, "horizon": 4})
         hy = files("hy.json", GradedGroup.free({0: 1}).to_json())
-        result = invoke(runner, ["loops-distinguish", lm, ln, hy, "--n", "4"])
+        result = invoke(["loops-distinguish", lm, ln, hy, "--n", "4"])
         assert result.exit_code == 0
         assert report_of(result)["result"]["witness"]["degree"] == 2
 
-    def test_nearby(self, runner, files):
+    def test_nearby(self, files):
         a = files("a.json", GradedGroup.free({0: 1, 3: 1}).to_json())
         b = files("b.json", GradedGroup.free({0: 1, 3: 2}).to_json())
-        assert invoke(runner, ["nearby", a, a]).exit_code == 0
-        assert invoke(runner, ["nearby", a, b]).exit_code == 1
-        assert invoke(runner, ["nearby", a, a,
-                               "--no-degree-pm1"]).exit_code == 1
+        assert invoke(["nearby", a, a]).exit_code == 0
+        assert invoke(["nearby", a, b]).exit_code == 1
+        assert invoke(["nearby", a, a,
+                       "--no-degree-pm1"]).exit_code == 1
 
-    def test_omega_check(self, runner, files):
+    def test_omega_check(self, files):
         path = files("h.json", GradedGroup.free({0: 1, 3: 1}).to_json())
         flags = ["--closed", "--simply-connected", "--stably-parallelizable"]
-        assert invoke(runner, ["omega-check", path, "--n", "5"]
-                      + flags).exit_code == 0
-        assert invoke(runner, ["omega-check", path,
-                               "--n", "5"]).exit_code == 1
+        assert invoke(["omega-check", path, "--n", "5"]
+              + flags).exit_code == 0
+        assert invoke(["omega-check", path,
+                       "--n", "5"]).exit_code == 1
 
 
 class TestProfiles:
-    def test_sh_plus(self, runner, files):
+    def test_sh_plus(self, files):
         path = files("h.json", GradedGroup.free({0: 1, 3: 2}).to_json())
-        doc = report_of(invoke(runner, ["sh-plus", path, "--n", "3"]))
+        doc = report_of(invoke(["sh-plus", path, "--n", "3"]))
         assert doc["result"]["profile"] == {
             "1": {"rank": 2, "torsion": []},
             "4": {"rank": 1, "torsion": []},
         }
 
-    def test_sh_plus_support_violation_is_invalid_input(self, runner, files):
+    def test_sh_plus_support_violation_is_invalid_input(self, files):
         path = files("h.json", GradedGroup.free({0: 1, 7: 1}).to_json())
-        assert invoke(runner, ["sh-plus", path, "--n", "3"]).exit_code == 2
+        assert invoke(["sh-plus", path, "--n", "3"]).exit_code == 2
 
-    def test_wh_plus_support_violation_is_invalid_input(self, runner, files):
+    def test_wh_plus_support_violation_is_invalid_input(self, files):
         path = files("h.json", GradedGroup.free({0: 1, 7: 1}).to_json())
-        result = invoke(runner, ["wh-plus", path, "--n", "3"])
+        result = invoke(["wh-plus", path, "--n", "3"])
         assert result.exit_code == 2
         assert "outside degrees [0, 3]" in report_of(result)["error"]
 
-    def test_wh_plus(self, runner, files):
+    def test_wh_plus(self, files):
         path = files("h.json", GradedGroup.free({0: 1, 2: 1}).to_json())
-        doc = report_of(invoke(runner, ["wh-plus", path, "--n", "3"]))
+        doc = report_of(invoke(["wh-plus", path, "--n", "3"]))
         assert doc["result"]["profile"] == {
             "0": {"rank": 1, "torsion": []},
             "2": {"rank": 1, "torsion": []},
@@ -252,104 +246,103 @@ class TestProfiles:
 
 
 class TestChordCommands:
-    def test_chord_degree(self, runner):
-        doc = report_of(invoke(runner, ["chord-degree", "--down", "2",
-                                        "--up", "0", "--ind", "0"]))
+    def test_chord_degree(self):
+        doc = report_of(invoke(["chord-degree", "--down", "2",
+                                "--up", "0", "--ind", "0"]))
         assert doc["result"] == 1
 
-    def test_stabilize_defaults(self, runner, files):
+    def test_stabilize_defaults(self, files):
         path = files("s.json", mixed_sign_spectrum().to_json())
-        result = invoke(runner, ["stabilize", path])
+        result = invoke(["stabilize", path])
         assert result.exit_code == 0
         doc = report_of(result)
         assert doc["N"] == 3
         degrees = [c["degree"] for c in doc["result"]["chords"]]
         assert min(degrees) >= 1
 
-    def test_self_index(self, runner):
-        doc = report_of(invoke(runner, ["self-index", "--n", "4",
-                                        "--big-n", "3"]))
+    def test_self_index(self):
+        doc = report_of(invoke(["self-index", "--n", "4",
+                                "--big-n", "3"]))
         assert doc["result"] == {"value": 0, "modulus": "Z",
                                  "vanishes": True}
-        assert invoke(runner, ["self-index", "--n", "2",
-                               "--big-n", "1"]).exit_code == 2
+        assert invoke(["self-index", "--n", "2",
+                       "--big-n", "1"]).exit_code == 2
 
 
 class TestSurgeryGroup:
-    def test_subcritical(self, runner, files):
+    def test_subcritical(self, files):
         path = files("o.json",
                      OrbitSpectrum(3, (), Fraction(10)).to_json())
-        doc = report_of(invoke(runner, [
+        doc = report_of(invoke([
             "surgery", "subcritical", path, "--n", "3", "--k", "1",
             "--iterates", "3", "--eps", "1/2"]))
         assert [o["degree"] for o in doc["result"]["orbits"]] == [3, 5, 7]
 
-    def test_flexible(self, runner, files):
+    def test_flexible(self, files):
         path = files("c.json", sample_certificate(3, 3).to_json())
-        doc = report_of(invoke(runner,
-                               ["surgery", "flexible", path, "--n", "3"]))
+        doc = report_of(invoke(["surgery", "flexible", path, "--n", "3"]))
         assert [s["bound"] for s in doc["result"]["stages"]] == ["1", "2", "3"]
 
-    def test_belt(self, runner, files):
+    def test_belt(self, files):
         path = files("s.json", two_letter_table().to_json())
-        doc = report_of(invoke(runner, ["surgery", "belt", path,
-                                        "--bound", "5/2"]))
+        doc = report_of(invoke(["surgery", "belt", path,
+                                "--bound", "5/2"]))
         assert sorted(c["id"] for c in doc["result"]["chords"]) \
             == ["w:a", "w:a.a", "w:b"]
 
-    def test_belt_window_too_large(self, runner, files):
+    def test_belt_window_too_large(self, files):
         path = files("s.json", two_letter_table().to_json())
-        assert invoke(runner, ["surgery", "belt", path,
-                               "--bound", "9"]).exit_code == 2
+        assert invoke(["surgery", "belt", path,
+                       "--bound", "9"]).exit_code == 2
 
-    def test_ambient(self, runner, files):
+    def test_ambient(self, files):
         path = files("s.json", two_letter_table().to_json())
-        doc = report_of(invoke(runner, ["surgery", "ambient", path,
-                                        "--k", "1"]))
+        doc = report_of(invoke(["surgery", "ambient", path,
+                                "--k", "1"]))
         new = [c for c in doc["result"]["chords"] if c["id"] == "surg"]
         assert len(new) == 1 and new[0]["degree"] == 1
 
 
 class TestCertificates:
-    def test_adc_check_pass(self, runner, files):
+    def test_adc_check_pass(self, files):
         path = files("c.json", empty_certificate().to_json())
-        assert invoke(runner, ["adc-check", path]).exit_code == 0
+        assert invoke(["adc-check", path]).exit_code == 0
 
     @pytest.mark.parametrize("stages", ["", {}])
-    def test_adc_check_non_list_stages_is_invalid_input(self, runner, files,
+    def test_adc_check_non_list_stages_is_invalid_input(self, files,
                                                         stages):
         # used to report a valid certificate and exit 0
         path = files("c.json", {"schema": 1, "stages": stages})
-        result = invoke(runner, ["adc-check", path])
+        result = invoke(["adc-check", path])
         assert result.exit_code == 2
         assert "stages must be a list" in report_of(result)["error"]
 
-    def test_adc_check_fail(self, runner, files):
+    def test_adc_check_fail(self, files):
         path = files("c.json", degree_zero_orbit_fixture().to_json())
-        result = invoke(runner, ["adc-check", path])
+        result = invoke(["adc-check", path])
         assert result.exit_code == 1
         witness = report_of(result)["result"]["witness"]
         assert (witness["stage"], witness["record"]) == (1, 1)
 
-    def test_normalize(self, runner, files):
+    def test_normalize(self, files):
         path = files("c.json", sample_certificate(3, 4).to_json())
-        result = invoke(runner, ["normalize-cert", path, "--eps", "1/2"])
+        result = invoke(["normalize-cert", path, "--eps", "1/2"])
         assert result.exit_code == 0
         doc = report_of(result)
         bounds = [Fraction(s["bound"]) for s in doc["result"]["stages"]]
         assert all(b2 >= 2 * b1 for b1, b2 in zip(bounds, bounds[1:]))
 
-    def test_normalize_bad_eps(self, runner, files):
+    def test_normalize_bad_eps(self, files):
         path = files("c.json", sample_certificate(3, 4).to_json())
-        assert invoke(runner, ["normalize-cert", path,
-                               "--eps", "2"]).exit_code == 2
+        assert invoke(["normalize-cert", path,
+                       "--eps", "2"]).exit_code == 2
 
 
 class TestScalingVerify:
-    def test_small_grid_passes(self, runner, tmp_path):
+    def test_small_grid_passes(self, tmp_path):
         csv_path = tmp_path / "profile.csv"
-        result = invoke(runner, ["scaling-verify", "--grid", "301",
-                                 "--csv", str(csv_path)])
+        result = invoke(["scaling-verify", "--grid", "301",
+                         "--csv", str(csv_path)])
         assert result.exit_code == 0
         doc = report_of(result)
         assert doc["result"]["ok"] is True
@@ -360,10 +353,10 @@ class TestScalingVerify:
         assert lines[0] == "z,g,G"
         assert len(lines) == 302
 
-    def test_unwritable_csv_is_invalid_input(self, runner, tmp_path):
+    def test_unwritable_csv_is_invalid_input(self, tmp_path):
         csv_path = tmp_path / "missing" / "profile.csv"
-        result = invoke(runner, ["scaling-verify", "--grid", "301",
-                                 "--csv", str(csv_path)])
+        result = invoke(["scaling-verify", "--grid", "301",
+                         "--csv", str(csv_path)])
         assert result.exit_code == 2
         doc = report_of(result)
         assert doc["command"] == "scaling-verify" and doc["ok"] is False
@@ -372,51 +365,120 @@ class TestScalingVerify:
     @pytest.mark.parametrize("t_max, message", [
         ("0", "no grid t lies in [fd_step, 1 - fd_step]"),
         ("nan", "t_max must be nonnegative, got nan")])
-    def test_degenerate_t_grid_is_invalid_input(self, runner, t_max, message):
+    def test_degenerate_t_grid_is_invalid_input(self, t_max, message):
         # used to exit 2 with numpy's zero-size reduction error
-        result = invoke(runner, ["scaling-verify", "--grid", "301",
-                                 "--t-max", t_max])
+        result = invoke(["scaling-verify", "--grid", "301",
+                         "--t-max", t_max])
         assert result.exit_code == 2
         assert report_of(result)["error"].startswith(message)
 
-    def test_bad_height_is_invalid_input(self, runner):
-        assert invoke(runner, ["scaling-verify", "--grid", "301",
-                               "--height", "0.5"]).exit_code == 2
+    def test_bad_height_is_invalid_input(self):
+        assert invoke(["scaling-verify", "--grid", "301",
+                       "--height", "0.5"]).exit_code == 2
 
 
 class TestExamples:
-    def test_single_entry_with_parameter(self, runner):
-        result = invoke(runner, ["examples", "wedge-family", "--i", "7"])
+    def test_single_entry_with_parameter(self):
+        result = invoke(["examples", "wedge-family", "--i", "7"])
         assert result.exit_code == 0
         doc = report_of(result)
         assert doc["results"][0]["checks"][0]["got"] == 7
         assert "elapsed_s" not in doc
 
-    def test_full_corpus(self, runner):
-        result = invoke(runner, ["examples"])
+    def test_full_corpus(self):
+        result = invoke(["examples"])
         assert result.exit_code == 0
         doc = report_of(result)
         assert doc["ok"] is True
         assert len(doc["results"]) >= 12
 
-    def test_unknown_example(self, runner):
-        assert invoke(runner, ["examples", "no-such"]).exit_code == 2
+    def test_unknown_example(self):
+        assert invoke(["examples", "no-such"]).exit_code == 2
 
-    def test_byte_identical(self, runner):
-        a = invoke(runner, ["examples"]).output
-        b = invoke(runner, ["examples"]).output
+    def test_byte_identical(self):
+        a = invoke(["examples"]).stdout
+        b = invoke(["examples"]).stdout
         assert a == b
 
 
 class TestHarness:
-    def test_unknown_command_exits_two(self, runner):
-        result = runner.invoke(main, ["frobnicate"])
+    def test_unknown_command_exits_two(self):
+        result = invoke(["frobnicate"])
         assert result.exit_code == 2
 
-    def test_table_mode_renders_rows(self, runner, files):
+    def test_table_mode_renders_rows(self, files):
         path = files("chords.json", two_letter_table().to_json())
-        result = invoke(runner, ["words", path, "--bound", "4", "--table"])
+        result = invoke(["words", path, "--bound", "4", "--table"])
         assert result.exit_code == 0
-        assert "word" in result.output and "a.a.b" in result.output
+        assert "word" in result.stdout and "a.a.b" in result.stdout
         # table mode must not change the verdict, only the rendering
-        assert "{" not in result.output.split("result:")[1]
+        assert "{" not in result.stdout.split("result:")[1]
+
+
+class TestParsing:
+    """How the command line reads its tokens, each run as a `weinkit`
+    process."""
+
+    @staticmethod
+    def weinkit(args, cwd):
+        return _python(["-m", "weinkit.cli", *args], cwd=cwd)
+
+    def test_value_option_takes_a_dash_token(self, files, tmp_path):
+        files("c.json", sample_certificate(3, 4).to_json())
+        out = self.weinkit(["normalize-cert", "c.json", "--eps", "-1/2"],
+                           tmp_path)
+        assert out.returncode == 2
+        assert json.loads(out.stdout) == {
+            "command": "normalize-cert", "error": "need 0 < eps < 1, got -1/2",
+            "ok": False, "schema": 1}
+
+    def test_value_option_takes_an_option_name(self, files, tmp_path):
+        files("c.json", sample_certificate(3, 4).to_json())
+        out = self.weinkit(["normalize-cert", "c.json", "--eps", "--table"],
+                           tmp_path)
+        assert out.returncode == 2
+        doc = json.loads(out.stdout)
+        assert doc["ok"] is False
+        assert doc["error"].startswith(
+            "--eps wants a rational like 3/2, got '--table'")
+
+    def test_options_are_not_abbreviated(self, files, tmp_path):
+        files("p.json", t_star_sphere(3).to_json())
+        out = self.weinkit(["homology", "p.json", "--coe", "Z"], tmp_path)
+        assert out.returncode == 2
+        assert out.stdout == ""
+
+    def test_negated_flags(self, files, tmp_path):
+        files("g.json", GradedGroup.from_dict(
+            {0: (1, ()), 2: (0, (2, 4)), 3: (1, (3,))}).to_json())
+        out = self.weinkit(["sh-plus", "g.json", "--n", "3", "--no-weinstein"],
+                           tmp_path)
+        assert out.returncode == 0
+        assert json.loads(out.stdout)["result"] == {
+            "profile": {"1": {"rank": 1, "torsion": ["3"]},
+                        "2": {"rank": 0, "torsion": ["2", "4"]},
+                        "4": {"rank": 1, "torsion": []}},
+            "provenance": "formula", "schema": 1}
+        out = self.weinkit(["nearby", "g.json", "g.json", "--no-degree-pm1"],
+                           tmp_path)
+        assert out.returncode == 1
+        assert json.loads(out.stdout)["result"] == {
+            "coefficients": "Z", "fired": False, "outcome": "inconclusive",
+            "schema": 1, "witness": {"reason": "projection degree not +-1"}}
+
+    def test_closed_stdout_exits_one_without_a_traceback(self, files,
+                                                         tmp_path):
+        # 3^10 / 10 words or so: the reader is gone long before the report
+        files("big.json", {"schema": 1, "n": 3, "bound": "2", "chords": [
+            {"id": c, "degree": d, "action": "1"}
+            for c, d in (("a", 1), ("b", 2), ("c", 3))]})
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(weinkit.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "weinkit.cli", "words", "big.json",
+             "--bound", "11"], cwd=tmp_path, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert stderr == b""

@@ -7,7 +7,8 @@ change of output, regenerate them with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
-and review the diff of the data file.
+which prints the keys whose transcript changed, and review the diff of
+the data file.
 """
 
 import hashlib
@@ -17,9 +18,9 @@ import sys
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
-from weinkit.cli import main
+from cli_invoke import invoke
+from weinkit.cli import COMMANDS as REGISTERED
 from weinkit.graded import GradedGroup
 from weinkit.handles import HandlePresentation
 from weinkit.models import (
@@ -234,7 +235,7 @@ def write_fixtures(directory):
 
 def transcript(args):
     """Run `weinkit ARGS` in the current directory; return its record."""
-    result = CliRunner().invoke(main, args)
+    result = invoke(args)
     return {"exit_code": result.exit_code,
             "stdout": _stream(result.stdout),
             "stderr": _stream(result.stderr)}
@@ -254,9 +255,7 @@ def workdir(tmp_path_factory):
 
 
 def test_every_command_is_covered():
-    nested = main.commands["surgery"].commands
-    every = ({(c,) for c in main.commands if c != "surgery"}
-             | {("surgery", c) for c in nested})
+    every = {tuple(name.split()) for name in REGISTERED}
     assert {tuple(c) for c in COMMANDS} == every
     run = {tuple(r[:2] if r[0] == "surgery" else r[:1]) for r in RUNS}
     assert every <= run
@@ -277,6 +276,13 @@ if __name__ == "__main__":
         write_fixtures(directory)
         os.chdir(directory)
         records = {_key(args): transcript(args) for args in CASES}
+    old = {}
+    if os.path.exists(DATA):
+        with open(DATA) as fh:
+            old = json.load(fh)
+    for key in sorted(records.keys() | old.keys()):
+        if records.get(key) != old.get(key):
+            sys.stdout.write(f"changed: {key}\n")
     os.makedirs(os.path.dirname(DATA), exist_ok=True)
     with open(DATA, "w") as fh:
         json.dump(records, fh, indent=1)

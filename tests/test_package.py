@@ -1,8 +1,9 @@
-"""Package-wide properties: postconditions survive `python -O`, the import
-pulls in no dependency beyond click, numpy loads only for the float grids
-of scaling-verify and the examples corpus, `import weinkit` executes no
-submodule and each command executes only the modules it uses, and the
-public names are those of the eager package."""
+"""Package-wide properties: postconditions survive `python -O`, the
+command line loads nothing outside the standard library, numpy loads only
+for the float grids of scaling-verify and the examples corpus, `import
+weinkit` executes no submodule and each command executes only the modules
+it uses, the public names are those of the eager package, and the Python
+API rejects non-integer counts instead of truncating them."""
 
 import ast
 import json
@@ -16,6 +17,20 @@ import pytest
 
 import weinkit
 from test_cli_golden import COMMANDS, RUNS, write_fixtures
+from weinkit.chords import (
+    ChordRecord,
+    MorseData,
+    choose_Q,
+    stabilize,
+)
+from weinkit.graded import (
+    ChainComplex,
+    GradedGroup,
+    homology,
+    invariant_factor_chain,
+)
+from weinkit.handles import HandlePresentation
+from weinkit.models import mixed_sign_spectrum
 
 SRC = Path(weinkit.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -44,9 +59,9 @@ FACADE = {
         stabilize""",
     "surgery": """ADCCertificate CyclicWord OrbitRecord OrbitSpectrum Stage
         adc_check add_surgery_chord belt_sphere_chords canonical_rotation
-        enumerate_words flexible_surgery_certificate legendrian_surgery_rules
-        nonsimultaneous_words normalize_certificate orbits_after_surgery
-        rescale subcritical_surgery""",
+        enumerate_words flexible_surgery_certificate nonsimultaneous_words
+        normalize_certificate orbits_after_surgery rescale
+        subcritical_surgery""",
     "scaling": "GProfile bound_ratio build_g conformal_bound verify_h_family",
     "corpus": "CORPUS examples_corpus run_example",
 }
@@ -108,6 +123,26 @@ def test_import_leaves_out_sympy_scipy_and_numpy():
     assert out.stdout.strip() == "[]"
 
 
+def test_command_line_loads_only_the_standard_library(tmp_path):
+    # every module the process loads past interpreter start-up is the
+    # standard library's or weinkit's: the import, --help and a command
+    code = ("import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import weinkit.cli\n"
+            "for args in (['--help'], ['chord-degree', '--down', '2',\n"
+            "             '--up', '0', '--ind', '0']):\n"
+            "    try:\n"
+            "        weinkit.cli.main(args)\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+            "loaded = {n.partition('.')[0] for n in set(sys.modules) - before}\n"
+            "json.dump(sorted(loaded), open(sys.argv[1], 'w'))\n")
+    out = _python(["-c", code, str(tmp_path / "loaded.json")])
+    assert out.returncode == 0, out.stderr
+    loaded = set(json.loads((tmp_path / "loaded.json").read_text()))
+    assert loaded - set(sys.stdlib_module_names) == {"weinkit"}
+
+
 def test_cli_process_imports_numpy_only_for_the_grid():
     cli = ["-X", "importtime", "-m", "weinkit.cli"]
     out = _python(cli + ["chord-degree", "--down", "2", "--up", "0",
@@ -153,10 +188,9 @@ def _executed_by(args_list, cwd):
     """The weinkit modules one process executes running each ARGS of
     ARGS_LIST through the command line, in order."""
     code = ("import json, sys, types\n" + EXECUTED_CODE
-            + "from click.testing import CliRunner\n"
-            "from weinkit.cli import main\n"
+            + "from cli_invoke import invoke\n"
             "for args in json.loads(sys.argv[1]):\n"
-            "    CliRunner().invoke(main, args)\n"
+            "    invoke(args)\n"
             "print(' '.join(executed()))\n")
     out = _python(["-c", code, json.dumps(args_list)], cwd=cwd)
     assert out.returncode == 0, out.stderr
@@ -224,7 +258,7 @@ print(json.dumps(report))
 @pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
 def test_lazy_loading_on_each_installed_interpreter(version):
     # LazyLoader changed in 3.12 (it takes a lock); run the library part of
-    # the contract, which needs no click, on every supported interpreter
+    # the contract on every supported interpreter
     python = shutil.which(f"python{version}")
     probe = python and subprocess.run(
         [python, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
@@ -237,3 +271,22 @@ def test_lazy_loading_on_each_installed_interpreter(version):
         "import": [], "attribute": True, "submodule": True,
         "words": ["a", "a.a", "a.a.a", "a.a.b", "a.b", "b", "b.b"],
         "executed": ["chords", "graded", "serialize", "snf", "surgery"]}
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda: homology(ChainComplex({0: 2.7})), "generator count at degree 0"),
+    (lambda: HandlePresentation(3.9, [0]), "half-dimension n"),
+    (lambda: HandlePresentation(3, [0, (3.5, "a")]), "handle 'a' index"),
+    (lambda: GradedGroup.from_dict({0: (1.7, [])}), "rank at degree 0"),
+    (lambda: invariant_factor_chain([6.5, 4]), "torsion factor"),
+    (lambda: ChordRecord("a", 0, 1, (1.9, 0, 0)), "chord 'a': front entry"),
+    (lambda: MorseData("x", 1, 0, True, (0.2, 1.7)), "critical index"),
+    (lambda: stabilize(mixed_sign_spectrum(), 1, choose_Q(4), sites=1.5),
+     "sites"),
+], ids=["chain-count", "handle-n", "handle-index", "group-rank",
+        "torsion-factor", "chord-front", "morse-index", "stabilize-sites"])
+def test_api_rejects_non_integer_counts(call, field):
+    # each used to be truncated by int(): rank 2, n = 3, a 3-handle, Z + Z/2,
+    # the chain (2, 12), front (1, 0, 0), indices (0, 1) and one site
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        call()

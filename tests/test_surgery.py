@@ -23,7 +23,6 @@ from weinkit.surgery import (
     canonical_rotation,
     enumerate_words,
     flexible_surgery_certificate,
-    legendrian_surgery_rules,
     nonsimultaneous_words,
     normalize_certificate,
     orbits_after_surgery,
@@ -81,12 +80,6 @@ class TestCyclicWords:
         assert w.letters == ("a", "b")
         assert w.label() == "a.b"
         assert len(w) == 2
-
-    def test_from_chords_sums(self):
-        a = ChordRecord("a", 1, Fraction(1))
-        b = ChordRecord("b", 2, Fraction(3, 2))
-        w = CyclicWord.from_chords((b, a))
-        assert (w.letters, w.degree, w.action) == (("a", "b"), 3, Fraction(5, 2))
 
 
 class TestEnumerateWords:
@@ -347,15 +340,6 @@ class TestLegendrianRules:
         s = spectrum_of(3, 2, ("c", 1, 1))
         with pytest.raises(ValueError, match="window"):
             belt_sphere_chords(s, 3)
-
-    def test_dispatcher(self):
-        s = spectrum_of(5, 4, ("a", 2, 1))
-        direct = add_surgery_chord(s, 2)
-        routed = legendrian_surgery_rules("ambient", spectrum=s, k=2)
-        assert routed == direct
-        assert legendrian_surgery_rules("simultaneous", spectrum=s, k=2) == direct
-        with pytest.raises(ValueError, match="unknown"):
-            legendrian_surgery_rules("mystery")
 
 
 class TestNonsimultaneous:
