@@ -6,7 +6,6 @@ is exactly what the degree formula consumes, and no more geometry is kept.
 All actions are exact rationals.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -33,6 +32,21 @@ def chord_degree(down, up, ind):
     return down - up + ind - 1
 
 
+def _trusted(cls, count, **columns):
+    """`count` instances of the slotted class `cls` built without
+    __post_init__ from field values the caller has already shown valid:
+    each keyword names a slot and gives an iterable with a value for every
+    instance.  For a ChordRecord, `_action_num` and `_action_den` may stand
+    in for `action`."""
+    records = list(map(object.__new__, repeat(cls, count)))
+    for name, values in columns.items():
+        # a C-level map over the slot setter, one column at a time, costs
+        # about half of setting the fields record by record in Python; the
+        # setter returns None, so any() runs the map to its end
+        any(map(getattr(cls, name).__set__, records, values))
+    return records
+
+
 class _LazyAction:
     # slots outside the dataclass fields: a record made by stabilize holds
     # its action as numerator / denominator until the action is first read
@@ -55,6 +69,9 @@ class ChordRecord(_LazyAction):
     def __post_init__(self):
         # hot path when loading large spectra: avoid re-wrapping Fractions
         # and compare through the numerator
+        if type(self.degree) is not int:
+            object.__setattr__(self, "degree", as_int(
+                self.degree, f"chord {self.id!r}: degree"))
         if type(self.action) is not Fraction:
             object.__setattr__(self, "action", Fraction(self.action))
         if self.action.numerator <= 0:
@@ -84,19 +101,6 @@ class ChordRecord(_LazyAction):
         object.__setattr__(self, "action", action)
         return action
 
-    @classmethod
-    def _trusted(cls, count, **columns):
-        """`count` records built without __post_init__ from field values the
-        caller has already shown valid: each keyword names a slot and gives
-        an iterable with a value for every record.  `_action_num` and
-        `_action_den` may stand in for `action`."""
-        records = list(map(object.__new__, repeat(cls, count)))
-        for name, values in columns.items():
-            # a C-level map over the slot setter, one column at a time, costs
-            # about half of setting the fields record by record in Python
-            deque(map(getattr(cls, name).__set__, records, values), maxlen=0)
-        return records
-
     def to_json(self):
         return {
             "id": self.id,
@@ -124,7 +128,7 @@ class ChordRecord(_LazyAction):
             raise SchemaError(f"ChordRecord: {exc}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChordSpectrum:
     """All chords with action below the bound, for a contact boundary of
     half-dimension n.  Finite by genericity; ids must be distinct."""
@@ -150,15 +154,6 @@ class ChordSpectrum:
             if c.action.numerator * bd >= bn * c.action.denominator:
                 raise ValueError(
                     f"chord {c.id!r}: action {c.action} >= bound {self.bound}")
-
-    @classmethod
-    def _trusted(cls, n, chords, bound):
-        """Spectrum built without __post_init__ from a tuple of records the
-        caller has already shown to have distinct ids and actions below the
-        Fraction `bound`."""
-        spectrum = object.__new__(cls)
-        spectrum.__dict__.update(n=n, chords=chords, bound=bound)
-        return spectrum
 
     def degrees(self):
         return tuple(c.degree for c in self.chords)
@@ -248,8 +243,8 @@ def _shifted(chords, amount):
             front = (d + amount, u, ind)
             chord_degree(*front)  # raises if the down-cusp count is negative
         fronts.append(front)
-    return ChordRecord._trusted(
-        len(chords), id=[c.id for c in chords],
+    return _trusted(
+        ChordRecord, len(chords), id=[c.id for c in chords],
         degree=[c.degree + amount for c in chords],
         action=[c.action for c in chords], front=fronts,
         null_homotopic=[c.null_homotopic for c in chords])
@@ -323,13 +318,15 @@ def stabilize(spectrum: ChordSpectrum, N, q_data: MorseData,
                for copy in range(2 * N)] * sites
     fronts = [(2, 0, ind) for ind in q_data.critical_points
               for copy in range(2 * N)] * sites
-    out += ChordRecord._trusted(
-        total, id=ids, degree=degrees, front=fronts,
+    out += _trusted(
+        ChordRecord, total, id=ids, degree=degrees, front=fronts,
         null_homotopic=repeat(True),
         _action_num=range(eps.numerator, eps.numerator * total + 1,
                           eps.numerator),
         _action_den=repeat(eps.denominator * (total + 1)))
-    return ChordSpectrum._trusted(spectrum.n, tuple(out), spectrum.bound)
+    [result] = _trusted(ChordSpectrum, 1, n=[spectrum.n], chords=[tuple(out)],
+                        bound=[spectrum.bound])
+    return result
 
 
 @dataclass(frozen=True)

@@ -161,6 +161,12 @@ class _Parser(argparse.ArgumentParser):
             joined.append(token)
         return super().parse_known_args(joined + tokens, namespace)
 
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write; a reader that is gone must reach
+        # main as BrokenPipeError, as it does when the write is buffered
+        if message:
+            (file or sys.stderr).write(message)
+
 
 def _parser(prog):
     root = _Parser(prog=prog, description=GROUPS[""])

@@ -10,7 +10,7 @@ input; "the two are the same" is never claimed.
 from dataclasses import dataclass
 
 from .graded import GradedGroup
-from .serialize import SCHEMA_VERSION, SchemaError, Verdict, check_schema, int_from_json
+from .serialize import SCHEMA_VERSION, SchemaError, Verdict, as_int, check_schema, int_from_json
 
 
 INDISTINGUISHABLE = "indistinguishable by this invariant"
@@ -168,10 +168,18 @@ class LoopHomologyTable:
     """
 
     def __init__(self, dims, base, horizon=None):
-        self.dims = {int(k): int(v) for k, v in dims.items() if int(v) != 0}
-        self.base = {int(k): int(v) for k, v in base.items() if int(v) != 0}
+        def counts(table, name):
+            out = {}
+            for k, v in table.items():
+                k = as_int(k, f"{name} degree")
+                v = as_int(v, f"{name} at degree {k}")
+                if v != 0:
+                    out[k] = v
+            return out
+        self.dims, self.base = counts(dims, "dims"), counts(base, "base")
         keys = set(self.dims) | set(self.base)
-        self.horizon = int(horizon) if horizon is not None else max(keys, default=0)
+        self.horizon = (as_int(horizon, "horizon") if horizon is not None
+                        else max(keys, default=0))
         for table, name in ((self.dims, "dims"), (self.base, "base")):
             for k, v in table.items():
                 if k < 0 or v < 0:

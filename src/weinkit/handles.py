@@ -212,7 +212,7 @@ def handlebody_boundary_homology(chain: ChainComplex, total_dim,
     pairing_ranks: {degree j: rank of the pairing H_{d-j} x H_j -> Q} for
     degrees where both sides are nonzero; symmetrized automatically.
     """
-    d = int(total_dim)
+    d = as_int(total_dim, "total dimension")
     if d < 2:
         raise ValueError(f"total dimension must be >= 2, got {d}")
     m = chain.top_degree
@@ -226,7 +226,7 @@ def handlebody_boundary_homology(chain: ChainComplex, total_dim,
     ranks = {}
     notes = []
     for j, r in (pairing_ranks or {}).items():
-        j, r = int(j), int(r)
+        j, r = as_int(j, "pairing degree"), as_int(r, "pairing rank")
         cap = min(b.get(j, 0), b.get(d - j, 0))
         if not 0 <= r <= cap:
             raise ValueError(

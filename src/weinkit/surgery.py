@@ -5,17 +5,26 @@ Contact forms are modeled by positive scale factors relative to stage 1:
 every check performed here (monotonicity, rescaling transport, the 4^k
 bookkeeping) factors through scales and per-step bound constants.  Actions
 are exact rationals throughout; nothing is compared in floating point.
+
+Words come from one necklace walk.  Its invariant: every cyclic word below
+the bound is emitted exactly once, as its least rotation, in (length,
+letters) order.  enumerate_words, orbits_after_surgery and
+belt_sphere_chords build their records straight from the walk's columns
+and check none of them again; CyclicWord(...) built by a caller still
+canonicalizes its letters.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 
-from .chords import ChordRecord, ChordSpectrum, _fresh_id, choose_Q, min_positive_N, stabilize
+from .chords import ChordRecord, ChordSpectrum, _fresh_id, _trusted, choose_Q, min_positive_N, stabilize
 from .serialize import (
     SCHEMA_VERSION,
     SchemaError,
     Verdict,
+    as_int,
     bool_from_json,
     check_schema,
     frac_from_str,
@@ -36,7 +45,7 @@ def canonical_rotation(seq):
     return min(twice[i:i + n] for i in range(n) if seq[i] == least)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CyclicWord:
     """A cyclic equivalence class of chord ids with its total degree and
     action.  letters always stores the canonical (least) rotation."""
@@ -61,10 +70,21 @@ def enumerate_words(spectrum: ChordSpectrum, bound,
     """All cyclic words over the chord alphabet with total action < bound,
     one representative per rotation class, sorted by (length, letters).
 
-    Non-null-homotopic chords carry no canonical grading, so their presence
-    is an error unless skip_non_null_homotopic drops them instead.
-    Termination is guaranteed by positivity of actions.
+    Each word is emitted once, already in its least rotation, so no word is
+    canonicalized again.  Non-null-homotopic chords carry no canonical
+    grading, so their presence is an error unless skip_non_null_homotopic
+    drops them instead.  Termination is guaranteed by positivity of actions.
     """
+    letters, degrees, actions = _walk(spectrum, bound, 0,
+                                      skip_non_null_homotopic)
+    return tuple(_trusted(CyclicWord, len(letters), letters=letters,
+                          degree=degrees, action=actions))
+
+
+def _walk(spectrum, bound, shift, skip_non_null_homotopic=False):
+    """The words of enumerate_words as three columns in its order: letter
+    tuples, degrees raised by shift, and actions, the actions sharing one
+    Fraction per value."""
     bound = Fraction(bound)
     if bound <= 0:
         raise ValueError(f"word action bound must be positive, got {bound}")
@@ -84,22 +104,31 @@ def enumerate_words(spectrum: ChordSpectrum, bound,
     # p, a larger letter makes the extension Lyndon.  It is a necklace (a
     # least rotation) iff p divides its length.  Prefixes of a word below
     # the cap are prenecklaces below it, so pruning at the cap loses none.
+    # Children are pushed largest letter first, so the pops, and the
+    # necklaces kept, come in letter order; a stable sort by length then
+    # gives the (length, letters) order.
     found = []
-    stack = [((), 1, 0, 0)]
+    stack = [((cid,), 1, num, d + shift)
+             for num, cid, d in reversed(letters) if num < cap]
+    top = len(letters) - 1
     while stack:
-        seq, p, act, deg = stack.pop()
-        first = position[seq[-p]] if seq else 0
-        for i in range(first, len(letters)):
+        entry = stack.pop()
+        seq, p, act, deg = entry
+        if len(seq) % p == 0:
+            found.append(entry)
+        first = position[seq[-p]]
+        for i in range(top, first - 1, -1):
             num, cid, d = letters[i]
             if act + num < cap:
                 ext = seq + (cid,)
-                q = p if i == first else len(ext)
-                if len(ext) % q == 0:
-                    found.append(CyclicWord(ext, deg + d,
-                                            Fraction(act + num, den)))
-                stack.append((ext, q, act + num, deg + d))
-    found.sort(key=lambda w: (len(w.letters), w.letters))
-    return tuple(found)
+                stack.append((ext, p if i == first else len(ext),
+                              act + num, deg + d))
+    if not found:
+        return (), (), ()
+    found.sort(key=lambda entry: len(entry[0]))
+    words, _, nums, degrees = zip(*found)
+    fractions = {num: Fraction(num, den) for num in set(nums)}
+    return words, degrees, tuple(map(fractions.__getitem__, nums))
 
 
 def _lattice(chords, *actions):
@@ -116,7 +145,7 @@ def _lattice(chords, *actions):
     return letters, [num(a) for a in actions], den
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrbitRecord:
     """One closed orbit: degree, positive rational action, provenance
     (pre-existing, a chord word, or a belt-sphere iterate), and whether it
@@ -128,7 +157,11 @@ class OrbitRecord:
     contractible: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "action", Fraction(self.action))
+        if type(self.degree) is not int:
+            object.__setattr__(self, "degree",
+                               as_int(self.degree, "orbit degree"))
+        if type(self.action) is not Fraction:
+            object.__setattr__(self, "action", Fraction(self.action))
         if self.action <= 0:
             raise ValueError("orbit action must be positive")
         o = self.origin
@@ -143,11 +176,6 @@ class OrbitRecord:
                 return
             raise ValueError(f"belt origin needs iterate >= 1, got {o!r}")
         raise ValueError(f"bad origin {o!r}: use 'old', 'word:<ids>', 'belt:<j>'")
-
-    @staticmethod
-    def from_word(word: CyclicWord, n):
-        return OrbitRecord(word.degree + n - 3, word.action,
-                           "word:" + word.label(), True)
 
     def to_json(self):
         return {
@@ -170,7 +198,7 @@ class OrbitRecord:
             raise SchemaError(f"OrbitRecord: {exc}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrbitSpectrum:
     """All closed orbits with action below the bound; finite by genericity,
     which is a caller assertion carried as the generic flag."""
@@ -232,8 +260,15 @@ def orbits_after_surgery(old: OrbitSpectrum, chords: ChordSpectrum,
         raise ValueError(
             f"requested bound {bound} exceeds the known orbit window {old.bound}")
     kept = [r for r in old.orbits if r.action < bound]
-    new = [OrbitRecord.from_word(w, n) for w in enumerate_words(chords, bound)]
-    return OrbitSpectrum(n, tuple(kept + new), bound, old.generic)
+    words, degrees, actions = _walk(chords, bound, n - 3)
+    # every action is below the bound, so neither the records nor the
+    # spectrum are checked again
+    kept += _trusted(OrbitRecord, len(words), degree=degrees, action=actions,
+                     origin=["word:" + ".".join(w) for w in words],
+                     contractible=repeat(True))
+    [out] = _trusted(OrbitSpectrum, 1, n=[n], orbits=[tuple(kept)],
+                     bound=[bound], generic=[old.generic])
+    return out
 
 
 def subcritical_surgery(spectrum: OrbitSpectrum, n, k, iterates, eps,
@@ -303,10 +338,18 @@ def belt_sphere_chords(spectrum: ChordSpectrum, bound=None) -> ChordSpectrum:
         raise ValueError(
             f"requested bound {bound} exceeds the known chord window "
             f"{spectrum.bound}")
-    chords = tuple(
-        ChordRecord("w:" + w.label(), w.degree + n - 2, w.action)
-        for w in enumerate_words(spectrum, bound))
-    return ChordSpectrum(n, chords, bound)
+    words, degrees, actions = _walk(spectrum, bound, n - 2)
+    chords = tuple(_trusted(
+        ChordRecord, len(words), id=["w:" + ".".join(w) for w in words],
+        degree=degrees, action=actions, front=repeat(None),
+        null_homotopic=repeat(True)))
+    if any("." in c.id for c in spectrum.chords):
+        # the word of the one letter "a.b" and the word a.b share an id;
+        # the checked constructor raises on such a clash
+        return ChordSpectrum(n, chords, bound)
+    # every action is below the bound and distinct words have distinct ids
+    [out] = _trusted(ChordSpectrum, 1, n=[n], chords=[chords], bound=[bound])
+    return out
 
 
 def nonsimultaneous_words(s_minus: ChordSpectrum, aux: ChordSpectrum,
@@ -371,18 +414,28 @@ def rescale(x, s):
     s = Fraction(s)
     if s <= 0:
         raise ValueError(f"scale must be positive, got {s}")
+    # s > 0 keeps every action positive and below the scaled bound, and
+    # the ids stay as they were, so nothing is checked again
     if isinstance(x, ChordSpectrum):
-        return ChordSpectrum(
-            x.n,
-            tuple(ChordRecord(c.id, c.degree, c.action * s, c.front,
-                              c.null_homotopic) for c in x.chords),
-            x.bound * s)
+        old = x.chords
+        chords = _trusted(
+            ChordRecord, len(old), id=[c.id for c in old],
+            degree=[c.degree for c in old], action=[c.action * s for c in old],
+            front=[c.front for c in old],
+            null_homotopic=[c.null_homotopic for c in old])
+        [out] = _trusted(ChordSpectrum, 1, n=[x.n], chords=[tuple(chords)],
+                         bound=[x.bound * s])
+        return out
     if isinstance(x, OrbitSpectrum):
-        return OrbitSpectrum(
-            x.n,
-            tuple(OrbitRecord(r.degree, r.action * s, r.origin, r.contractible)
-                  for r in x.orbits),
-            x.bound * s, x.generic)
+        old = x.orbits
+        orbits = _trusted(
+            OrbitRecord, len(old), degree=[r.degree for r in old],
+            action=[r.action * s for r in old],
+            origin=[r.origin for r in old],
+            contractible=[r.contractible for r in old])
+        [out] = _trusted(OrbitSpectrum, 1, n=[x.n], orbits=[tuple(orbits)],
+                         bound=[x.bound * s], generic=[x.generic])
+        return out
     raise TypeError(f"cannot rescale {type(x).__name__}")
 
 

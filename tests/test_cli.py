@@ -482,3 +482,19 @@ class TestParsing:
         _, stderr = proc.communicate(timeout=60)
         assert proc.returncode == 1
         assert stderr == b""
+
+    def test_help_into_a_closed_stdout_exits_one_when_unbuffered(self):
+        # unbuffered, the write fails inside argparse, not at the last flush;
+        # the pipe has no reader before the process starts
+        read, write = os.pipe()
+        os.close(read)
+        env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=os.path.dirname(
+            os.path.dirname(weinkit.__file__)))
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "weinkit.cli", "--help"], env=env,
+                stdout=write, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write)
+        assert out.returncode == 1
+        assert out.stderr == b""

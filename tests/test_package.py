@@ -29,8 +29,10 @@ from weinkit.graded import (
     homology,
     invariant_factor_chain,
 )
-from weinkit.handles import HandlePresentation
+from weinkit.floer import LoopHomologyTable
+from weinkit.handles import HandlePresentation, handlebody_boundary_homology
 from weinkit.models import mixed_sign_spectrum
+from weinkit.surgery import OrbitRecord
 
 SRC = Path(weinkit.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -283,10 +285,20 @@ def test_lazy_loading_on_each_installed_interpreter(version):
     (lambda: MorseData("x", 1, 0, True, (0.2, 1.7)), "critical index"),
     (lambda: stabilize(mixed_sign_spectrum(), 1, choose_Q(4), sites=1.5),
      "sites"),
+    (lambda: LoopHomologyTable({0: 1, 2: 2.9}, {0: 1}), "dims at degree 2"),
+    (lambda: LoopHomologyTable({0: 1, 2: 2}, {0: 1.5}), "base at degree 0"),
+    (lambda: handlebody_boundary_homology(ChainComplex({0: 1, 2: 1}), 6.7),
+     "total dimension"),
+    (lambda: ChordRecord("a", 1.5, 1), "chord 'a': degree"),
+    (lambda: OrbitRecord(1.5, 1), "orbit degree"),
 ], ids=["chain-count", "handle-n", "handle-index", "group-rank",
-        "torsion-factor", "chord-front", "morse-index", "stabilize-sites"])
+        "torsion-factor", "chord-front", "morse-index", "stabilize-sites",
+        "loop-dims", "loop-base", "boundary-dim", "chord-degree",
+        "orbit-degree"])
 def test_api_rejects_non_integer_counts(call, field):
-    # each used to be truncated by int(): rank 2, n = 3, a 3-handle, Z + Z/2,
-    # the chain (2, 12), front (1, 0, 0), indices (0, 1) and one site
+    # each used to be truncated by int() or kept: rank 2, n = 3, a 3-handle,
+    # Z + Z/2, the chain (2, 12), front (1, 0, 0), indices (0, 1), one site,
+    # dims {0: 1, 2: 2}, base {0: 1}, a 5-dimensional boundary, and degrees
+    # of 1.5
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         call()

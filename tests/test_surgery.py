@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weinkit.chords import ChordRecord, ChordSpectrum
-from weinkit.serialize import SchemaError
+from weinkit.serialize import SchemaError, dumps_canonical
 from weinkit.surgery import (
     ADCCertificate,
     CyclicWord,
@@ -149,9 +149,25 @@ class TestEnumerateWords:
         want = [(w, sum(letters[x].degree for x in w),
                  sum(letters[x].action for x in w))
                 for w in sorted(classes, key=lambda w: (len(w), w))]
-        got = [(w.letters, w.degree, w.action) for w in
-               enumerate_words(spectrum, bound, skip_non_null_homotopic=True)]
-        assert got == want
+        words = enumerate_words(spectrum, bound, skip_non_null_homotopic=True)
+        assert [(w.letters, w.degree, w.action) for w in words] == want
+        # the walk emits least rotations with exact types, unchecked
+        for w in words:
+            assert canonical_rotation(w.letters) == w.letters
+            assert type(w.action) is Fraction and type(w.degree) is int
+        # records straight from the walk equal the publicly built ones
+        alphabet = ChordSpectrum(3, tuple(letters.values()), spectrum.bound)
+        orbits = orbits_after_surgery(OrbitSpectrum(3, (), bound), alphabet,
+                                      bound)
+        assert orbits == OrbitSpectrum(3, tuple(
+            OrbitRecord(deg, act, "word:" + ".".join(w), True)
+            for w, deg, act in want), bound)
+        belt = belt_sphere_chords(alphabet, bound)
+        assert belt == ChordSpectrum(3, tuple(
+            ChordRecord("w:" + ".".join(w), deg + 1, act)
+            for w, deg, act in want), bound)
+        for record in words + orbits.orbits + belt.chords:
+            assert not hasattr(record, "__dict__")
 
     def test_letters_at_or_above_the_bound_are_not_words(self):
         s = spectrum_of(3, 4, ("a", 1, 1), ("b", 2, Fraction(5, 2)))
@@ -159,6 +175,12 @@ class TestEnumerateWords:
             "a", "a.a"]
         belt = belt_sphere_chords(s, 2)
         assert [c.id for c in belt.chords] == ["w:a"]
+
+    def test_belt_ids_that_clash_are_rejected(self):
+        # "w:a.b" names both the one-letter word "a.b" and the word a.b
+        s = spectrum_of(3, 4, ("a", 1, 1), ("b", 1, 1), ("a.b", 1, 3))
+        with pytest.raises(ValueError, match="duplicate chord id 'w:a.b'"):
+            belt_sphere_chords(s, 4)
 
     def test_three_letters_at_bound_16_pinned(self):
         s = spectrum_of(3, 16, ("a", 1, 1), ("b", 2, Fraction(3, 2)),
@@ -169,6 +191,17 @@ class TestEnumerateWords:
         text = "\n".join(f"{w.label()} {w.degree} {w.action}" for w in words)
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "ab25fbe5af8bb06e52b10eaa6700487dcabc240205eddaa94a5b0b57d55af716")
+
+
+    def test_orbits_over_three_letters_at_bound_18_pinned(self):
+        s = spectrum_of(3, 18, ("a", 1, 1), ("b", 2, Fraction(3, 2)),
+                        ("c", 3, 2))
+        with Budget("orbits of words over a, b, c below action 18", 1.7):
+            out = orbits_after_surgery(OrbitSpectrum(3, (), 18), s, 18)
+        assert len(out.orbits) == 62510
+        text = dumps_canonical(out.to_json())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "334b263ea704e677d8e1a37d5dc44bd2383ca3ff855a7c09c5fcede451068567")
 
 
 class TestOrbitRecords:
