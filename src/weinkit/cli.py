@@ -162,10 +162,13 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(joined + tokens, namespace)
 
     def _print_message(self, message, file=None):
-        # argparse drops a failed write; a reader that is gone must reach
-        # main as BrokenPipeError, as it does when the write is buffered
-        if message:
-            (file or sys.stderr).write(message)
+        # argparse drops a failed write; a stdout reader that is gone must
+        # reach main as BrokenPipeError, as it does when the write is
+        # buffered.  Writes to stderr keep argparse's handling.
+        if message and file is not None and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
 
 
 def _parser(prog):

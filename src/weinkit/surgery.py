@@ -9,9 +9,9 @@ are exact rationals throughout; nothing is compared in floating point.
 Words come from one necklace walk.  Its invariant: every cyclic word below
 the bound is emitted exactly once, as its least rotation, in (length,
 letters) order.  enumerate_words, orbits_after_surgery and
-belt_sphere_chords build their records straight from the walk's columns
-and check none of them again; CyclicWord(...) built by a caller still
-canonicalizes its letters.
+belt_sphere_chords build their records straight from the walk's columns,
+without the per-record checks of the public constructors; CyclicWord(...)
+built by a caller still canonicalizes its letters.
 """
 
 from dataclasses import dataclass
@@ -339,15 +339,19 @@ def belt_sphere_chords(spectrum: ChordSpectrum, bound=None) -> ChordSpectrum:
             f"requested bound {bound} exceeds the known chord window "
             f"{spectrum.bound}")
     words, degrees, actions = _walk(spectrum, bound, n - 2)
+    ids = ["w:" + ".".join(w) for w in words]
+    if len(set(ids)) < len(ids):
+        # only a letter id holding the separator clashes: the one-letter
+        # word "a.b" and the word a, b
+        seen = set()
+        for cid in ids:
+            if cid in seen:
+                raise ValueError(f"duplicate chord id {cid!r}")
+            seen.add(cid)
+    # every action is below the bound and the ids are distinct
     chords = tuple(_trusted(
-        ChordRecord, len(words), id=["w:" + ".".join(w) for w in words],
-        degree=degrees, action=actions, front=repeat(None),
-        null_homotopic=repeat(True)))
-    if any("." in c.id for c in spectrum.chords):
-        # the word of the one letter "a.b" and the word a.b share an id;
-        # the checked constructor raises on such a clash
-        return ChordSpectrum(n, chords, bound)
-    # every action is below the bound and distinct words have distinct ids
+        ChordRecord, len(words), id=ids, degree=degrees, action=actions,
+        front=repeat(None), null_homotopic=repeat(True)))
     [out] = _trusted(ChordSpectrum, 1, n=[n], chords=[chords], bound=[bound])
     return out
 
@@ -414,28 +418,18 @@ def rescale(x, s):
     s = Fraction(s)
     if s <= 0:
         raise ValueError(f"scale must be positive, got {s}")
-    # s > 0 keeps every action positive and below the scaled bound, and
-    # the ids stay as they were, so nothing is checked again
     if isinstance(x, ChordSpectrum):
-        old = x.chords
-        chords = _trusted(
-            ChordRecord, len(old), id=[c.id for c in old],
-            degree=[c.degree for c in old], action=[c.action * s for c in old],
-            front=[c.front for c in old],
-            null_homotopic=[c.null_homotopic for c in old])
-        [out] = _trusted(ChordSpectrum, 1, n=[x.n], chords=[tuple(chords)],
-                         bound=[x.bound * s])
-        return out
+        return ChordSpectrum(
+            x.n,
+            tuple(ChordRecord(c.id, c.degree, c.action * s, c.front,
+                              c.null_homotopic) for c in x.chords),
+            x.bound * s)
     if isinstance(x, OrbitSpectrum):
-        old = x.orbits
-        orbits = _trusted(
-            OrbitRecord, len(old), degree=[r.degree for r in old],
-            action=[r.action * s for r in old],
-            origin=[r.origin for r in old],
-            contractible=[r.contractible for r in old])
-        [out] = _trusted(OrbitSpectrum, 1, n=[x.n], orbits=[tuple(orbits)],
-                         bound=[x.bound * s], generic=[x.generic])
-        return out
+        return OrbitSpectrum(
+            x.n,
+            tuple(OrbitRecord(r.degree, r.action * s, r.origin, r.contractible)
+                  for r in x.orbits),
+            x.bound * s, x.generic)
     raise TypeError(f"cannot rescale {type(x).__name__}")
 
 

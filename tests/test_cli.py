@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 import weinkit
+from weinkit import cli
 from weinkit.graded import GradedGroup
 from weinkit.models import (
     degree_zero_orbit_fixture,
@@ -498,3 +499,24 @@ class TestParsing:
             os.close(write)
         assert out.returncode == 1
         assert out.stderr == b""
+
+    def test_usage_error_into_a_closed_stderr_exits_two(self):
+        # a usage error still exits 2 when its message cannot be written
+        read, write = os.pipe()
+        os.close(read)
+        env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=os.path.dirname(
+            os.path.dirname(weinkit.__file__)))
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "weinkit.cli", "frobnicate"], env=env,
+                stdout=subprocess.PIPE, stderr=write, timeout=60)
+        finally:
+            os.close(write)
+        assert out.returncode == 2
+        assert out.stdout == b""
+
+    def test_usage_error_without_a_stderr_exits_two(self, monkeypatch):
+        monkeypatch.setattr(sys, "stderr", None)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["frobnicate"])
+        assert exc.value.code == 2
