@@ -155,9 +155,6 @@ class ChordSpectrum:
                 raise ValueError(
                     f"chord {c.id!r}: action {c.action} >= bound {self.bound}")
 
-    def degrees(self):
-        return tuple(c.degree for c in self.chords)
-
     def min_degree(self):
         return min((c.degree for c in self.chords), default=None)
 
@@ -232,24 +229,6 @@ class MorseData:
             raise SchemaError(f"MorseData: {exc}") from None
 
 
-def _shifted(chords, amount):
-    """The chords after a degree shift by `amount`.  Degree and front move
-    together, so only the down-cusp count is re-checked."""
-    fronts = []
-    for c in chords:
-        front = c.front
-        if front is not None:
-            d, u, ind = front
-            front = (d + amount, u, ind)
-            chord_degree(*front)  # raises if the down-cusp count is negative
-        fronts.append(front)
-    return _trusted(
-        ChordRecord, len(chords), id=[c.id for c in chords],
-        degree=[c.degree + amount for c in chords],
-        action=[c.action for c in chords], front=fronts,
-        null_homotopic=[c.null_homotopic for c in chords])
-
-
 def _fresh_id(cid, used):
     """cid with "_" appended until it is not in the set used; adds it."""
     while cid in used:
@@ -296,8 +275,12 @@ def stabilize(spectrum: ChordSpectrum, N, q_data: MorseData,
     if sites < 0:
         raise ValueError("sites must be >= 0")
 
-    # The records below are valid by construction, so none is re-validated:
-    # each zig-zag chord has front (2, 0, ind), degree 1 + ind, action
+    # a front is None or a (D, U, ind) triple; the constructor checks it
+    out = [ChordRecord(c.id, c.degree + 2 * N, c.action,
+                       c.front and (c.front[0] + 2 * N, *c.front[1:]),
+                       c.null_homotopic) for c in spectrum.chords]
+    # The zig-zag records below are valid by construction, so none is
+    # re-validated: each has front (2, 0, ind), degree 1 + ind, action
     # eps * t / (total + 1) in (0, eps) and an id kept apart from the old
     # ones.  Only the front-to-degree match rests on chord_degree, so it is
     # checked here, once per critical index.
@@ -305,7 +288,6 @@ def stabilize(spectrum: ChordSpectrum, N, q_data: MorseData,
         if chord_degree(2, 0, ind) != 1 + ind:
             raise ValueError(
                 f"zig-zag front (2, 0, {ind}) does not have degree {1 + ind}")
-    out = _shifted(spectrum.chords, 2 * N)
     total = 2 * N * len(q_data.critical_points) * sites
     ids = [f"zz{t}" for t in range(1, total + 1)]
     used = {c.id for c in out}

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .serialize import SCHEMA_VERSION, SchemaError, as_int, check_schema, int_from_json, list_from_json, matrix_from_json, matrix_to_json
-from .snf import _as_rows, mat_mul, smith_normal_form
+from .snf import _as_rows, block_sum, mat_mul, smith_normal_form
 
 
 def invariant_factor_chain(factors):
@@ -114,9 +114,6 @@ class GradedGroup:
     @property
     def support(self):
         return tuple(deg for deg, _, _ in self.parts)
-
-    def to_dict(self):
-        return {deg: (rank, chain) for deg, rank, chain in self.parts}
 
     def direct_sum(self, other):
         merged = {}
@@ -237,22 +234,11 @@ class ChainComplex:
         """Block sum; generator order: self's then other's in each degree."""
         dims = Counter(self.dims)
         dims.update(other.dims)
-        boundaries = {}
-        for k in set(self.boundaries) | set(other.boundaries):
-            rows = self.dims.get(k - 1, 0) + other.dims.get(k - 1, 0)
-            cols = self.dims.get(k, 0) + other.dims.get(k, 0)
-            block = [[0] * cols for _ in range(rows)]
-            a = self.boundaries.get(k)
-            if a:
-                for i, row in enumerate(a):
-                    block[i][: len(row)] = row
-            b = other.boundaries.get(k)
-            if b:
-                r0, c0 = self.dims.get(k - 1, 0), self.dims.get(k, 0)
-                for i, row in enumerate(b):
-                    for j, x in enumerate(row):
-                        block[r0 + i][c0 + j] = x
-            boundaries[k] = block
+        boundaries = {
+            k: block_sum(self.boundary(k), other.boundary(k),
+                         (self.dim(k - 1), self.dim(k)),
+                         (other.dim(k - 1), other.dim(k)))
+            for k in set(self.boundaries) | set(other.boundaries)}
         return ChainComplex(dict(dims), boundaries)
 
     def to_json(self):

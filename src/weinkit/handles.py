@@ -25,7 +25,7 @@ from .graded import (
     semi_characteristic,
 )
 from .serialize import SCHEMA_VERSION, SchemaError, as_int, bool_from_json, check_schema, int_from_json, list_from_json, matrix_from_json, matrix_to_json, str_from_json
-from .snf import _as_rows, smith_normal_form
+from .snf import _as_rows, block_sum, smith_normal_form
 
 
 class HandlePresentation:
@@ -388,13 +388,8 @@ def boundary_connect_sum(p: HandlePresentation,
     elif pn == 0:
         form = q.intersection_form
     elif p.intersection_form is not None and q.intersection_form is not None:
-        size = pn + qn
-        form = [[0] * size for _ in range(size)]
-        for i in range(pn):
-            form[i][:pn] = p.intersection_form[i]
-        for i in range(qn):
-            for j in range(qn):
-                form[pn + i][pn + j] = q.intersection_form[i][j]
+        form = block_sum(p.intersection_form, q.intersection_form,
+                         (pn, pn), (qn, qn))
     return HandlePresentation(p.n, handles, boundaries, form)
 
 

@@ -48,6 +48,16 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def block_sum(a, b, shape_a, shape_b):
+    """The block matrix [[a, 0], [0, b]]; a block given as None is the zero
+    matrix of its (rows, cols) shape."""
+    (ra, ca), (rb, cb) = shape_a, shape_b
+    top = [[0] * ca] * ra if a is None else a
+    bottom = [[0] * cb] * rb if b is None else b
+    return ([[*row] + [0] * cb for row in top]
+            + [[0] * ca + [*row] for row in bottom])
+
+
 def mat_mul(a, b):
     """Exact product; costs one multiply-add per pair of nonzeros a_ik,
     b_kj."""

@@ -11,9 +11,12 @@ the bound is emitted exactly once, as its least rotation, in (length,
 letters) order.  enumerate_words, orbits_after_surgery and
 belt_sphere_chords build their records straight from the walk's columns,
 without the per-record checks of the public constructors; CyclicWord(...)
-built by a caller still canonicalizes its letters.
+built by a caller still canonicalizes its letters.  Orbit origins and belt
+chord ids are built from the letters in one place, _labels, and two words
+with the same label are an error.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -131,6 +134,17 @@ def _walk(spectrum, bound, shift, skip_non_null_homotopic=False):
     return words, degrees, tuple(map(fractions.__getitem__, nums))
 
 
+def _labels(prefix, words, what):
+    """prefix + "a.b.c" for each walked word.  Two words share a label
+    only when a letter id holds the "." itself: the one-letter word "a.b"
+    and the word a, b.  Such a clash raises."""
+    labels = [prefix + ".".join(w) for w in words]
+    if len(set(labels)) < len(labels):
+        clash = next(x for x, k in Counter(labels).items() if k > 1)
+        raise ValueError(f"duplicate {what} {clash!r}")
+    return labels
+
+
 def _lattice(chords, *actions):
     """The chords sorted by id as (action numerator, id, degree), the
     numerators of the further actions, and their one common denominator:
@@ -219,9 +233,6 @@ class OrbitSpectrum:
                 raise ValueError(
                     f"orbit action {r.action} >= bound {self.bound}")
 
-    def degrees(self):
-        return tuple(r.degree for r in self.orbits)
-
     def to_json(self):
         return {
             "schema": SCHEMA_VERSION,
@@ -264,7 +275,7 @@ def orbits_after_surgery(old: OrbitSpectrum, chords: ChordSpectrum,
     # every action is below the bound, so neither the records nor the
     # spectrum are checked again
     kept += _trusted(OrbitRecord, len(words), degree=degrees, action=actions,
-                     origin=["word:" + ".".join(w) for w in words],
+                     origin=_labels("word:", words, "orbit origin"),
                      contractible=repeat(True))
     [out] = _trusted(OrbitSpectrum, 1, n=[n], orbits=[tuple(kept)],
                      bound=[bound], generic=[old.generic])
@@ -339,19 +350,11 @@ def belt_sphere_chords(spectrum: ChordSpectrum, bound=None) -> ChordSpectrum:
             f"requested bound {bound} exceeds the known chord window "
             f"{spectrum.bound}")
     words, degrees, actions = _walk(spectrum, bound, n - 2)
-    ids = ["w:" + ".".join(w) for w in words]
-    if len(set(ids)) < len(ids):
-        # only a letter id holding the separator clashes: the one-letter
-        # word "a.b" and the word a, b
-        seen = set()
-        for cid in ids:
-            if cid in seen:
-                raise ValueError(f"duplicate chord id {cid!r}")
-            seen.add(cid)
-    # every action is below the bound and the ids are distinct
+    # every action is below the bound and _labels keeps the ids distinct
     chords = tuple(_trusted(
-        ChordRecord, len(words), id=ids, degree=degrees, action=actions,
-        front=repeat(None), null_homotopic=repeat(True)))
+        ChordRecord, len(words), id=_labels("w:", words, "chord id"),
+        degree=degrees, action=actions, front=repeat(None),
+        null_homotopic=repeat(True)))
     [out] = _trusted(ChordSpectrum, 1, n=[n], chords=[chords], bound=[bound])
     return out
 
@@ -530,6 +533,13 @@ def adc_check(cert: ADCCertificate) -> Verdict:
                    witness={"stages": len(cert.stages)})
 
 
+def _require_adc(cert, error, prefix):
+    """Raise error("<prefix>: <witness>") unless adc_check passes cert."""
+    verdict = adc_check(cert)
+    if not verdict.fired:
+        raise error(f"{prefix}: {verdict.witness}")
+
+
 def normalize_certificate(cert: ADCCertificate, eps) -> ADCCertificate:
     """Sharpen a valid certificate so consecutive scales drop by a factor
     eps and consecutive bounds grow by 1/eps: greedily take a subsequence
@@ -540,9 +550,7 @@ def normalize_certificate(cert: ADCCertificate, eps) -> ADCCertificate:
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise ValueError(f"need 0 < eps < 1, got {eps}")
-    verdict = adc_check(cert)
-    if not verdict.fired:
-        raise ValueError(f"input certificate fails: {verdict.witness}")
+    _require_adc(cert, ValueError, "input certificate fails")
     if len(cert.stages) <= 1:
         return cert
     chosen = [0]
@@ -566,10 +574,7 @@ def normalize_certificate(cert: ADCCertificate, eps) -> ADCCertificate:
         if b.scale > eps * a.scale or b.bound < a.bound / eps:
             raise AssertionError("normalize postcondition failed: stages do "
                                  "not shrink by eps")
-    final = adc_check(result)
-    if not final.fired:
-        raise AssertionError(
-            f"normalize postcondition failed: {final.witness}")
+    _require_adc(result, AssertionError, "normalize postcondition failed")
     return result
 
 
@@ -588,9 +593,7 @@ def flexible_surgery_certificate(cert: ADCCertificate, chords, n,
         raise ValueError(f"flexibility needs n >= 3, got n = {n}")
     if cert.stages and cert.n != n:
         raise ValueError(f"certificate has n = {cert.n}, expected {n}")
-    verdict = adc_check(cert)
-    if not verdict.fired:
-        raise ValueError(f"input certificate fails: {verdict.witness}")
+    _require_adc(cert, ValueError, "input certificate fails")
     if chords is None or isinstance(chords, ChordSpectrum):
         chords = [chords] * len(cert.stages)
     elif len(chords) != len(cert.stages):
@@ -640,7 +643,5 @@ def flexible_surgery_certificate(cert: ADCCertificate, chords, n,
             [Fraction(i) for i in range(1, len(out) + 1)]:
         raise AssertionError("pipeline postcondition failed: stage bounds "
                              "are not 1, 2, ...")
-    final = adc_check(result)
-    if not final.fired:
-        raise AssertionError(f"pipeline postcondition failed: {final.witness}")
+    _require_adc(result, AssertionError, "pipeline postcondition failed")
     return result

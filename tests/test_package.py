@@ -117,6 +117,29 @@ def test_no_bare_asserts_in_src():
     assert not found, f"bare assert vanishes under python -O: {found}"
 
 
+def test_every_private_helper_has_a_caller():
+    # a module-level _name in src/weinkit is referenced outside its own
+    # definition somewhere in src/weinkit: by a call, a base class or an
+    # import
+    statements = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            names = {node.id if isinstance(node, ast.Name)
+                     else node.attr if isinstance(node, ast.Attribute)
+                     else node.name
+                     for node in ast.walk(stmt)
+                     if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+            statements.append((path.name, stmt, names))
+    unused = [
+        f"{module}:{stmt.name}" for module, stmt, _ in statements
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_") and not stmt.name.startswith("__")
+        and not any(stmt.name in names
+                    for _, other, names in statements if other is not stmt)]
+    assert not unused, f"private helpers nothing refers to: {unused}"
+
+
 def test_import_leaves_out_sympy_scipy_and_numpy():
     code = ("import sys, weinkit; "
             "print(sorted({'sympy', 'scipy', 'numpy'} & set(sys.modules)))")

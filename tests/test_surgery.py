@@ -3,12 +3,14 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weinkit import surgery
 from weinkit.chords import ChordRecord, ChordSpectrum
 from weinkit.serialize import SchemaError, dumps_canonical
 from weinkit.surgery import (
@@ -31,6 +33,7 @@ from weinkit.surgery import (
 )
 
 import oracles
+from cli_invoke import invoke
 from test_acceptance import Budget
 
 
@@ -181,6 +184,27 @@ class TestEnumerateWords:
         s = spectrum_of(3, 4, ("a", 1, 1), ("b", 1, 1), ("a.b", 1, 3))
         with pytest.raises(ValueError, match="duplicate chord id 'w:a.b'"):
             belt_sphere_chords(s, 4)
+
+    def test_orbit_origins_that_clash_are_rejected(self):
+        # the same two words would both be the orbit "word:a.b"
+        s = spectrum_of(3, 4, ("a", 1, 1), ("b", 1, 1), ("a.b", 1, 3))
+        with pytest.raises(ValueError,
+                           match="duplicate orbit origin 'word:a.b'"):
+            orbits_after_surgery(OrbitSpectrum(3, (), 4), s, 4)
+
+    def test_pipeline_rejects_clashing_origins(self, tmp_path):
+        s = spectrum_of(3, 4, ("a", 1, 1), ("b", 1, 1), ("a.b", 1, 3))
+        with pytest.raises(ValueError, match="duplicate orbit origin"):
+            flexible_surgery_certificate(tower([5]), s, 3)
+        cert, chords = tmp_path / "cert.json", tmp_path / "chords.json"
+        cert.write_text(json.dumps(tower([5]).to_json()))
+        chords.write_text(json.dumps(s.to_json()))
+        result = invoke(["surgery", "flexible", str(cert), "--n", "3",
+                         "--chords", str(chords)])
+        assert result.exit_code == 2
+        doc = json.loads(result.stdout)
+        assert doc["ok"] is False
+        assert doc["error"] == "duplicate orbit origin 'word:a.b'"
 
     def test_three_letters_at_bound_16_pinned(self):
         s = spectrum_of(3, 16, ("a", 1, 1), ("b", 2, Fraction(3, 2)),
@@ -568,6 +592,30 @@ class TestNormalize:
             with pytest.raises(ValueError, match="eps"):
                 normalize_certificate(cert, eps)
 
+    def test_output_gate(self, planting_rescale):
+        cert = ADCCertificate((stage(1, 1), stage(Fraction(1, 2), 4)))
+        message = f"normalize postcondition failed: {planted_witness('1/4')}"
+        with pytest.raises(AssertionError, match=re.escape(message)):
+            normalize_certificate(cert, Fraction(1, 2))
+
+
+@pytest.fixture
+def planting_rescale(monkeypatch):
+    """rescale that also plants a degree-0 contractible orbit at half the
+    new bound, so every certificate built from its output fails adc_check."""
+    real = surgery.rescale
+
+    def planted(x, s):
+        out = real(x, s)
+        return OrbitSpectrum(out.n, out.orbits + (orbit(0, out.bound / 2),),
+                             out.bound, out.generic)
+    monkeypatch.setattr(surgery, "rescale", planted)
+
+
+def planted_witness(action):
+    return {"stage": 1, "violation": "nonpositive contractible orbit",
+            "record": 0, "degree": 0, "action": action, "origin": "old"}
+
 
 def tower(bounds, n=3, orbits_for=None):
     stages = []
@@ -652,6 +700,11 @@ class TestFlexiblePipeline:
         out = flexible_surgery_certificate(cert, None, 3)
         assert out.stages[0].scale == Fraction(1, 1) / 4
         assert out.stages[1].scale == Fraction(1, 2) / 16
+
+    def test_output_gate(self, planting_rescale):
+        message = f"pipeline postcondition failed: {planted_witness('1/2')}"
+        with pytest.raises(AssertionError, match=re.escape(message)):
+            flexible_surgery_certificate(tower([5]), None, 3)
 
 
 @st.composite
