@@ -12,14 +12,13 @@ from itertools import repeat
 
 from .serialize import (
     SCHEMA_VERSION,
-    SchemaError,
     as_int,
     bool_from_json,
-    check_schema,
     frac_from_str,
     frac_to_str,
     int_from_json,
     list_from_json,
+    reader,
     str_from_json,
 )
 
@@ -55,11 +54,11 @@ class _LazyAction:
 
 @dataclass(frozen=True, slots=True)
 class ChordRecord(_LazyAction):
-    """One Reeb chord: integer degree, positive rational action, optional
-    front provenance (down-cusps, up-cusps, Morse index of the height
-    difference), and whether its class in pi_1 relative the Legendrian
-    vanishes (non-null-homotopic chords carry no canonical grading and are
-    excluded from word enumeration downstream)."""
+    """One Reeb chord: non-empty string id, integer degree, positive
+    rational action, optional front provenance (down-cusps, up-cusps, Morse
+    index of the height difference), and whether its class in pi_1
+    relative the Legendrian vanishes (non-null-homotopic chords carry no
+    canonical grading and are excluded from word enumeration downstream)."""
     id: str
     degree: int
     action: Fraction
@@ -67,6 +66,10 @@ class ChordRecord(_LazyAction):
     null_homotopic: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise ValueError(f"chord id must be a string, got {self.id!r}")
+        if not self.id:
+            raise ValueError("chord id must not be empty")
         # hot path when loading large spectra: avoid re-wrapping Fractions
         # and compare through the numerator
         if type(self.degree) is not int:
@@ -111,21 +114,16 @@ class ChordRecord(_LazyAction):
         }
 
     @staticmethod
+    @reader("ChordRecord", schema=False)
     def from_json(doc):
-        try:
-            front = doc.get("front")
-            if front is not None:
-                front = tuple(int_from_json(x, "front entry")
-                              for x in list_from_json(front, "front"))
-            chord_id = str_from_json(doc["id"], "chord id")
-            if not chord_id:
-                raise SchemaError("chord id must not be empty")
-            return ChordRecord(
-                chord_id, int_from_json(doc["degree"], "degree"),
-                frac_from_str(doc["action"]), front,
-                bool_from_json(doc.get("null_homotopic", True), "null_homotopic"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"ChordRecord: {exc}") from None
+        front = doc.get("front")
+        if front is not None:
+            front = tuple(int_from_json(x, "front entry")
+                          for x in list_from_json(front, "front"))
+        return ChordRecord(
+            doc["id"], int_from_json(doc["degree"], "degree"),
+            frac_from_str(doc["action"]), front,
+            bool_from_json(doc.get("null_homotopic", True), "null_homotopic"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,15 +165,12 @@ class ChordSpectrum:
         }
 
     @staticmethod
+    @reader("ChordSpectrum")
     def from_json(doc):
-        check_schema(doc, "ChordSpectrum")
-        try:
-            chords = tuple(ChordRecord.from_json(c)
-                           for c in list_from_json(doc["chords"], "chords"))
-            return ChordSpectrum(int_from_json(doc["n"], "n"), chords,
-                                 frac_from_str(doc["bound"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"ChordSpectrum: {exc}") from None
+        chords = tuple(ChordRecord.from_json(c)
+                       for c in list_from_json(doc["chords"], "chords"))
+        return ChordSpectrum(int_from_json(doc["n"], "n"), chords,
+                             frac_from_str(doc["bound"]))
 
 
 @dataclass(frozen=True)
@@ -214,19 +209,16 @@ class MorseData:
         }
 
     @staticmethod
+    @reader("MorseData")
     def from_json(doc):
-        check_schema(doc, "MorseData")
-        try:
-            return MorseData(
-                str_from_json(doc["name"], "name"),
-                int_from_json(doc["dimension"], "dimension"),
-                int_from_json(doc["chi"], "chi"),
-                bool_from_json(doc["orientable"], "orientable"),
-                tuple(int_from_json(i, "critical index")
-                      for i in list_from_json(doc["critical_points"],
-                                              "critical_points")))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"MorseData: {exc}") from None
+        return MorseData(
+            str_from_json(doc["name"], "name"),
+            int_from_json(doc["dimension"], "dimension"),
+            int_from_json(doc["chi"], "chi"),
+            bool_from_json(doc["orientable"], "orientable"),
+            tuple(int_from_json(i, "critical index")
+                  for i in list_from_json(doc["critical_points"],
+                                          "critical_points")))
 
 
 def _fresh_id(cid, used):

@@ -10,7 +10,7 @@ input; "the two are the same" is never claimed.
 from dataclasses import dataclass
 
 from .graded import GradedGroup
-from .serialize import SCHEMA_VERSION, SchemaError, Verdict, as_int, check_schema, int_from_json
+from .serialize import SCHEMA_VERSION, SchemaError, Verdict, as_int, int_from_json, reader
 
 
 INDISTINGUISHABLE = "indistinguishable by this invariant"
@@ -45,14 +45,11 @@ class SHPlusProfile:
         }
 
     @staticmethod
+    @reader("SHPlusProfile")
     def from_json(doc):
-        check_schema(doc, "SHPlusProfile")
-        try:
-            group = GradedGroup.from_json(
-                {"schema": SCHEMA_VERSION, "graded_group": doc["profile"]})
-            return SHPlusProfile(group, doc.get("provenance", "user-supplied"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"SHPlusProfile: {exc}") from None
+        group = GradedGroup.from_json(
+            {"schema": SCHEMA_VERSION, "graded_group": doc["profile"]})
+        return SHPlusProfile(group, doc.get("provenance", "user-supplied"))
 
 
 def sh_plus_from_vanishing(hstar_w: GradedGroup, n, weinstein=True) -> SHPlusProfile:
@@ -187,11 +184,12 @@ class LoopHomologyTable:
                 if k > self.horizon:
                     raise ValueError(
                         f"{name} entry at degree {k} beyond horizon {self.horizon}")
-        for k in range(self.horizon + 1):
-            if self.dims.get(k, 0) < self.base.get(k, 0):
+        # dims >= 0, so only a base degree can fail, however far the horizon
+        for k in sorted(self.base):
+            if self.dims.get(k, 0) < self.base[k]:
                 raise ValueError(
                     f"constant loops violated at degree {k}: "
-                    f"dim {self.dims.get(k, 0)} < base {self.base.get(k, 0)}")
+                    f"dim {self.dims.get(k, 0)} < base {self.base[k]}")
 
     def dim(self, k):
         return self.dims.get(k, 0)
@@ -210,21 +208,18 @@ class LoopHomologyTable:
         }
 
     @staticmethod
+    @reader("LoopHomologyTable")
     def from_json(doc):
-        check_schema(doc, "LoopHomologyTable")
         for key in ("dims", "base"):
             if not isinstance(doc.get(key), dict):
-                raise SchemaError(f"LoopHomologyTable: '{key}' must be an object")
-        try:
-            dims, base = ({int_from_json(k, "degree"): int_from_json(v, key)
-                           for k, v in doc[key].items()}
-                          for key in ("dims", "base"))
-            horizon = doc.get("horizon")
-            if horizon is not None:
-                horizon = int_from_json(horizon, "horizon")
-            return LoopHomologyTable(dims, base, horizon)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"LoopHomologyTable: {exc}") from None
+                raise SchemaError(f"'{key}' must be an object")
+        dims, base = ({int_from_json(k, "degree"): int_from_json(v, key)
+                       for k, v in doc[key].items()}
+                      for key in ("dims", "base"))
+        horizon = doc.get("horizon")
+        if horizon is not None:
+            horizon = int_from_json(horizon, "horizon")
+        return LoopHomologyTable(dims, base, horizon)
 
 
 def boundedinfinite_distinguisher(lm: LoopHomologyTable, ln: LoopHomologyTable,

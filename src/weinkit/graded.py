@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from .serialize import SCHEMA_VERSION, SchemaError, as_int, check_schema, int_from_json, list_from_json, matrix_from_json, matrix_to_json
+from .serialize import SCHEMA_VERSION, SchemaError, as_int, int_from_json, list_from_json, matrix_from_json, matrix_to_json, reader
 from .snf import _as_rows, block_sum, mat_mul, smith_normal_form
 
 
@@ -154,20 +154,20 @@ class GradedGroup:
         return {"schema": SCHEMA_VERSION, "graded_group": groups}
 
     @staticmethod
+    @reader("GradedGroup")
     def from_json(doc):
-        check_schema(doc, "GradedGroup")
         groups = doc.get("graded_group")
         if not isinstance(groups, dict):
-            raise SchemaError("GradedGroup: missing 'graded_group' object")
+            raise SchemaError("missing 'graded_group' object")
         parsed = {}
         for deg, entry in groups.items():
             try:
                 k = int_from_json(deg, "degree key")
             except SchemaError:
-                raise SchemaError(f"GradedGroup: bad degree key {deg!r}") from None
+                raise SchemaError(f"bad degree key {deg!r}") from None
             if not isinstance(entry, dict):
-                raise SchemaError(f"GradedGroup: degree {deg} entry must be an object")
-            what = f"GradedGroup: degree {deg}"
+                raise SchemaError(f"degree {deg} entry must be an object")
+            what = f"degree {deg}"
             torsion = list_from_json(entry.get("torsion", []), f"{what} torsion")
             parsed[k] = (int_from_json(entry.get("rank", 0), f"{what} rank"),
                          [int_from_json(f, f"{what} torsion factor") for f in torsion])
@@ -250,22 +250,19 @@ class ChainComplex:
         }
 
     @staticmethod
+    @reader("ChainComplex")
     def from_json(doc):
-        check_schema(doc, "ChainComplex")
         dims = doc.get("dims")
         if not isinstance(dims, dict):
-            raise SchemaError("ChainComplex: missing 'dims' object")
+            raise SchemaError("missing 'dims' object")
         boundaries = doc.get("boundaries")
         if boundaries is not None and not isinstance(boundaries, dict):
-            raise SchemaError("ChainComplex: 'boundaries' must be an object")
-        try:
-            dims = {int_from_json(k, "degree"): int_from_json(v, "dim")
-                    for k, v in dims.items()}
-            boundaries = {int_from_json(k, "degree"): matrix_from_json(rows)
-                          for k, rows in (boundaries or {}).items()}
-            return ChainComplex(dims, boundaries)
-        except ValueError as exc:  # SchemaError is a ValueError
-            raise SchemaError(f"ChainComplex: {exc}") from None
+            raise SchemaError("'boundaries' must be an object")
+        dims = {int_from_json(k, "degree"): int_from_json(v, "dim")
+                for k, v in dims.items()}
+        boundaries = {int_from_json(k, "degree"): matrix_from_json(rows)
+                      for k, rows in (boundaries or {}).items()}
+        return ChainComplex(dims, boundaries)
 
 
 def homology(complex_: ChainComplex) -> GradedGroup:

@@ -24,7 +24,7 @@ from .graded import (
     homology,
     semi_characteristic,
 )
-from .serialize import SCHEMA_VERSION, SchemaError, as_int, bool_from_json, check_schema, int_from_json, list_from_json, matrix_from_json, matrix_to_json, str_from_json
+from .serialize import SCHEMA_VERSION, SchemaError, as_int, bool_from_json, int_from_json, list_from_json, matrix_from_json, matrix_to_json, reader, str_from_json
 from .snf import _as_rows, block_sum, smith_normal_form
 
 
@@ -107,33 +107,27 @@ class HandlePresentation:
         return doc
 
     @staticmethod
+    @reader("HandlePresentation")
     def from_json(doc):
-        check_schema(doc, "HandlePresentation")
-        try:
-            n = int_from_json(doc["n"], "n")
-            handles = [(int_from_json(h["index"], "handle index"),
-                        str_from_json(h.get("label", f"h{i}"),
-                                      "handle label"))
-                       for i, h in enumerate(list_from_json(doc["handles"],
-                                                            "handles"))]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"HandlePresentation: {exc}") from None
+        n = int_from_json(doc["n"], "n")
+        # an unlabeled handle is its bare index: the constructor labels it
+        handles = []
+        for h in list_from_json(doc["handles"], "handles"):
+            index = int_from_json(h["index"], "handle index")
+            handles.append((index, str_from_json(h["label"], "handle label"))
+                           if "label" in h else index)
         matrices = doc.get("boundary_matrices")
         if matrices is not None and not isinstance(matrices, dict):
-            raise SchemaError(
-                "HandlePresentation: 'boundary_matrices' must be an object")
+            raise SchemaError("'boundary_matrices' must be an object")
         boundaries = {int_from_json(k, "boundary degree"): matrix_from_json(m)
                       for k, m in (matrices or {}).items()}
         form = doc.get("intersection_form")
         if form is not None:
             form = matrix_from_json(form)
-        try:
-            return HandlePresentation(n, handles, boundaries, form,
-                                      allow_many_zero_handles=bool_from_json(
-                                          doc.get("allow_many_zero_handles", False),
-                                          "allow_many_zero_handles"))
-        except ValueError as exc:
-            raise SchemaError(f"HandlePresentation: {exc}") from None
+        return HandlePresentation(n, handles, boundaries, form,
+                                  allow_many_zero_handles=bool_from_json(
+                                      doc.get("allow_many_zero_handles", False),
+                                      "allow_many_zero_handles"))
 
 
 def cohomology(p: HandlePresentation):

@@ -1,6 +1,10 @@
 """Shared JSON conventions: schema tag, exact rationals, big-integer matrices.
 
 Every document this package reads or writes carries ``"schema": 1``.
+Every `from_json` goes through `reader`, the one reader policy: the input
+must be a JSON object, tagged unless it is a record nested in a document,
+and a KeyError, TypeError or ValueError of parsing or of the constructor
+becomes a SchemaError "<Type>: ...", so a from_json only parses fields.
 Rationals travel as strings "p/q" (or "p" when the denominator is 1) and
 matrix entries as decimal strings, so arbitrary precision survives JSON.
 `Verdict`, the outcome both floer's distinguishers and surgery's
@@ -13,6 +17,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from operator import index
 
 SCHEMA_VERSION = 1
@@ -112,12 +117,26 @@ def matrix_from_json(rows) -> list:
     return out
 
 
-def check_schema(doc, what):
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{what}: expected a JSON object")
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise SchemaError(f"{what}: missing or unsupported schema tag "
-                          f"(want {SCHEMA_VERSION}, got {doc.get('schema')!r})")
+def reader(what, schema=True):
+    """The reader policy around a from_json(doc) named WHAT; schema=False
+    for a record nested in a document, which carries no tag."""
+    def wrap(parse):
+        @wraps(parse)
+        def read(doc):
+            if not isinstance(doc, dict):
+                raise SchemaError(f"{what}: expected a JSON object")
+            if schema and doc.get("schema") != SCHEMA_VERSION:
+                raise SchemaError(
+                    f"{what}: missing or unsupported schema tag "
+                    f"(want {SCHEMA_VERSION}, got {doc.get('schema')!r})")
+            try:
+                return parse(doc)
+            except KeyError as exc:
+                raise SchemaError(f"{what}: missing key {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(f"{what}: {exc}") from None
+        return read
+    return wrap
 
 
 def dumps_canonical(doc) -> str:

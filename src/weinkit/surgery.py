@@ -11,9 +11,11 @@ the bound is emitted exactly once, as its least rotation, in (length,
 letters) order.  enumerate_words, orbits_after_surgery and
 belt_sphere_chords build their records straight from the walk's columns,
 without the per-record checks of the public constructors; CyclicWord(...)
-built by a caller still canonicalizes its letters.  Orbit origins and belt
-chord ids are built from the letters in one place, _labels, and two words
-with the same label are an error.
+built by a caller still canonicalizes its letters.  A name spelled from
+letters (orbit origin "word:a.b", belt chord "w:a.b", mixed chord
+"mix:x.a.b.y") is built by _labels, and two words with one name are an
+error; a generated name ("zz<t>" in stabilize, "surg" in add_surgery_chord)
+takes "_" appended until it is fresh.
 """
 
 from collections import Counter
@@ -25,15 +27,14 @@ from math import lcm
 from .chords import ChordRecord, ChordSpectrum, _fresh_id, _trusted, choose_Q, min_positive_N, stabilize
 from .serialize import (
     SCHEMA_VERSION,
-    SchemaError,
     Verdict,
     as_int,
     bool_from_json,
-    check_schema,
     frac_from_str,
     frac_to_str,
     int_from_json,
     list_from_json,
+    reader,
     str_from_json,
 )
 
@@ -135,9 +136,9 @@ def _walk(spectrum, bound, shift, skip_non_null_homotopic=False):
 
 
 def _labels(prefix, words, what):
-    """prefix + "a.b.c" for each walked word.  Two words share a label
-    only when a letter id holds the "." itself: the one-letter word "a.b"
-    and the word a, b.  Such a clash raises."""
+    """prefix + "a.b.c" for each word, a tuple of ids.  Two words share a
+    label only when a letter id holds the "." itself: the one-letter word
+    "a.b" and the word a, b.  Such a clash raises."""
     labels = [prefix + ".".join(w) for w in words]
     if len(set(labels)) < len(labels):
         clash = next(x for x, k in Counter(labels).items() if k > 1)
@@ -200,16 +201,13 @@ class OrbitRecord:
         }
 
     @staticmethod
+    @reader("OrbitRecord", schema=False)
     def from_json(doc):
-        try:
-            return OrbitRecord(int_from_json(doc["degree"], "degree"),
-                               frac_from_str(doc["action"]),
-                               str_from_json(doc.get("origin", "old"),
-                                             "origin"),
-                               bool_from_json(doc.get("contractible", True),
-                                              "contractible"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"OrbitRecord: {exc}") from None
+        return OrbitRecord(int_from_json(doc["degree"], "degree"),
+                           frac_from_str(doc["action"]),
+                           str_from_json(doc.get("origin", "old"), "origin"),
+                           bool_from_json(doc.get("contractible", True),
+                                          "contractible"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -243,17 +241,14 @@ class OrbitSpectrum:
         }
 
     @staticmethod
+    @reader("OrbitSpectrum")
     def from_json(doc):
-        check_schema(doc, "OrbitSpectrum")
-        try:
-            orbits = tuple(OrbitRecord.from_json(r)
-                           for r in list_from_json(doc["orbits"], "orbits"))
-            return OrbitSpectrum(int_from_json(doc["n"], "n"), orbits,
-                                 frac_from_str(doc["bound"]),
-                                 bool_from_json(doc.get("generic", True),
-                                                "generic"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"OrbitSpectrum: {exc}") from None
+        orbits = tuple(OrbitRecord.from_json(r)
+                       for r in list_from_json(doc["orbits"], "orbits"))
+        return OrbitSpectrum(int_from_json(doc["n"], "n"), orbits,
+                             frac_from_str(doc["bound"]),
+                             bool_from_json(doc.get("generic", True),
+                                            "generic"))
 
 
 def orbits_after_surgery(old: OrbitSpectrum, chords: ChordSpectrum,
@@ -395,15 +390,14 @@ def nonsimultaneous_words(s_minus: ChordSpectrum, aux: ChordSpectrum,
                 stack.append((seq + (cid,), act + num, deg + d))
     mixed.sort()
     null = connector_in.null_homotopic and connector_out.null_homotopic
-    out = list(s_minus.chords)
-    used = {c.id for c in out}
-    for _, seq, act, deg in mixed:
-        cid = _fresh_id(
-            "mix:" + ".".join((connector_in.id,) + seq + (connector_out.id,)),
-            used)
-        out.append(ChordRecord(cid, base_degree + deg,
-                               Fraction(base + act, den), None, null))
-    return ChordSpectrum(n, tuple(out), bound)
+    ids = _labels("mix:", [(connector_in.id,) + seq + (connector_out.id,)
+                           for _, seq, _, _ in mixed], "chord id")
+    # a clash with an id of s_minus is raised by the checked spectrum
+    out = s_minus.chords + tuple(
+        ChordRecord(cid, base_degree + deg, Fraction(base + act, den), None,
+                    null)
+        for cid, (_, _, act, deg) in zip(ids, mixed))
+    return ChordSpectrum(n, out, bound)
 
 
 def _positive(spectrum, zigzag_action):
@@ -461,12 +455,10 @@ class Stage:
         }
 
     @staticmethod
+    @reader("Stage", schema=False)
     def from_json(doc):
-        try:
-            return Stage(frac_from_str(doc["scale"]), frac_from_str(doc["bound"]),
-                         OrbitSpectrum.from_json(doc["spectrum"]))
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"Stage: {exc}") from None
+        return Stage(frac_from_str(doc["scale"]), frac_from_str(doc["bound"]),
+                     OrbitSpectrum.from_json(doc["spectrum"]))
 
 
 @dataclass(frozen=True)
@@ -494,14 +486,10 @@ class ADCCertificate:
         }
 
     @staticmethod
+    @reader("ADCCertificate")
     def from_json(doc):
-        check_schema(doc, "ADCCertificate")
-        try:
-            stages = tuple(Stage.from_json(s) for s in list_from_json(
-                doc["stages"], "ADCCertificate: stages"))
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"ADCCertificate: {exc}") from None
-        return ADCCertificate(stages)
+        return ADCCertificate(tuple(
+            Stage.from_json(s) for s in list_from_json(doc["stages"], "stages")))
 
 
 def adc_check(cert: ADCCertificate) -> Verdict:

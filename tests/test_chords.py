@@ -57,6 +57,14 @@ class TestRecordsAndSpectra:
         with pytest.raises(ValueError, match="positive"):
             ChordRecord("c", 1, Fraction(-1, 3))
 
+    @pytest.mark.parametrize("chord_id, message", [
+        (5, "chord id must be a string, got 5"),
+        ("", "chord id must not be empty")])
+    def test_id_is_a_non_empty_string(self, chord_id, message):
+        # both used to build spectra whose to_json the reader rejects
+        with pytest.raises(ValueError, match=message):
+            ChordRecord(chord_id, 1, 1)
+
     def test_duplicate_ids(self):
         c = ChordRecord("c", 1, 1)
         with pytest.raises(ValueError, match="duplicate"):
@@ -75,8 +83,18 @@ class TestRecordsAndSpectra:
         t = ChordSpectrum.from_json(s.to_json())
         assert t == s
         assert s.to_json()["chords"][0]["action"] == "3/7"
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError,
+                           match="^ChordSpectrum: missing key 'chords'$"):
             ChordSpectrum.from_json({"schema": 1, "n": 3})
+
+    @pytest.mark.parametrize("chord", [1, "c", None, ["c"]])
+    def test_spectrum_from_json_rejects_non_object_chords(self, chord):
+        # a chord 1 used to raise AttributeError: 'int' object has no
+        # attribute 'get'
+        with pytest.raises(SchemaError, match=(
+                "^ChordSpectrum: ChordRecord: expected a JSON object$")):
+            ChordSpectrum.from_json({"schema": 1, "n": 3, "bound": "4",
+                                     "chords": [chord]})
 
     @pytest.mark.parametrize("field, value", [
         ("degree", 1.5), ("degree", True), ("front", [2, 0, 0.5])])

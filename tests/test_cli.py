@@ -168,6 +168,24 @@ class TestMalformedInput:
         assert ("chord id must be a string, got None"
                 in report_of(result)["error"])
 
+    @pytest.mark.parametrize("args, doc, message", [
+        (["stabilize"], {"schema": 1, "n": 3, "bound": "4", "chords": [1]},
+         "ChordSpectrum: ChordRecord: expected a JSON object"),
+        (["surgery", "subcritical"],
+         {"schema": 1, "n": 3, "bound": "4", "orbits": ["x"]},
+         "OrbitSpectrum: OrbitRecord: expected a JSON object"),
+        (["adc-check"], {"schema": 1, "stages": [5]},
+         "ADCCertificate: Stage: expected a JSON object")])
+    def test_non_object_record_is_invalid_input(self, files, args, doc,
+                                                message):
+        # a chord 1 used to end in AttributeError and exit 1
+        path = files("doc.json", doc)
+        extra = ["--n", "3", "--k", "1", "--iterates", "1"] \
+            if args[0] == "surgery" else []
+        result = invoke(args + [path] + extra)
+        assert result.exit_code == 2
+        assert report_of(result)["error"] == f"{path}: {message}"
+
 
 class TestDetectors:
     def test_distinguish_fires_and_exits_zero(self, files):

@@ -189,6 +189,13 @@ class TestLoopTables:
         with pytest.raises(ValueError, match="constant loops"):
             LoopHomologyTable({0: 1}, {0: 1, 2: 1}, horizon=4)
 
+    def test_constant_loops_check_is_independent_of_the_horizon(self):
+        # the check used to walk every degree up to the horizon
+        t = LoopHomologyTable({0: 1}, {0: 1}, horizon=10 ** 18)
+        assert t.horizon == 10 ** 18
+        with pytest.raises(ValueError, match="violated at degree 2: dim 0 < base 1"):
+            LoopHomologyTable({0: 1}, {0: 1, 2: 1, 5: 1}, horizon=10 ** 18)
+
     def test_horizon_enforced(self):
         with pytest.raises(ValueError, match="horizon"):
             LoopHomologyTable({5: 1}, {}, horizon=3)

@@ -317,6 +317,13 @@ def test_from_json_rejects_non_object_degree_entry(entry):
         GradedGroup.from_json({"schema": 1, "graded_group": {"0": entry}})
 
 
+def test_from_json_prefixes_constructor_errors():
+    doc = {"schema": 1, "graded_group": {"0": {"rank": -1}}}
+    with pytest.raises(SchemaError,
+                       match="^GradedGroup: negative rank at degree 0$"):
+        GradedGroup.from_json(doc)
+
+
 @pytest.mark.parametrize("torsion", ["16", 16, {"16": 1}])
 def test_from_json_rejects_non_list_torsion(torsion):
     # a string used to be read digit by digit: "16" became Z/6

@@ -282,6 +282,13 @@ class TestJson:
         assert doc["euler"] == 0
         assert doc["q_dims"]["0"] == 1
 
+    def test_unlabeled_handles_get_the_constructor_labels(self):
+        # JSON used to label them h<position>: h0, h1 here
+        doc = {"schema": 1, "n": 2, "handles": [{"index": 0}, {"index": 2}]}
+        p = HandlePresentation.from_json(doc)
+        assert p.handles == HandlePresentation(2, [0, 2]).handles
+        assert p.handles == ((0, "h0.0"), (2, "h2.1"))
+
     def test_schema_errors(self):
         with pytest.raises(SchemaError):
             HandlePresentation.from_json({"n": 2})

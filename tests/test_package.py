@@ -2,8 +2,9 @@
 command line loads nothing outside the standard library, numpy loads only
 for the float grids of scaling-verify and the examples corpus, `import
 weinkit` executes no submodule and each command executes only the modules
-it uses, the public names are those of the eager package, and the Python
-API rejects non-integer counts instead of truncating them."""
+it uses, the public names are those of the eager package, the Python
+API rejects non-integer counts instead of truncating them, and every JSON
+reader goes through `serialize.reader` and raises only SchemaError."""
 
 import ast
 import json
@@ -14,11 +15,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import weinkit
 from test_cli_golden import COMMANDS, RUNS, write_fixtures
 from weinkit.chords import (
     ChordRecord,
+    ChordSpectrum,
     MorseData,
     choose_Q,
     stabilize,
@@ -29,10 +32,16 @@ from weinkit.graded import (
     homology,
     invariant_factor_chain,
 )
-from weinkit.floer import LoopHomologyTable
+from weinkit.floer import LoopHomologyTable, SHPlusProfile
 from weinkit.handles import HandlePresentation, handlebody_boundary_homology
-from weinkit.models import mixed_sign_spectrum
-from weinkit.surgery import OrbitRecord
+from weinkit.models import middle_rank_family, mixed_sign_spectrum, sample_certificate
+from weinkit.serialize import SchemaError
+from weinkit.surgery import (
+    ADCCertificate,
+    OrbitRecord,
+    OrbitSpectrum,
+    Stage,
+)
 
 SRC = Path(weinkit.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -138,6 +147,131 @@ def test_every_private_helper_has_a_caller():
         and not any(stmt.name in names
                     for _, other, names in statements if other is not stmt)]
     assert not unused, f"private helpers nothing refers to: {unused}"
+
+
+# every class with a from_json, and the keys its documents use
+READERS = (ChordRecord, ChordSpectrum, MorseData, OrbitRecord, OrbitSpectrum,
+           Stage, ADCCertificate, GradedGroup, ChainComplex,
+           HandlePresentation, SHPlusProfile, LoopHomologyTable)
+DOCUMENT_KEYS = """schema n bound chords id degree action front null_homotopic
+    name dimension chi orientable critical_points orbits origin contractible
+    generic scale spectrum stages graded_group rank torsion dims boundaries
+    handles index label boundary_matrices intersection_form
+    allow_many_zero_handles profile provenance base horizon 0 1 2 -1""".split()
+
+
+def test_every_from_json_goes_through_reader():
+    # each from_json is decorated with serialize.reader, which alone turns
+    # KeyError, TypeError and ValueError into SchemaError "<Type>: ..."
+    found, undecorated, catching, prefixed = set(), [], [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not (isinstance(fn, ast.FunctionDef)
+                        and fn.name == "from_json"):
+                    continue
+                where = f"{path.name}:{cls.name}.from_json"
+                found.add(cls.name)
+                if not any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+                           and d.func.id == "reader" for d in fn.decorator_list):
+                    undecorated.append(where)
+                caught = {node.id for handler in ast.walk(fn)
+                          if isinstance(handler, ast.ExceptHandler)
+                          and handler.type is not None
+                          for node in ast.walk(handler.type)
+                          if isinstance(node, ast.Name)}
+                if caught & {"KeyError", "TypeError", "ValueError"}:
+                    catching.append(where)
+                if any(isinstance(node, ast.Constant)
+                       and str(node.value).startswith(f"{cls.name}:")
+                       for node in ast.walk(fn)):
+                    prefixed.append(where)
+    assert found == {cls.__name__ for cls in READERS}
+    assert not undecorated, f"from_json without @reader: {undecorated}"
+    assert not catching, f"from_json with its own error policy: {catching}"
+    assert not prefixed, f"from_json restating its prefix: {prefixed}"
+
+
+_scalars = (st.none() | st.booleans() | st.integers(-2, 4) | st.integers()
+            | st.floats() | st.text("ab1/:", max_size=4)
+            | st.sampled_from(["1/2", "3", "-1", "1/0", "x", "", "old",
+                               "word:a", "belt:1", "formula"]))
+_json = st.recursive(
+    _scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(DOCUMENT_KEYS), inner,
+                                     max_size=6)),
+    max_leaves=16)
+# a tagged object over the documents' own keys reaches past the tag check
+_documents = _json | st.dictionaries(
+    st.sampled_from(DOCUMENT_KEYS), _json, max_size=8).map(
+        lambda doc: {**doc, "schema": 1})
+
+
+def _samples():
+    """A valid document of each reader, as parsed JSON."""
+    cert = sample_certificate(3, 2)
+    docs = (ChordRecord("a", 1, 1, (2, 0, 0)).to_json(),
+            mixed_sign_spectrum().to_json(),
+            MorseData("S2", 2, 2, True, (0, 2)).to_json(),
+            OrbitRecord(1, 1, "belt:1").to_json(),
+            cert.stages[0].spectrum.to_json(), cert.stages[0].to_json(),
+            cert.to_json(),
+            GradedGroup.from_dict({0: (1, ()), 2: (0, (2, 4))}).to_json(),
+            ChainComplex({0: 1, 1: 1}, {1: [[2]]}).to_json(),
+            middle_rank_family(3, 2).to_json(),
+            SHPlusProfile(GradedGroup.free({1: 1})).to_json(),
+            LoopHomologyTable({0: 1, 2: 3}, {0: 1}, 4).to_json())
+    return {cls: json.loads(json.dumps(doc))
+            for cls, doc in zip(READERS, docs)}
+
+
+SAMPLES = _samples()
+
+
+def _paths(doc, path=()):
+    yield path
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    out = json.loads(json.dumps(doc))
+    *head, last = path
+    node = out
+    for key in head:
+        node = node[key]
+    node[last] = value
+    return out
+
+
+def _mutants(doc):
+    """DOC with one node, the root included, replaced by any JSON value."""
+    return st.builds(_replaced, st.just(doc),
+                     st.sampled_from(list(_paths(doc))), _json)
+
+
+def test_every_sample_document_reads():
+    for cls in READERS:
+        assert isinstance(cls.from_json(SAMPLES[cls]), cls)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), cls=st.sampled_from(READERS))
+def test_every_reader_returns_an_instance_or_raises_schema_error(data, cls):
+    doc = data.draw(_documents | _mutants(SAMPLES[cls]))
+    try:
+        out = cls.from_json(doc)
+    except SchemaError:
+        return
+    assert isinstance(out, cls)
 
 
 def test_import_leaves_out_sympy_scipy_and_numpy():

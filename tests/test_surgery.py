@@ -444,6 +444,21 @@ class TestNonsimultaneous:
         with pytest.raises(ValueError, match="differ"):
             nonsimultaneous_words(self.base, spectrum_of(4, 6), self.a, self.b)
 
+    def test_mixed_ids_that_clash_are_rejected(self):
+        # the one-letter middle "a.b" and the middle a, b both spell
+        # mix:x.a.b.y; the second used to become mix:x.a.b.y_
+        aux = spectrum_of(3, 6, ("a", 1, 1), ("b", 1, 1), ("a.b", 1, 3))
+        x = ChordRecord("x", 1, Fraction(1, 2))
+        y = ChordRecord("y", 1, Fraction(1, 2))
+        with pytest.raises(ValueError,
+                           match="duplicate chord id 'mix:x.a.b.y'"):
+            nonsimultaneous_words(spectrum_of(3, 6), aux, x, y)
+
+    def test_mixed_id_that_clashes_with_an_old_chord_is_rejected(self):
+        base = spectrum_of(3, 6, ("mix:in.out", 1, 1))
+        with pytest.raises(ValueError, match="duplicate chord id 'mix:in.out'"):
+            nonsimultaneous_words(base, spectrum_of(3, 6), self.a, self.b)
+
 
 class TestRescale:
     def test_chord_spectrum_scaling(self):
@@ -546,6 +561,18 @@ class TestCertificates:
     def test_from_json_rejects_non_list_stages(self, stages):
         # "stages": "" used to read as an empty, vacuously valid certificate
         with pytest.raises(SchemaError, match="stages must be a list"):
+            ADCCertificate.from_json({"schema": 1, "stages": stages})
+
+    @pytest.mark.parametrize("stages, message", [
+        ([5], "Stage: expected a JSON object"),
+        ([{"scale": "1", "bound": "2"}], "Stage: missing key 'spectrum'"),
+        ([{"scale": "1", "bound": "3",
+           "spectrum": OrbitSpectrum(3, (), 2).to_json()}],
+         "Stage: stage bound 3 != spectrum bound 2")])
+    def test_from_json_prefixes_every_nested_error(self, stages, message):
+        # a stage 5 used to read "Stage: 'int' object is not subscriptable",
+        # and a bound mismatch carried no prefix at all
+        with pytest.raises(SchemaError, match=f"^ADCCertificate: {message}$"):
             ADCCertificate.from_json({"schema": 1, "stages": stages})
 
 
