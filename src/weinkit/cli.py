@@ -35,7 +35,7 @@ from . import graded as graded_mod
 from . import handles as handles_mod
 from . import scaling as scaling_mod
 from . import surgery as surgery_mod
-from .serialize import SchemaError, dumps_canonical
+from .serialize import SchemaError, dumps_canonical, parse_rational
 
 
 def _load(path, loader):
@@ -56,11 +56,7 @@ def _frac(text, option):
     """The rational an option spells, or None when it was not given."""
     if text is None:
         return None
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(
-            f"{option} wants a rational like 3/2, got {text!r}: {exc}") from None
+    return parse_rational(text, f"{option} wants a rational like 3/2, got")
 
 
 def _rows_to_table(rows):

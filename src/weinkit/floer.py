@@ -71,18 +71,12 @@ def _cohomology_profile(hstar, n, shift, check=True):
             raise ValueError(
                 f"cohomology reaches outside degrees [0, {n}]; "
                 f"profile would be supported at k = {bad}")
-    parts = {shift - j: (hstar.rank(j), hstar.torsion(j))
-             for j in hstar.support}
-    return SHPlusProfile(GradedGroup.from_dict(parts), "formula")
+    return SHPlusProfile(hstar.reindex(shift, -1), "formula")
 
 
 def sh_plus_reindex_back(profile: SHPlusProfile, n) -> GradedGroup:
     """Inverse of the SH+ reindexing: degree k back to cohomological n-k+1."""
-    parts = {}
-    for k in profile.support:
-        g = profile.group
-        parts[n - k + 1] = (g.rank(k), g.torsion(k))
-    return GradedGroup.from_dict(parts)
+    return profile.group.reindex(n + 1, -1)
 
 
 def taut_les_bounds(known_dims, hstar_dims, n):
@@ -114,18 +108,14 @@ def distinguish_flexible_fillings(hstar_a: GradedGroup, hstar_b: GradedGroup,
     asserted by the caller) through their filling cohomologies."""
     if n < 3:
         raise ValueError(f"flexibility needs n >= 3, got n = {n}")
-    if hstar_a == hstar_b:
+    k = hstar_a.first_difference(hstar_b)
+    if k is None:
         return Verdict(INDISTINGUISHABLE, False)
-    diff = sorted(set(hstar_a.support) | set(hstar_b.support))
-    witness = next(
-        k for k in diff
-        if (hstar_a.rank(k), hstar_a.torsion(k)) != (hstar_b.rank(k), hstar_b.torsion(k)))
+    (rank_a, chain_a), (rank_b, chain_b) = hstar_a.at(k), hstar_b.at(k)
     return Verdict("non-contactomorphic", True, witness={
-        "degree": witness,
-        "left": {"rank": hstar_a.rank(witness),
-                 "torsion": [str(t) for t in hstar_a.torsion(witness)]},
-        "right": {"rank": hstar_b.rank(witness),
-                  "torsion": [str(t) for t in hstar_b.torsion(witness)]},
+        "degree": k,
+        "left": {"rank": rank_a, "torsion": [str(t) for t in chain_a]},
+        "right": {"rank": rank_b, "torsion": [str(t) for t in chain_b]},
     })
 
 
@@ -145,14 +135,16 @@ def cem_flexible_obstruction(k, dim_h1_mod2) -> bool:
 def flexible_support_test(support, n) -> Verdict:
     """Flexible fillings force SH+ support inside [1, n+1]; anything at
     k <= 0 or k >= n+2 rules a flexible filling out."""
-    offenders = sorted(k for k in support if k <= 0 or k >= n + 2)
-    if offenders:
-        return Verdict("no flexible filling", True, witness={
-            "degree": offenders[0],
-            "allowed_range": [1, n + 1],
-        })
-    return Verdict("inconclusive", False,
-                   witness={"allowed_range": [1, n + 1]})
+    return _least_offender(support, lambda k: not 1 <= k <= n + 1,
+                           "no flexible filling", allowed_range=[1, n + 1])
+
+
+def _least_offender(support, offends, outcome, **window):
+    """Fires at the least offending degree; the witness states the window."""
+    k = min((k for k in support if offends(k)), default=None)
+    if k is None:
+        return Verdict("inconclusive", False, witness=window)
+    return Verdict(outcome, True, witness={"degree": k, **window})
 
 
 class LoopHomologyTable:
@@ -229,10 +221,14 @@ def boundedinfinite_distinguisher(lm: LoopHomologyTable, ln: LoopHomologyTable,
     Fires at the first degree k (up to the common horizon) where
     |dim H_k(LM) - dim H_k(LN)| > 2 dim H^{n-k}(Y) + 2 dim H^{n-k+1}(Y).
     """
+    # the bound is 2 B_k, with (0, B_k) the exact-sequence window of no
+    # known dims; taut_les_bounds rejects negative dims, so the bound is
+    # >= 0 and only degrees of a table, where the gap can be nonzero, fire
+    window = taut_les_bounds({}, hy_dims, n)
     horizon = min(lm.horizon, ln.horizon)
-    for k in range(horizon + 1):
+    for k in sorted(k for k in lm.dims.keys() | ln.dims.keys() if k <= horizon):
         lhs = abs(lm.dim(k) - ln.dim(k))
-        rhs = 2 * hy_dims.get(n - k, 0) + 2 * hy_dims.get(n - k + 1, 0)
+        rhs = 2 * window.get(k, (0, 0))[1]
         if lhs > rhs:
             return Verdict("non-contactomorphic", True, coefficients="Q",
                            witness={"degree": k, "gap": lhs, "bound": rhs})
@@ -249,10 +245,7 @@ def wh_plus_from_vanishing(hstar_l: GradedGroup, n) -> SHPlusProfile:
 
 def wrapped_loop_grading(h_omega: GradedGroup, n) -> SHPlusProfile:
     """WH_k of a cotangent fiber = H_{k-n+2} of the based loop space."""
-    parts = {}
-    for j in h_omega.support:
-        parts[j + n - 2] = (h_omega.rank(j), h_omega.torsion(j))
-    return SHPlusProfile(GradedGroup.from_dict(parts), "formula")
+    return SHPlusProfile(h_omega.reindex(n - 2), "formula")
 
 
 def nearby_conclusion(hl: GradedGroup, hm: GradedGroup,
@@ -273,21 +266,13 @@ def nearby_conclusion(hl: GradedGroup, hm: GradedGroup,
                        witness={"reason": "projection degree not +-1"})
     if hl == hm:
         return Verdict("homology projection is an isomorphism", True)
-    diff = sorted(set(hl.support) | set(hm.support))
-    witness = next(
-        k for k in diff
-        if (hl.rank(k), hl.torsion(k)) != (hm.rank(k), hm.torsion(k)))
     return Verdict("inconclusive", False,
                    witness={"reason": "homology descriptors differ",
-                            "degree": witness})
+                            "degree": hl.first_difference(hm)})
 
 
 def sh_support_adc_obstruction(support, n) -> Verdict:
     """Asymptotically dynamically convex boundaries have SH_k+ = 0 in
     degrees k <= 3 - n; support there rules the property out."""
-    offenders = sorted(k for k in support if k <= 3 - n)
-    if offenders:
-        return Verdict("not ADC", True, witness={
-            "degree": offenders[0], "vanishing_range": f"k <= {3 - n}"})
-    return Verdict("inconclusive", False,
-                   witness={"vanishing_range": f"k <= {3 - n}"})
+    return _least_offender(support, lambda k: k <= 3 - n, "not ADC",
+                           vanishing_range=f"k <= {3 - n}")

@@ -99,17 +99,32 @@ class GradedGroup:
         """ranks: {degree: rank}; convenience for torsion-free groups."""
         return GradedGroup.from_dict({d: (r, ()) for d, r in ranks.items()})
 
-    def rank(self, k):
-        for deg, rank, _ in self.parts:
+    def at(self, k):
+        """(rank, torsion chain) in degree k; (0, ()) off the support."""
+        for deg, rank, chain in self.parts:
             if deg == k:
-                return rank
-        return 0
+                return rank, chain
+        return 0, ()
+
+    def rank(self, k):
+        return self.at(k)[0]
 
     def torsion(self, k):
-        for deg, _, chain in self.parts:
-            if deg == k:
-                return chain
-        return ()
+        return self.at(k)[1]
+
+    def reindex(self, shift, sign=1):
+        """Degree k moves to shift + sign*k, sign +-1.  The chains are
+        already canonical, so the parts are relabelled, not rebuilt."""
+        if sign not in (1, -1):
+            raise ValueError(f"reindex sign must be +1 or -1, got {sign!r}")
+        shift = as_int(shift, "degree shift")
+        return GradedGroup(tuple(sorted(
+            (shift + sign * deg, rank, chain) for deg, rank, chain in self.parts)))
+
+    def first_difference(self, other):
+        """Least degree where self and other differ, or None when equal."""
+        return min((deg for deg, _, _ in set(self.parts) ^ set(other.parts)),
+                   default=None)
 
     @property
     def support(self):
@@ -124,12 +139,11 @@ class GradedGroup:
 
     def dim(self, k, coeff="Q"):
         """dim over a field: Q = rank; F2 adds even torsion from k and k-1."""
+        rank, chain = self.at(k)
         if coeff == "Q":
-            return self.rank(k)
+            return rank
         if coeff == "F2":
-            ev = sum(1 for f in self.torsion(k) if f % 2 == 0)
-            ev_below = sum(1 for f in self.torsion(k - 1) if f % 2 == 0)
-            return self.rank(k) + ev + ev_below
+            return rank + sum(f % 2 == 0 for f in chain + self.torsion(k - 1))
         raise ValueError(f"unsupported coefficient field {coeff!r} (use Q or F2)")
 
     def describe(self):
@@ -318,7 +332,10 @@ def semi_characteristic(g: GradedGroup, n: int, coeff="Q") -> int:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     half = (n - 1) // 2
-    return sum(g.dim(i, coeff) for i in range(half + 1)) % 2
+    # dim_F2 H_i counts the even torsion of H_{i-1}, so i runs over the
+    # support and one past it; degree 0 always, so a bad coeff raises
+    degrees = {0} | {i for d in g.support for i in (d, d + 1) if 0 <= i <= half}
+    return sum(g.dim(i, coeff) for i in degrees) % 2
 
 
 def _subtract_summand(rank_in, factors_in, rank_c, factors_c, deg):
@@ -345,13 +362,9 @@ def cancel_summand(a_plus_c: GradedGroup, b_plus_c: GradedGroup,
     honest verdict, and isomorphic inputs always give iso = True.
     """
     def strip(total):
-        out = {}
-        degrees = set(total.support) | set(c.support)
-        for deg in degrees:
-            out[deg] = _subtract_summand(total.rank(deg), total.torsion(deg),
-                                         c.rank(deg), c.torsion(deg), deg)
-        return GradedGroup.from_dict(out)
+        return GradedGroup.from_dict({
+            deg: _subtract_summand(*total.at(deg), *c.at(deg), deg)
+            for deg in set(total.support) | set(c.support)})
 
-    a = strip(a_plus_c)
-    b = strip(b_plus_c)
+    a, b = strip(a_plus_c), strip(b_plus_c)
     return a, b, a == b

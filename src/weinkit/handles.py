@@ -191,14 +191,6 @@ class BoundaryHomologyReport:
         }
 
 
-def _is_zero(h: GradedGroup, k):
-    return h.rank(k) == 0 and h.torsion(k) == ()
-
-
-def _is_free(h: GradedGroup, k):
-    return h.torsion(k) == ()
-
-
 def handlebody_boundary_homology(chain: ChainComplex, total_dim,
                                  pairing_ranks=None) -> BoundaryHomologyReport:
     """Boundary homology of a d-dimensional handlebody with the given chain data.
@@ -215,13 +207,12 @@ def handlebody_boundary_homology(chain: ChainComplex, total_dim,
             f"handle indices reach {m} >= total dimension {d}: no boundary left")
     h = homology(chain)
     hstar = cohomology_from_homology(h)
-    b = {k: h.rank(k) for k in range(d + 1)}
 
     ranks = {}
     notes = []
     for j, r in (pairing_ranks or {}).items():
         j, r = as_int(j, "pairing degree"), as_int(r, "pairing rank")
-        cap = min(b.get(j, 0), b.get(d - j, 0))
+        cap = min(h.rank(j), h.rank(d - j))
         if not 0 <= r <= cap:
             raise ValueError(
                 f"pairing rank {r} at degree {j} exceeds min(b_{j}, b_{d - j}) = {cap}")
@@ -232,7 +223,7 @@ def handlebody_boundary_homology(chain: ChainComplex, total_dim,
 
     def pairing_rank(j):
         """Known rank of H_{d-j} x H_j pairing, or None."""
-        if b.get(j, 0) == 0 or b.get(d - j, 0) == 0:
+        if h.rank(j) == 0 or h.rank(d - j) == 0:
             return 0
         return ranks.get(j)
 
@@ -244,7 +235,7 @@ def handlebody_boundary_homology(chain: ChainComplex, total_dim,
         if rk is None or rk1 is None:
             undetermined.append(k)
             continue
-        q_dims[k] = (b.get(k, 0) - rk) + (b.get(d - k - 1, 0) - rk1)
+        q_dims[k] = (h.rank(k) - rk) + (h.rank(d - k - 1) - rk1)
     if undetermined:
         notes.append(
             "intersection-pairing ranks missing in degrees "
@@ -261,16 +252,17 @@ def handlebody_boundary_homology(chain: ChainComplex, total_dim,
 
     # forced integral cohomology H^k(Y;Z), then H_j(Y;Z) = H^{d-1-j}(Y;Z)
     forced_coh = {}
+    zero = (0, ())
     for k in range(d):
-        rel_k_zero = _is_zero(h, d - k)          # H^k(W,Y) = H_{d-k}(W)
-        rel_k1_zero = _is_zero(h, d - k - 1)     # H^{k+1}(W,Y) = H_{d-k-1}(W)
-        coh_k1_zero = _is_zero(hstar, k + 1)
-        if rel_k_zero and rel_k1_zero:
-            forced_coh[k] = (hstar.rank(k), hstar.torsion(k))
-        elif _is_zero(hstar, k) and coh_k1_zero:
-            forced_coh[k] = (h.rank(d - k - 1), h.torsion(d - k - 1))
-        elif rel_k_zero and coh_k1_zero and _is_free(h, d - k - 1):
-            forced_coh[k] = (hstar.rank(k) + h.rank(d - k - 1), hstar.torsion(k))
+        rel_k = h.at(d - k)          # H^k(W,Y) = H_{d-k}(W)
+        rel_k1 = h.at(d - k - 1)     # H^{k+1}(W,Y) = H_{d-k-1}(W)
+        coh_k, coh_k1 = hstar.at(k), hstar.at(k + 1)
+        if rel_k == rel_k1 == zero:
+            forced_coh[k] = coh_k
+        elif coh_k == coh_k1 == zero:
+            forced_coh[k] = rel_k1
+        elif rel_k == coh_k1 == zero and not rel_k1[1]:
+            forced_coh[k] = (coh_k[0] + rel_k1[0], coh_k[1])
     integral = {d - 1 - k: v for k, v in forced_coh.items()}
 
     euler = (1 + (-1) ** (d - 1)) * chain.euler_characteristic()

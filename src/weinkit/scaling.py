@@ -15,6 +15,8 @@ bound e^{5/4} < 4.
 import math
 from dataclasses import dataclass, field
 
+from .serialize import as_int
+
 # numpy is imported inside the functions that build a float grid, not here,
 # so `import weinkit` and every command but scaling-verify and examples run
 # without loading it.
@@ -192,7 +194,7 @@ def build_g(height=1.25, rise_width=0.03, fall_start=0.96, fall_width=0.03,
             nodes=2001) -> GProfile:
     """Calibrated profile; raises when the height cannot balance the area."""
     return GProfile(float(height), float(rise_width), float(fall_start),
-                    float(fall_width), int(nodes))
+                    float(fall_width), as_int(nodes, "nodes"))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ from functools import wraps
 from operator import index
 
 SCHEMA_VERSION = 1
+# what Fraction would read as an exponent: "1e1000000" has a million digits
+_EXPONENT = re.compile(r"[eE][+-]?[0-9]")
 
 
 class SchemaError(ValueError):
@@ -53,15 +55,24 @@ def frac_to_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def parse_rational(text, what) -> Fraction:
+    """The rational TEXT spells ("p/q", "p" or "1.25"), or SchemaError
+    "<what> '<text>': <reason>".  Exponent notation is refused before
+    Fraction can build a huge integer from it."""
+    try:
+        if _EXPONENT.search(text):
+            raise ValueError("exponent notation is not accepted")
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"{what} {text!r}: {exc}") from None
+
+
 def frac_from_str(s) -> Fraction:
     if type(s) is int:
         return Fraction(s)
     if not isinstance(s, str):
         raise SchemaError(f"rational must be 'p/q' string or integer, got {s!r}")
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad rational {s!r}: {exc}") from None
+    return parse_rational(s, "bad rational")
 
 
 def int_from_json(value, what) -> int:

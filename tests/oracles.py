@@ -211,3 +211,37 @@ def simpson_composite(values, step):
     acc += 4 * sum(values[1:-1:2])
     acc += 2 * sum(values[2:-2:2])
     return acc * step / 3.0
+
+
+# The graded walks as written before GradedGroup gained at, reindex and
+# first_difference: each reads one degree at a time through rank and
+# torsion, and the last two walk the whole declared range.
+
+def reindexed_parts(g, shift, sign):
+    """{shift + sign*k: (rank, torsion)}, for GradedGroup.from_dict to
+    canonicalize again."""
+    return {shift + sign * k: (g.rank(k), g.torsion(k)) for k in g.support}
+
+
+def first_difference_by_scan(a, b):
+    """Least degree of either support where rank or torsion differ."""
+    for k in sorted(set(a.support) | set(b.support)):
+        if (a.rank(k), a.torsion(k)) != (b.rank(k), b.torsion(k)):
+            return k
+    return None
+
+
+def semi_characteristic_dense(g, n, coeff):
+    """Sum of dim H_i over every i in [0, (n-1)/2], mod 2."""
+    return sum(g.dim(i, coeff) for i in range((n - 1) // 2 + 1)) % 2
+
+
+def loop_gap_dense(lm, ln, hy_dims, n):
+    """First degree up to the common horizon where the loop-homology gap
+    beats 2 dim H^{n-k} + 2 dim H^{n-k+1}, as the witness dict, or None."""
+    for k in range(min(lm.horizon, ln.horizon) + 1):
+        gap = abs(lm.dim(k) - ln.dim(k))
+        bound = 2 * hy_dims.get(n - k, 0) + 2 * hy_dims.get(n - k + 1, 0)
+        if gap > bound:
+            return {"degree": k, "gap": gap, "bound": bound}
+    return None

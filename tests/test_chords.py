@@ -1,5 +1,6 @@
 """Chord degrees, zig-zag stabilization, self-intersection indices."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -147,6 +148,27 @@ class TestRecordsAndSpectra:
         # "action": true used to read as action 1
         doc = {"id": "c", "degree": 1, "action": action}
         with pytest.raises(SchemaError, match="rational must be"):
+            ChordRecord.from_json(doc)
+
+    @pytest.mark.parametrize("action, value", [
+        ("3/2", Fraction(3, 2)), ("+2", Fraction(2)), ("1.25", Fraction(5, 4)),
+        (" 7 ", Fraction(7)), (4, Fraction(4))])
+    def test_record_from_json_reads_rationals(self, action, value):
+        doc = {"id": "c", "degree": 1, "action": action}
+        assert ChordRecord.from_json(doc).action == value
+
+    @pytest.mark.parametrize("action", ["1e5", "1E+5", "2.5e-3", "1e1_000"])
+    def test_record_from_json_rejects_exponent_notation(self, action):
+        doc = {"id": "c", "degree": 1, "action": action}
+        with pytest.raises(SchemaError, match=(
+                re.escape(f"bad rational '{action}': ")
+                + "exponent notation is not accepted")):
+            ChordRecord.from_json(doc)
+
+    def test_record_from_json_keeps_fraction_message(self):
+        doc = {"id": "c", "degree": 1, "action": "one"}
+        with pytest.raises(SchemaError, match=(
+                "bad rational 'one': Invalid literal for Fraction: 'one'")):
             ChordRecord.from_json(doc)
 
 

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -432,6 +433,60 @@ class TestHarness:
         assert "word" in result.stdout and "a.a.b" in result.stdout
         # table mode must not change the verdict, only the rendering
         assert "{" not in result.stdout.split("result:")[1]
+
+
+class TestLargeInput:
+    """Large but legal input, and rationals in exponent notation, each run
+    as a `weinkit` process under a 10 s timeout, so a walk over a declared
+    range fails the test instead of hanging it."""
+
+    @staticmethod
+    def weinkit(args, cwd):
+        start = time.perf_counter()
+        out = _python(["-m", "weinkit.cli", *args], cwd=cwd, timeout=10)
+        return out, time.perf_counter() - start
+
+    def test_omega_check_at_a_far_odd_n(self, files, tmp_path):
+        files("g.json", GradedGroup.free({0: 1}).to_json())
+        out, _ = self.weinkit(
+            ["omega-check", "g.json", "--n", "999999999", "--closed",
+             "--simply-connected", "--stably-parallelizable"], tmp_path)
+        assert out.returncode == 0
+        assert json.loads(out.stdout)["result"] == {
+            "member": True, "reason": "n odd and semi-characteristic = 1"}
+
+    def test_loops_distinguish_at_a_far_horizon(self, files, tmp_path):
+        table = {"schema": 1, "dims": {"0": 1}, "base": {"0": 1},
+                 "horizon": 1000000000}
+        files("l.json", table)
+        files("g.json", GradedGroup.free({0: 1}).to_json())
+        out, _ = self.weinkit(
+            ["loops-distinguish", "l.json", "l.json", "g.json", "--n", "3"],
+            tmp_path)
+        assert out.returncode == 1
+        result = json.loads(out.stdout)["result"]
+        assert result["outcome"] == "indistinguishable by this invariant"
+        assert result["witness"] == {"horizon": 1000000000}
+
+    def test_exponent_action_is_invalid_input(self, files, tmp_path):
+        # Fraction("1e200000") has 200001 digits, too many to print
+        doc = two_letter_table().to_json()
+        doc["chords"][0]["action"] = "1e200000"
+        files("chords.json", doc)
+        out, seconds = self.weinkit(["words", "chords.json", "--bound", "4"],
+                                    tmp_path)
+        assert out.returncode == 2 and seconds < 1
+        assert json.loads(out.stdout)["error"].endswith(
+            "bad rational '1e200000': exponent notation is not accepted")
+
+    def test_exponent_option_is_invalid_input(self, files, tmp_path):
+        files("chords.json", two_letter_table().to_json())
+        out, seconds = self.weinkit(
+            ["words", "chords.json", "--bound", "1e1000000"], tmp_path)
+        assert out.returncode == 2 and seconds < 1
+        assert json.loads(out.stdout)["error"] == (
+            "--bound wants a rational like 3/2, got '1e1000000': "
+            "exponent notation is not accepted")
 
 
 class TestParsing:

@@ -23,6 +23,9 @@ from weinkit.floer import (
 from weinkit.graded import GradedGroup
 from weinkit.serialize import SchemaError
 
+from oracles import loop_gap_dense
+from test_acceptance import Budget
+
 
 @st.composite
 def graded_groups(draw, min_degree=0, max_degree=6):
@@ -33,6 +36,14 @@ def graded_groups(draw, min_degree=0, max_degree=6):
         if rank or torsion:
             parts[k] = (rank, tuple(torsion))
     return GradedGroup.from_dict(parts)
+
+
+@st.composite
+def loop_tables(draw):
+    dims = draw(st.dictionaries(st.integers(0, 8), st.integers(0, 6),
+                                max_size=5))
+    horizon = draw(st.integers(max(dims, default=0), 10))
+    return LoopHomologyTable(dims, {}, horizon)
 
 
 class TestSHPlus:
@@ -247,6 +258,34 @@ class TestLoopTables:
     def test_never_fires_on_equal_tables(self, dims, hy):
         t = LoopHomologyTable(dims, {}, horizon=6)
         assert not boundedinfinite_distinguisher(t, t, hy, 3).fired
+
+    @given(loop_tables(), loop_tables(),
+           st.dictionaries(st.integers(-2, 10), st.integers(0, 3), max_size=6),
+           st.integers(0, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_walk_matches_the_range_walk(self, lm, ln, hy, n):
+        v = boundedinfinite_distinguisher(lm, ln, hy, n)
+        witness = loop_gap_dense(lm, ln, hy, n)
+        if witness is None:
+            assert not v.fired
+            assert v.witness == {"horizon": min(lm.horizon, ln.horizon)}
+        else:
+            assert v.fired and v.witness == witness
+
+    def test_far_horizon_walks_only_the_tables(self):
+        # every degree up to the horizon used to be walked, some seconds
+        lm = LoopHomologyTable({0: 1, 5: 3}, {0: 1}, horizon=10 ** 7)
+        ln = LoopHomologyTable({0: 1}, {0: 1}, horizon=10 ** 7)
+        with Budget("loop distinguisher at horizon 10^7", 1.0):
+            assert not boundedinfinite_distinguisher(ln, ln, {}, 3).fired
+            v = boundedinfinite_distinguisher(lm, ln, {}, 3)
+        assert v.witness == {"degree": 5, "gap": 3, "bound": 0}
+
+    def test_negative_boundary_dims_rejected(self):
+        # a negative bound would fire off both tables, where the gap is 0
+        t = LoopHomologyTable({0: 1}, {0: 1}, horizon=4)
+        with pytest.raises(ValueError, match=r"hstar_dims\[2\] = -1 is negative"):
+            boundedinfinite_distinguisher(t, t, {2: -1}, 3)
 
 
 class TestWrapped:

@@ -20,7 +20,14 @@ from weinkit.graded import (
 )
 from weinkit.serialize import SchemaError
 
-from oracles import conjugated_complex, homology_ranks_by_row_reduction, sympy_invariant_factors
+from oracles import (
+    conjugated_complex,
+    first_difference_by_scan,
+    homology_ranks_by_row_reduction,
+    reindexed_parts,
+    semi_characteristic_dense,
+    sympy_invariant_factors,
+)
 from test_acceptance import Budget
 
 
@@ -276,6 +283,74 @@ def test_universal_coefficients_shifts_torsion():
     assert hstar.rank(0) == 1 and hstar.rank(2) == 1
 
 
+# negative degrees and torsion one past the semi-characteristic window too
+wide_graded = st.dictionaries(
+    st.integers(min_value=-3, max_value=9),
+    st.tuples(st.integers(min_value=0, max_value=2),
+              st.lists(st.sampled_from([2, 3, 4, 6, 9]), max_size=2)),
+    max_size=5).map(GradedGroup.from_dict)
+
+
+class TestDegreeOperations:
+    def test_at_reads_rank_and_chain(self):
+        g = gg({1: (2, [4, 2]), 3: (0, [3])})
+        assert g.at(1) == (2, (2, 4))
+        assert g.at(3) == (0, (3,))
+        assert g.at(2) == (0, ())
+        assert (g.rank(1), g.torsion(1)) == g.at(1)
+
+    def test_reindex_relabels_without_canonicalizing(self, monkeypatch):
+        g = gg({0: (1, []), 2: (0, [2, 4])})
+
+        def refactor(factors):
+            raise AssertionError("reindex rebuilt a torsion chain")
+
+        monkeypatch.setattr("weinkit.graded.invariant_factor_chain", refactor)
+        assert g.reindex(4, -1).parts == ((2, 0, (2, 4)), (4, 1, ()))
+        assert g.reindex(-1).parts == ((-1, 1, ()), (1, 0, (2, 4)))
+
+    @pytest.mark.parametrize("sign", [0, 2, -2])
+    def test_reindex_sign_is_one_or_minus_one(self, sign):
+        with pytest.raises(ValueError, match="sign must be"):
+            gg({0: (1, [])}).reindex(1, sign)
+
+    def test_reindex_shift_is_an_integer(self):
+        with pytest.raises(ValueError, match="degree shift must be an integer"):
+            gg({0: (1, [])}).reindex(1.5)
+
+    def test_first_difference(self):
+        a = gg({0: (1, []), 2: (0, [2]), 5: (1, [])})
+        assert a.first_difference(a) is None
+        assert a.first_difference(gg({0: (1, []), 2: (0, [4])})) == 2
+        assert a.first_difference(GradedGroup.zero()) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_graded, st.integers(min_value=-10, max_value=10),
+       st.sampled_from([1, -1]))
+def test_reindex_matches_from_dict_relabelling(g, shift, sign):
+    assert g.reindex(shift, sign) == GradedGroup.from_dict(
+        reindexed_parts(g, shift, sign))
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_graded, wide_graded)
+def test_first_difference_matches_sorted_union_scan(a, c):
+    # a against a + c differs only where c is supported, or nowhere
+    for b in (a, c, a.direct_sum(c)):
+        assert a.first_difference(b) == first_difference_by_scan(a, b)
+        assert b.first_difference(a) == first_difference_by_scan(b, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_graded, st.integers(min_value=0, max_value=7),
+       st.sampled_from(["Q", "F2"]))
+def test_semi_characteristic_matches_dense_sum(g, half, coeff):
+    n = 2 * half + 1
+    assert semi_characteristic(g, n, coeff) == semi_characteristic_dense(
+        g, n, coeff)
+
+
 class TestCharacteristics:
     def test_even_sphere(self):
         assert euler_characteristic(gg({0: (1, []), 4: (1, [])})) == 2
@@ -289,6 +364,22 @@ class TestCharacteristics:
     def test_semi_characteristic_rejects_even(self):
         with pytest.raises(ValueError):
             semi_characteristic(gg({0: (1, [])}), 4)
+
+    def test_semi_characteristic_rejects_unknown_field_on_zero(self):
+        with pytest.raises(ValueError, match="unsupported coefficient field"):
+            semi_characteristic(GradedGroup.zero(), 3, "F3")
+
+    def test_semi_characteristic_walks_the_support_not_the_range(self):
+        # the range [0, 5000000] used to be walked degree by degree, some
+        # seconds per call
+        n = 10 ** 7 + 1
+        with Budget(f"semi-characteristic at n = {n}", 1.0):
+            assert semi_characteristic(gg({0: (1, [])}), n) == 1
+            # over F2: 1 in degree 0, 1 + 1 from Z/2 in degrees 6 and 7
+            assert semi_characteristic(gg({0: (1, []), 6: (0, [2])}), n,
+                                       "F2") == 1
+            assert semi_characteristic(
+                gg({0: (1, []), 6: (0, [2])}), 13, "F2") == 0
 
     def test_wedge_boundary_parity(self):
         # closed 5-manifold with H_0 = Z, H_2 = Z^i, H_3 = Z^i, H_5 = Z

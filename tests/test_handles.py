@@ -267,6 +267,26 @@ class TestC1Propagation:
         assert not rep.all_apply
         assert "n >= 3" in rep.entries[0].note
 
+    def test_report_document_with_a_two_handle(self):
+        p = HandlePresentation(3, [0, 2, 3], {3: [[0]]})
+        free = "no relative degree-2 cohomology"
+        assert c1_propagation_check(p).to_json() == {
+            "schema": 1, "n": 3, "all_apply": False, "entries": [
+                {"index": 0, "label": "h0.0", "applies": True, "note": free},
+                {"index": 2, "label": "h2.1", "applies": False,
+                 "note": "index-2 handle: framing contributes to relative "
+                         "degree-2 cohomology"},
+                {"index": 3, "label": "h3.2", "applies": True, "note": free}]}
+
+    def test_report_document_below_n3(self):
+        p = HandlePresentation(2, [0, (1, "a")])
+        assert c1_propagation_check(p).to_json() == {
+            "schema": 1, "n": 2, "all_apply": False, "entries": [
+                {"index": 0, "label": "h0.0", "applies": False,
+                 "note": "hypothesis n >= 3 fails"},
+                {"index": 1, "label": "a", "applies": False,
+                 "note": "hypothesis n >= 3 fails"}]}
+
 
 class TestJson:
     def test_roundtrip(self):

@@ -3,8 +3,9 @@ command line loads nothing outside the standard library, numpy loads only
 for the float grids of scaling-verify and the examples corpus, `import
 weinkit` executes no submodule and each command executes only the modules
 it uses, the public names are those of the eager package, the Python
-API rejects non-integer counts instead of truncating them, and every JSON
-reader goes through `serialize.reader` and raises only SchemaError."""
+API rejects non-integer counts instead of truncating them, every JSON
+reader goes through `serialize.reader` and raises only SchemaError, and
+only `graded.py` pairs a group's rank and torsion in one degree."""
 
 import ast
 import json
@@ -35,6 +36,7 @@ from weinkit.graded import (
 from weinkit.floer import LoopHomologyTable, SHPlusProfile
 from weinkit.handles import HandlePresentation, handlebody_boundary_homology
 from weinkit.models import middle_rank_family, mixed_sign_spectrum, sample_certificate
+from weinkit.scaling import build_g
 from weinkit.serialize import SchemaError
 from weinkit.surgery import (
     ADCCertificate,
@@ -108,13 +110,13 @@ EXECUTED_CODE = (
     "                  and type(m) is types.ModuleType)\n")
 
 
-def _python(args, cwd=None, python=sys.executable):
+def _python(args, cwd=None, python=sys.executable, timeout=60):
     """Run the interpreter on ARGS with src/ and tests/ importable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC.parent), str(TESTS), env.get("PYTHONPATH")]))
     return subprocess.run([python, *args], env=env, cwd=cwd,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_no_bare_asserts_in_src():
@@ -193,6 +195,36 @@ def test_every_from_json_goes_through_reader():
     assert not undecorated, f"from_json without @reader: {undecorated}"
     assert not catching, f"from_json with its own error policy: {catching}"
     assert not prefixed, f"from_json restating its prefix: {prefixed}"
+
+
+def _rank_torsion_pairs(source):
+    """Lines of SOURCE where one tuple reads both .rank(k) and .torsion(k)
+    of one object, with the same arguments."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Tuple):
+            continue
+        reads = {}
+        for call in (c for elt in node.elts for c in ast.walk(elt)):
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr in ("rank", "torsion")):
+                key = ast.dump(call.func.value), tuple(map(ast.dump, call.args))
+                reads.setdefault(key, set()).add(call.func.attr)
+        if {"rank", "torsion"} in reads.values():
+            lines.append(node.lineno)
+    return lines
+
+
+def test_graded_pairs_are_read_through_at():
+    # (g.rank(k), g.torsion(k)) is g.at(k): outside graded.py such a pair
+    # restates GradedGroup's one lookup
+    assert _rank_torsion_pairs("x = (g.rank(k) + h.rank(j), g.torsion(k))") == [1]
+    assert _rank_torsion_pairs("x = (g.rank(k), h.torsion(k))") == []
+    assert _rank_torsion_pairs("x = (g.rank(k), g.torsion(k - 1))") == []
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "graded.py"
+             for line in _rank_torsion_pairs(path.read_text())]
+    assert not found, f"(rank, torsion) pairs outside GradedGroup.at: {found}"
 
 
 _scalars = (st.none() | st.booleans() | st.integers(-2, 4) | st.integers()
@@ -448,14 +480,16 @@ def test_lazy_loading_on_each_installed_interpreter(version):
      "total dimension"),
     (lambda: ChordRecord("a", 1.5, 1), "chord 'a': degree"),
     (lambda: OrbitRecord(1.5, 1), "orbit degree"),
+    (lambda: build_g(nodes=2001.9), "nodes"),
+    (lambda: build_g(nodes="2001"), "nodes"),
 ], ids=["chain-count", "handle-n", "handle-index", "group-rank",
         "torsion-factor", "chord-front", "morse-index", "stabilize-sites",
         "loop-dims", "loop-base", "boundary-dim", "chord-degree",
-        "orbit-degree"])
+        "orbit-degree", "profile-nodes", "profile-nodes-string"])
 def test_api_rejects_non_integer_counts(call, field):
     # each used to be truncated by int() or kept: rank 2, n = 3, a 3-handle,
     # Z + Z/2, the chain (2, 12), front (1, 0, 0), indices (0, 1), one site,
     # dims {0: 1, 2: 2}, base {0: 1}, a 5-dimensional boundary, and degrees
-    # of 1.5
+    # of 1.5, and 2001 profile nodes
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         call()
