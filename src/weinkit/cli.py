@@ -211,7 +211,8 @@ def homology(presentation, coeff):
     p = _load(presentation, handles_mod.HandlePresentation.from_json)
     h = p.homology()
     result = (h.to_json()["graded_group"] if coeff == "Z" else
-              {str(k): h.dim(k, coeff) for k in h.support if h.dim(k, coeff)})
+              {str(k): h.dim(k, coeff) for k in h.field_support
+               if h.dim(k, coeff)})
     return dict(coefficients=coeff, n=p.n, result=result,
                 euler_characteristic=p.euler_characteristic(),
                 describe=h.describe())

@@ -130,6 +130,12 @@ class GradedGroup:
     def support(self):
         return tuple(deg for deg, _, _ in self.parts)
 
+    @property
+    def field_support(self):
+        """Degrees where dim over Q or F2 can be nonzero: the support and
+        one past each degree of it, as F2 counts the even torsion below."""
+        return tuple(sorted({i for d in self.support for i in (d, d + 1)}))
+
     def direct_sum(self, other):
         merged = {}
         for deg, rank, chain in self.parts + other.parts:
@@ -332,9 +338,8 @@ def semi_characteristic(g: GradedGroup, n: int, coeff="Q") -> int:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     half = (n - 1) // 2
-    # dim_F2 H_i counts the even torsion of H_{i-1}, so i runs over the
-    # support and one past it; degree 0 always, so a bad coeff raises
-    degrees = {0} | {i for d in g.support for i in (d, d + 1) if 0 <= i <= half}
+    # degree 0 always, so a bad coeff raises
+    degrees = {0} | {i for i in g.field_support if 0 <= i <= half}
     return sum(g.dim(i, coeff) for i in degrees) % 2
 
 

@@ -23,6 +23,7 @@ from .serialize import as_int
 
 RATIO_CAP = 1.25          # height budget for g and for g/(t g + 1)
 CONFORMAL_LIMIT = 4.0     # e^{height} must stay below this
+BLOCK_CELLS = 1 << 15     # (t, z) cells alive at once in verify_h_family
 
 
 def _simpson(y, x):
@@ -322,6 +323,14 @@ def verify_h_family(profile: GProfile = None, nodes=2001, t_max=0.999,
     5. the t-derivative of dh/dz, taken by central differences at fd_step,
        equals g (the family is linear in t, so this measures consistency
        of the implemented slope against the implemented profile).
+
+    Checks 2-5 walk the (t, z) grid in blocks of whole t rows, about
+    BLOCK_CELLS cells each, so memory grows with `nodes`, not with
+    `nodes * t_nodes`.  The z columns (g, the core and outside nodes and
+    their G(|z|) values) are computed once, each cell takes the same
+    floating-point operations as `h` and `slope`, and blocks are reduced
+    by np.max / np.min again (NaN propagates), so the report equals the
+    whole grid's bit for bit.
     """
     if profile is None:
         profile = build_g()
@@ -345,26 +354,46 @@ def verify_h_family(profile: GProfile = None, nodes=2001, t_max=0.999,
     h0 = profile.h(0.0, zs)
     checks["initial_identity"] = _check(np.max(np.abs(h0 - zs)), 1e-12)
 
+    def h_of(z):
+        """t -> h(t, z), with G(|z|) and sign z computed once."""
+        big_g, sign = profile.antiderivative(np.abs(z)), np.sign(z)
+        return lambda t: z + t * big_g * sign
+
     core = zs[np.abs(zs) <= 0.5]
-    hv = profile.h(ts, core)
-    checks["linear_core"] = _check(
-        np.max(np.abs(hv - (1.0 - ts) * core)), 1e-12)
+    h_core = h_of(core)
+    checks["linear_core"] = _check(_blocked(
+        np.max, ts, core.size,
+        lambda t: np.abs(h_core(t) - (1.0 - t) * core)), 1e-12)
 
     outside = zs[np.abs(zs) >= 1.0]
-    hv = profile.h(ts, outside)
-    checks["outside_identity"] = _check(np.max(np.abs(hv - outside)), 1e-12)
+    h_outside = h_of(outside)
+    checks["outside_identity"] = _check(_blocked(
+        np.max, ts, outside.size,
+        lambda t: np.abs(h_outside(t) - outside)), 1e-12)
 
-    slopes = profile.slope(ts, zs)
-    min_slope = float(np.min(slopes))
+    g = profile.g(zs)
+
+    def slope(t):
+        return t * g + 1.0
+
+    min_slope = float(_blocked(np.min, ts, nodes, slope))
     checks["slope_positive"] = CheckResult(min_slope, 0.0, min_slope > 0.0)
 
-    fd = (profile.slope(t_mid + fd_step, zs)
-          - profile.slope(t_mid - fd_step, zs)) / (2.0 * fd_step)
-    checks["mixed_partial_fd"] = _check(
-        np.max(np.abs(fd - profile.g(zs)[None, :])), 1e-4)
+    checks["mixed_partial_fd"] = _check(_blocked(
+        np.max, t_mid, nodes, lambda t: np.abs(
+            (slope(t + fd_step) - slope(t - fd_step)) / (2.0 * fd_step)
+            - g)), 1e-4)
 
     return HFamilyReport(checks, all(c.ok for c in checks.values()),
                          nodes, t_max, fd_step)
+
+
+def _blocked(reduce, t_rows, width, cells):
+    """reduce (np.max or np.min) of cells(t) over the rows of t_rows,
+    evaluated BLOCK_CELLS // width rows at a time."""
+    step = max(1, BLOCK_CELLS // width)
+    return reduce([reduce(cells(t_rows[i:i + step]))
+                   for i in range(0, len(t_rows), step)])
 
 
 def _check(value, tolerance):

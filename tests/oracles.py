@@ -245,3 +245,68 @@ def loop_gap_dense(lm, ln, hy_dims, n):
         if gap > bound:
             return {"degree": k, "gap": gap, "bound": bound}
     return None
+
+
+def rank_mod2(rows):
+    """Rank over F2 by Gaussian elimination on the entries mod 2 (no SNF,
+    no torsion bookkeeping)."""
+    m = [[x % 2 for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                m[i] = [a ^ b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def f2_homology_dims(dims, boundaries):
+    """{k: dim_F2 H_k} = n_k - rank_F2 d_k - rank_F2 d_{k+1}, omitting
+    degrees of dimension 0.  dims: {k: n_k}; boundaries: {k: rows of d_k}."""
+    out = {}
+    for k, n in dims.items():
+        dim = n - sum(rank_mod2(boundaries[j]) for j in (k, k + 1)
+                      if j in boundaries)
+        if dim:
+            out[k] = dim
+    return out
+
+
+def h_family_whole_grid(profile, nodes=2001, t_max=0.999, t_nodes=201,
+                        fd_step=1e-3):
+    """The report document of weinkit.scaling.verify_h_family with every
+    check taken over the whole (t, z) grid at once, through the profile's
+    own h and slope, as it was computed before the row blocks.  The
+    argument checks are left out: a grid with no t in [fd_step,
+    1 - fd_step] ends in numpy's zero-size reduction error."""
+    import numpy as np
+
+    from weinkit.scaling import CheckResult, HFamilyReport
+
+    def check(value, tolerance):
+        value = float(value)
+        return CheckResult(value, tolerance, value <= tolerance)
+
+    zs = np.linspace(-1.5, 1.5, nodes)
+    ts = np.linspace(0.0, t_max, t_nodes)[:, None]
+    t_mid = ts[(ts[:, 0] >= fd_step) & (ts[:, 0] + fd_step <= 1.0)]
+    checks = {"initial_identity": check(
+        np.max(np.abs(profile.h(0.0, zs) - zs)), 1e-12)}
+    core = zs[np.abs(zs) <= 0.5]
+    checks["linear_core"] = check(
+        np.max(np.abs(profile.h(ts, core) - (1.0 - ts) * core)), 1e-12)
+    outside = zs[np.abs(zs) >= 1.0]
+    checks["outside_identity"] = check(
+        np.max(np.abs(profile.h(ts, outside) - outside)), 1e-12)
+    min_slope = float(np.min(profile.slope(ts, zs)))
+    checks["slope_positive"] = CheckResult(min_slope, 0.0, min_slope > 0.0)
+    fd = (profile.slope(t_mid + fd_step, zs)
+          - profile.slope(t_mid - fd_step, zs)) / (2.0 * fd_step)
+    checks["mixed_partial_fd"] = check(
+        np.max(np.abs(fd - profile.g(zs)[None, :])), 1e-4)
+    return HFamilyReport(checks, all(c.ok for c in checks.values()),
+                         nodes, t_max, fd_step).to_json()

@@ -6,6 +6,7 @@ Exit codes: 0 success/property holds (detectors count "fired" as holding),
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ import pytest
 import weinkit
 from weinkit import cli
 from weinkit.graded import GradedGroup
+from weinkit.handles import HandlePresentation
 from weinkit.models import (
     degree_zero_orbit_fixture,
     empty_certificate,
@@ -25,6 +27,7 @@ from weinkit.models import (
     two_letter_table,
 )
 from weinkit.surgery import OrbitSpectrum
+import oracles
 from cli_invoke import invoke
 from test_package import _python
 
@@ -86,6 +89,26 @@ class TestHomologyCommands:
                                     "--coeff", coeff]))
             assert doc["result"] == {"0": 1, "3": 1}
             assert doc["coefficients"] == coeff
+
+    def test_homology_f2_matches_mod2_elimination(self, files):
+        # seeded presentations in standard form, conjugated degree by
+        # degree; the torsion factors step by 2, 3, 5 or 6
+        torsion = set()
+        for seed in range(30):
+            rng = random.Random(seed)
+            n = rng.randint(2, 5)
+            betti = {0: 1, **{k: rng.randint(0, 2) for k in range(1, n + 1)}}
+            ranks = {k: rng.randint(0, 3) for k in range(2, n + 1)}
+            dims, boundaries, parts = oracles.conjugated_complex(
+                rng, betti, ranks, unit_share=0.3, steps=2)
+            torsion.update(f % 2 for _, _, chain in parts for f in chain)
+            handles = [k for k, count in dims.items() for _ in range(count)]
+            path = files(f"p{seed}.json", HandlePresentation(
+                n, handles, boundaries=boundaries).to_json())
+            doc = report_of(invoke(["homology", path, "--coeff", "F2"]))
+            want = oracles.f2_homology_dims(dims, boundaries)
+            assert doc["result"] == {str(k): v for k, v in want.items()}, seed
+        assert torsion == {0, 1}, "want both even and odd torsion"
 
     def test_boundary(self, files):
         path = files("p.json", t_star_sphere(3).to_json())

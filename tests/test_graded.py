@@ -392,6 +392,10 @@ class TestCharacteristics:
         h = gg({0: (1, []), 1: (0, [2])})
         assert [h.dim(k, "F2") for k in range(3)] == [1, 1, 1]
         assert [h.dim(k, "Q") for k in range(3)] == [1, 0, 0]
+        # every nonzero field dimension sits in the field support
+        assert h.field_support == (0, 1, 2)
+        assert gg({3: (1, []), 5: (0, [3])}).field_support == (3, 4, 5, 6)
+        assert GradedGroup.zero().field_support == ()
 
 
 def test_json_roundtrips():

@@ -1,13 +1,20 @@
 """Profile calibration, ratio bounds, and the interpolation family checks."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weinkit import scaling
 from weinkit.scaling import (
     GProfile,
     bound_ratio,
@@ -325,6 +332,124 @@ class TestHFamily:
         assert doc["ok"] is True
         assert doc["checks"]["slope_positive"]["ok"] is True
         assert "formula" in doc
+
+
+class Skewed(GProfile):
+    """G off by 1e-9 |r| and g stretched by 3/2: linear_core and
+    outside_identity peak at t = t_max, and slope_positive bottoms out
+    there, so each extreme cell sits in the last row block."""
+
+    def antiderivative(self, r):
+        return super().antiderivative(r) + 1e-9 * np.abs(
+            np.asarray(r, dtype=float))
+
+    def g(self, r):
+        return 1.5 * super().g(r)
+
+
+class WithNaN(GProfile):
+    """g is NaN at z = 0, so every slope and difference in that column
+    is NaN too."""
+
+    def g(self, r):
+        out = super().g(r)
+        out[np.asarray(r) == 0.0] = math.nan
+        return out
+
+
+class TestHFamilyBlocks:
+    """The row blocks of verify_h_family against the whole (t, z) grid of
+    oracles.h_family_whole_grid: equal report documents, bit for bit."""
+
+    @staticmethod
+    def assert_whole_grid(profile, **grid):
+        try:
+            want = oracles.h_family_whole_grid(profile, **grid)
+        except ValueError:
+            with pytest.raises(ValueError, match="no grid t lies in"):
+                verify_h_family(profile, **grid)
+            return None
+        got = verify_h_family(profile, **grid).to_json()
+        # through json, so that NaN equals NaN
+        assert json.dumps(got) == json.dumps(want)
+        return got
+
+    @pytest.mark.parametrize("nodes", [3, 5, 301, 1999, 2001, 2003, 4001])
+    def test_nodes(self, nodes):
+        assert self.assert_whole_grid(build_g(), nodes=nodes)["ok"]
+
+    @pytest.mark.parametrize("t_nodes", [2, 3, 51, 201])
+    @pytest.mark.parametrize("t_max", [0.5, 0.999, 1 - 2 ** -53])
+    def test_t_grid(self, t_max, t_nodes):
+        self.assert_whole_grid(build_g(), nodes=301, t_max=t_max,
+                               t_nodes=t_nodes)
+
+    @pytest.mark.parametrize("rows", [1, 7, 200, None])
+    @pytest.mark.parametrize("fd_step", [1e-3, 0.0123, 0.2, 0.49])
+    def test_t_mid_inside_a_block(self, monkeypatch, rows, fd_step):
+        # t rows are 0.999/200 apart, so t_mid runs from row 3 to row 197
+        # at fd_step 0.0123 and from row 41 to row 160 at 0.2: both ends
+        # fall inside a block of 7 rows
+        if rows is not None:
+            monkeypatch.setattr(scaling, "BLOCK_CELLS", rows * 301)
+        self.assert_whole_grid(build_g(), nodes=301, fd_step=fd_step)
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_extreme_cell_in_the_last_block(self, monkeypatch, rows):
+        if rows is not None:
+            monkeypatch.setattr(scaling, "BLOCK_CELLS", rows * 301)
+        p = Skewed(1.25, 0.03, 0.96, 0.03, 2001)
+        doc = self.assert_whole_grid(p, nodes=301, t_max=0.9)
+        checks = doc["checks"]
+        zs = np.linspace(-1.5, 1.5, 301)
+        core = zs[np.abs(zs) <= 0.5]
+        assert checks["linear_core"]["value"] == float(
+            np.max(np.abs(p.h(0.9, core) - (1.0 - 0.9) * core))) > 1e-12
+        assert checks["slope_positive"]["value"] == float(
+            np.min(p.slope(0.9, zs))) < 0
+        assert doc["ok"] is False
+
+    @pytest.mark.parametrize("rows", [1, None])
+    def test_nan_propagates(self, monkeypatch, rows):
+        if rows is not None:
+            monkeypatch.setattr(scaling, "BLOCK_CELLS", rows * 301)
+        doc = self.assert_whole_grid(
+            WithNaN(1.25, 0.03, 0.96, 0.03, 2001), nodes=301)
+        for name in ("slope_positive", "mixed_partial_fd"):
+            assert math.isnan(doc["checks"][name]["value"])
+            assert doc["checks"][name]["ok"] is False
+
+
+def _peak_rss_mib(*args):
+    """Peak RSS of a python child running ARGS, read by os.wait4."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, *args], env=env,
+                            stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0, args
+    return usage.ru_maxrss / 1024  # KiB on Linux
+
+
+def test_family_memory_grows_with_nodes_only():
+    # the whole 201 x 20001 grid peaked at 133 MiB; row blocks keep a few
+    # z rows alive
+    p = build_g(nodes=20001)
+    tracemalloc.start()
+    try:
+        verify_h_family(p, nodes=20001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
+    # a scaling-verify process costs little more than loading numpy (the
+    # whole grid added about 17 MiB at --grid 2001)
+    verify = _peak_rss_mib("-m", "weinkit.cli", "scaling-verify",
+                           "--grid", "2001")
+    bare = _peak_rss_mib("-c", "import numpy")
+    assert verify - bare <= 8, f"{verify:.1f} MiB vs numpy's {bare:.1f} MiB"
 
 
 class TestRandomFeasibleProfiles:
