@@ -21,8 +21,8 @@ _EXPORTS = {
         "cohomology_from_homology", "euler_characteristic", "homology",
         "homology_from_cohomology", "invariant_factor_chain",
         "semi_characteristic"),
-    "snf": ("SNFResult", "bareiss_determinant", "is_unimodular",
-            "smith_normal_form"),
+    "snf": ("SNFResult", "bareiss_determinant", "invariant_factors",
+            "is_unimodular", "smith_normal_form"),
     "handles": (
         "BoundaryHomologyReport", "C1Report", "HandlePresentation",
         "OmegaVerdict", "boundary_connect_sum", "boundary_homology",

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .serialize import SCHEMA_VERSION, SchemaError, as_int, int_from_json, list_from_json, matrix_from_json, matrix_to_json, reader
-from .snf import _as_rows, block_sum, mat_mul, smith_normal_form
+from .snf import _as_rows, block_sum, invariant_factors, mat_mul
 
 
 def invariant_factor_chain(factors):
@@ -289,27 +289,26 @@ def homology(complex_: ChainComplex) -> GradedGroup:
     """H_k = ker d_k / im d_{k+1} as a canonical GradedGroup.
 
     rank H_k = n_k - rank d_k - rank d_{k+1}; torsion H_k = invariant
-    factors >= 2 of d_{k+1}.
+    factors >= 2 of d_{k+1}.  Each boundary map's rank and factors come from
+    `invariant_factors`, which builds no transforms.
     """
-    snf_cache = {}
+    cache = {}
 
-    def snf_of(k):
-        if k not in snf_cache:
+    def factors_of(k):
+        """(rank, invariant factors) of d_k; (0, ()) where d_k is zero."""
+        if k not in cache:
             m = complex_.boundary(k)
-            snf_cache[k] = smith_normal_form(m) if m is not None else None
-        return snf_cache[k]
+            cache[k] = invariant_factors(m) if m is not None else (0, ())
+        return cache[k]
 
     groups = {}
     for k in complex_.degrees:
-        below = snf_of(k)
-        above = snf_of(k + 1)
-        r_k = below.rank if below else 0
-        r_k1 = above.rank if above else 0
+        r_k = factors_of(k)[0]
+        r_k1, factors = factors_of(k + 1)
         rank = complex_.dim(k) - r_k - r_k1
         if rank < 0:
             raise AssertionError("negative Betti number: broken SNF rank")
-        torsion = above.torsion_factors if above else ()
-        groups[k] = (rank, torsion)
+        groups[k] = (rank, tuple(f for f in factors if f >= 2))
     return GradedGroup.from_dict(groups)
 
 

@@ -25,7 +25,7 @@ from .graded import (
     semi_characteristic,
 )
 from .serialize import SCHEMA_VERSION, SchemaError, as_int, bool_from_json, int_from_json, list_from_json, matrix_from_json, matrix_to_json, reader, str_from_json
-from .snf import _as_rows, block_sum, smith_normal_form
+from .snf import _as_rows, block_sum, invariant_factors
 
 
 class HandlePresentation:
@@ -295,7 +295,7 @@ def boundary_homology(p: HandlePresentation) -> BoundaryHomologyReport:
         raise ValueError(f"boundary homology needs n >= 2, got n = {p.n}")
     ranks = None
     if p.intersection_form is not None:
-        ranks = {p.n: smith_normal_form(p.intersection_form).rank}
+        ranks = {p.n: invariant_factors(p.intersection_form)[0]}
     return handlebody_boundary_homology(p.chain, 2 * p.n, ranks)
 
 

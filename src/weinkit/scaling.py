@@ -241,6 +241,7 @@ def bound_ratio(profile: GProfile = None, t_max=0.999, nodes=2001,
     if profile is None:
         profile = build_g()
     _check_t_max(t_max)
+    nodes = as_int(nodes, "nodes")
     if nodes < 1:
         raise ValueError(f"the grid needs at least one node, got {nodes}")
     import numpy as np
@@ -335,6 +336,8 @@ def verify_h_family(profile: GProfile = None, nodes=2001, t_max=0.999,
     if profile is None:
         profile = build_g()
     _check_t_max(t_max)
+    nodes = as_int(nodes, "nodes")
+    t_nodes = as_int(t_nodes, "t_nodes")
     if nodes < 3:
         raise ValueError(f"the z grid needs nodes >= 3, got {nodes}")
     if not 0 < fd_step < math.inf:

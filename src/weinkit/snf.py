@@ -1,26 +1,44 @@
 """Smith normal form over the integers, with verified postconditions.
 
-All arithmetic is exact (Python big integers).  ``smith_normal_form``
-checks every postcondition on every call, so a result object is itself a
-certificate.  For an m x n input A with transforms U (m x m), V (n x n):
+All arithmetic is exact (Python big integers).  One elimination core,
+`_diagonalize`, reduces a copy of the input to its Smith form diagonal;
+two entry points run it and check the result on every call, by explicit
+raises that survive `python -O`.
 
-- U*A*V = D costs two products that skip zero entries: one multiply-add
-  per pair of nonzeros u_ik, a_kj, then per pair (UA)_ik, v_kj, plus one
-  pass over each matrix;
-- det U = +-1 and det V = +-1 cost one Bareiss elimination each.  Under a
+`smith_normal_form(a)` also builds the transforms U (m x m) and V (n x n),
+so a result object is itself a certificate.  Beyond the elimination, it
+costs:
+
+- U*A*V = D: two products that skip zero entries, one multiply-add per
+  pair of nonzeros u_ik, a_kj, then per pair (UA)_ik, v_kj;
+- det U = +-1 and det V = +-1: one Bareiss elimination each.  Under a
   +-1 pivot a row changes only if it is nonzero in the pivot column, and
   only on the support of the pivot row, so a sparse unit transform costs
   about n^2 / 2 comparisons plus its fill-in, not n^3 / 3 big-integer
   multiply-and-divide steps;
 - positive factors, the divisibility chain, zero off-diagonal entries and
-  the rank cost one pass over D.
+  the rank: one pass over D.
+
+`invariant_factors(a)` returns only (rank, invariant factors), which is
+all that homology reads.  It builds no transforms, so the row and column
+operations touch the working matrix alone and no certificate products are
+formed.  Its checks need no U or V:
+
+- the same pass over D as above;
+- the rank equals that of one Bareiss elimination of the input (row swaps,
+  column skipping), whose entries are minors of A and so stay bounded;
+- the product of the factors, the rank-th determinantal divisor, divides
+  that elimination's last pivot (+-det of a nonsingular rank x rank
+  minor), and equals |det A| when A is square of full rank.
 
 The elimination touches only the nonzeros of the pivot row (or column) on
 a quotient step, and skips the "pivot divides the rest" scan under a +-1
-pivot, which divides everything.
+pivot, which divides everything.  Its working matrix can still grow on
+dense input with large torsion.
 """
 
 from dataclasses import dataclass
+from math import prod
 from operator import index
 
 
@@ -77,48 +95,66 @@ def mat_mul(a, b):
     return out
 
 
-def _det(m):
-    """Bareiss fraction-free elimination on a square list of rows, in
-    place.  Under a repeated pivot (pivot == prev, as for +-1 pivots) a
-    row changes only on the support of the pivot row, and not at all if
-    it is zero in the pivot column.  A pivot of -prev is made one by
-    negating its row."""
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
+def _bareiss(m):
+    """Bareiss fraction-free elimination on a list of rows, in place, with
+    row swaps and column skipping.  Returns (rank, last pivot), where the
+    last pivot is the determinant of a nonsingular rank x rank minor of
+    the input, its rows and columns in their original order; (0, 1) for a
+    zero matrix.
+
+    Under a repeated pivot (pivot == prev, as for +-1 pivots) a row changes
+    only on the support of the pivot row, and not at all if it is zero in
+    the pivot column.  A pivot of -prev is made one by negating its row."""
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    sign = prev = 1
+    k = 0
+    for c in range(ncols):
+        if m[k][c] == 0:
+            for i in range(k + 1, nrows):
+                if m[i][c] != 0:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
-                return 0
+                continue
         rk = m[k]
-        p = rk[k]
+        p = rk[c]
         if p == -prev:
             # the entries below row k are minors without row k, so
-            # negating it changes only the sign of det
+            # negating it changes only the sign of the minor
             rk = m[k] = [-x for x in rk]
             p = prev
             sign = -sign
-        support = [j for j in range(k + 1, n) if rk[j]]
-        for ri in m[k + 1:]:
-            e = ri[k]
-            if p == prev:
-                # (r*p - e*c) / prev = r - e*c / prev, an exact quotient
+        k += 1
+        if k == nrows:
+            prev = p
+            break
+        if p == prev:
+            # (r*p - e*x) / prev = r - e*x / prev, an exact quotient
+            support = [(j, x) for j in range(c + 1, ncols) if (x := rk[j])]
+            for ri in m[k:]:
+                e = ri[c]
                 if e:
-                    for j in support:
-                        ri[j] -= e * rk[j] // prev
-            elif e:
-                for j in range(k + 1, n):
-                    ri[j] = (ri[j] * p - e * rk[j]) // prev
-            else:
-                for j in range(k + 1, n):
-                    ri[j] = ri[j] * p // prev
-        prev = p
-    return sign * m[n - 1][n - 1] if n else 1
+                    for j, x in support:
+                        ri[j] -= e * x // prev
+        else:
+            for ri in m[k:]:
+                e = ri[c]
+                if e:
+                    for j in range(c + 1, ncols):
+                        ri[j] = (ri[j] * p - e * rk[j]) // prev
+                else:
+                    for j in range(c + 1, ncols):
+                        ri[j] = ri[j] * p // prev
+            prev = p
+    return k, sign * prev
+
+
+def _det(m):
+    """Determinant of a square list of rows; eliminates m in place."""
+    rank, pivot = _bareiss(m)
+    return pivot if rank == len(m) else 0
 
 
 def bareiss_determinant(a):
@@ -179,29 +215,26 @@ def _xgcd(a, b):
     return old_r, old_x, old_y
 
 
-def smith_normal_form(a):
-    """Diagonalize an integer matrix by unimodular row/column operations.
+def _diagonalize(m, u=None, v=None):
+    """The elimination core: reduce the list of rows m, in place, to its
+    Smith form diagonal, applying every row operation to u and every
+    column operation to v when they are given.  Returns the rank.
 
     Entries are cleared with 2x2 extended-gcd transforms (determinant 1),
     which reach gcd(pivot, entry) in one step and avoid the coefficient
     blow-up of repeated subtract-and-swap rounds.
-
-    Returns SNFResult(d, u, v, rank, invariant_factors) with u*a*v = d.
-    Total function: any shape, including empty, is accepted.
     """
-    rows = _as_rows(a)
-    m = [r[:] for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
-    u = identity_matrix(nrows)
-    v = identity_matrix(ncols)
+    row_mats = (m,) if u is None else (m, u)
+    col_mats = (m,) if v is None else (m, v)
 
     def combine_rows(s, i):
         """Unimodular transform making m[s][s] = gcd, m[i][s] = 0."""
         p, e = m[s][s], m[i][s]
         q, r = divmod(e, p)
         if r == 0:
-            for mat in (m, u):
+            for mat in row_mats:
                 ri = mat[i]
                 for t, x in enumerate(mat[s]):
                     if x:
@@ -209,9 +242,9 @@ def smith_normal_form(a):
             return
         g, x, y = _xgcd(p, e)
         pa, eb = p // g, e // g
-        for mat, w in ((m, ncols), (u, nrows)):
+        for mat in row_mats:
             rs, ri = mat[s], mat[i]
-            for t in range(w):
+            for t in range(len(rs)):
                 a_, b_ = rs[t], ri[t]
                 rs[t] = x * a_ + y * b_
                 ri[t] = pa * b_ - eb * a_
@@ -220,14 +253,14 @@ def smith_normal_form(a):
         p, e = m[s][s], m[s][j]
         q, r = divmod(e, p)
         if r == 0:
-            for mat in (m, v):
+            for mat in col_mats:
                 for row in mat:
                     if row[s]:
                         row[j] -= q * row[s]
             return
         g, x, y = _xgcd(p, e)
         pa, eb = p // g, e // g
-        for mat in (m, v):
+        for mat in col_mats:
             for row in mat:
                 a_, b_ = row[s], row[j]
                 row[s] = x * a_ + y * b_
@@ -241,13 +274,12 @@ def smith_normal_form(a):
             break
         i0, j0 = pos
         if i0 != s:
-            m[s], m[i0] = m[i0], m[s]
-            u[s], u[i0] = u[i0], u[s]
+            for mat in row_mats:
+                mat[s], mat[i0] = mat[i0], mat[s]
         if j0 != s:
-            for row in m:
-                row[s], row[j0] = row[j0], row[s]
-            for row in v:
-                row[s], row[j0] = row[j0], row[s]
+            for mat in col_mats:
+                for row in mat:
+                    row[s], row[j0] = row[j0], row[s]
 
         # column ops can dirty the pivot column and vice versa; loop until
         # both are clear (pivot |value| only ever shrinks, so this halts).
@@ -268,24 +300,22 @@ def smith_normal_form(a):
             offender = next((i for i in range(s + 1, nrows)
                              if any(x % p for x in m[i][s + 1:] if x)), None)
             if offender is not None:
-                m[s] = [x + y for x, y in zip(m[s], m[offender])]
-                u[s] = [x + y for x, y in zip(u[s], u[offender])]
+                for mat in row_mats:
+                    mat[s] = [x + y for x, y in zip(mat[s], mat[offender])]
                 continue  # redo this pivot with the enlarged row
 
         if p < 0:
-            m[s] = [-x for x in m[s]]
-            u[s] = [-x for x in u[s]]
+            for mat in row_mats:
+                mat[s] = [-x for x in mat[s]]
         s += 1
+    return s
 
-    rank = s
+
+def _diagonal_factors(m, rank):
+    """The factors m[i][i], i < rank, once m is checked to be diagonal with
+    exactly `rank` nonzero entries, all positive, in a divisibility chain."""
+    ncols = len(m[0]) if m else 0
     factors = tuple(m[i][i] for i in range(rank))
-
-    # postconditions, every call
-    if mat_mul(mat_mul(u, rows), v) != m:
-        raise AssertionError("SNF postcondition failed: U*A*V != D")
-    if (_det([r[:] for r in u]) not in (1, -1)
-            or _det([r[:] for r in v]) not in (1, -1)):
-        raise AssertionError("SNF postcondition failed: transform not unimodular")
     for i in range(rank):
         if factors[i] <= 0:
             raise AssertionError("SNF postcondition failed: nonpositive factor")
@@ -296,5 +326,58 @@ def smith_normal_form(a):
             raise AssertionError("SNF postcondition failed: off-diagonal entry")
         if rank <= i < ncols and row[i] != 0:
             raise AssertionError("SNF postcondition failed: rank miscount")
+    return factors
 
+
+def smith_normal_form(a):
+    """Diagonalize an integer matrix by unimodular row/column operations.
+
+    Returns SNFResult(d, u, v, rank, invariant_factors) with u*a*v = d,
+    checked on every call together with det u, det v = +-1.
+    Total function: any shape, including empty, is accepted.
+    """
+    rows = _as_rows(a)
+    m = [r[:] for r in rows]
+    u = identity_matrix(len(m))
+    v = identity_matrix(len(m[0]) if m else 0)
+    rank = _diagonalize(m, u, v)
+
+    # postconditions, every call
+    if mat_mul(mat_mul(u, rows), v) != m:
+        raise AssertionError("SNF postcondition failed: U*A*V != D")
+    if (_det([r[:] for r in u]) not in (1, -1)
+            or _det([r[:] for r in v]) not in (1, -1)):
+        raise AssertionError("SNF postcondition failed: transform not unimodular")
+    factors = _diagonal_factors(m, rank)
     return SNFResult(d=m, u=u, v=v, rank=rank, invariant_factors=factors)
+
+
+def invariant_factors(a):
+    """(rank, invariant factors) of an integer matrix: the nonzero diagonal
+    of its Smith form, from the same elimination as `smith_normal_form` but
+    with no transforms.
+
+    Checked on every call without U or V: the reduced matrix is a diagonal
+    divisibility chain of positive factors; the rank equals that of an
+    independent Bareiss elimination of the input; and the product of the
+    factors (the rank-th determinantal divisor) divides that elimination's
+    last pivot, a rank x rank minor, and equals |det a| when a is square
+    of full rank.  Total function: any shape, including empty.
+    """
+    rows = _as_rows(a)
+    m = [r[:] for r in rows]
+    rank = _diagonalize(m)
+    factors = _diagonal_factors(m, rank)
+
+    minor_rank, minor = _bareiss(rows)
+    if minor_rank != rank:
+        raise AssertionError(
+            "SNF postcondition failed: rank differs from Bareiss elimination")
+    product = prod(factors)
+    if minor % product:
+        raise AssertionError("SNF postcondition failed: product of factors "
+                             "does not divide a rank x rank minor")
+    if rows and len(rows) == rank == len(rows[0]) and abs(minor) != product:
+        raise AssertionError(
+            "SNF postcondition failed: product of factors != |det|")
+    return rank, factors

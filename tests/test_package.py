@@ -36,7 +36,7 @@ from weinkit.graded import (
 from weinkit.floer import LoopHomologyTable, SHPlusProfile
 from weinkit.handles import HandlePresentation, handlebody_boundary_homology
 from weinkit.models import middle_rank_family, mixed_sign_spectrum, sample_certificate
-from weinkit.scaling import build_g
+from weinkit.scaling import bound_ratio, build_g, verify_h_family
 from weinkit.serialize import SchemaError
 from weinkit.surgery import (
     ADCCertificate,
@@ -56,7 +56,8 @@ FACADE = {
         cohomology_from_homology euler_characteristic homology
         homology_from_cohomology invariant_factor_chain
         semi_characteristic""",
-    "snf": "SNFResult bareiss_determinant is_unimodular smith_normal_form",
+    "snf": """SNFResult bareiss_determinant invariant_factors is_unimodular
+        smith_normal_form""",
     "handles": """BoundaryHomologyReport C1Report HandlePresentation
         OmegaVerdict boundary_connect_sum boundary_homology
         c1_propagation_check cohomology handlebody_boundary_homology
@@ -482,14 +483,19 @@ def test_lazy_loading_on_each_installed_interpreter(version):
     (lambda: OrbitRecord(1.5, 1), "orbit degree"),
     (lambda: build_g(nodes=2001.9), "nodes"),
     (lambda: build_g(nodes="2001"), "nodes"),
+    (lambda: verify_h_family(nodes=2001.5), "nodes"),
+    (lambda: verify_h_family(t_nodes=2.5), "t_nodes"),
+    (lambda: bound_ratio(nodes=11.5), "nodes"),
 ], ids=["chain-count", "handle-n", "handle-index", "group-rank",
         "torsion-factor", "chord-front", "morse-index", "stabilize-sites",
         "loop-dims", "loop-base", "boundary-dim", "chord-degree",
-        "orbit-degree", "profile-nodes", "profile-nodes-string"])
+        "orbit-degree", "profile-nodes", "profile-nodes-string",
+        "family-nodes", "family-t-nodes", "ratio-nodes"])
 def test_api_rejects_non_integer_counts(call, field):
     # each used to be truncated by int() or kept: rank 2, n = 3, a 3-handle,
     # Z + Z/2, the chain (2, 12), front (1, 0, 0), indices (0, 1), one site,
     # dims {0: 1, 2: 2}, base {0: 1}, a 5-dimensional boundary, and degrees
-    # of 1.5, and 2001 profile nodes
+    # of 1.5, and 2001 profile nodes; the grid counts of verify_h_family
+    # and bound_ratio used to end in numpy's TypeError
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         call()

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import os
 import random
@@ -15,6 +16,7 @@ import weinkit.snf as snf
 from weinkit.snf import (
     bareiss_determinant,
     identity_matrix,
+    invariant_factors,
     is_unimodular,
     mat_mul,
     smith_normal_form,
@@ -176,6 +178,8 @@ def test_results_are_pinned(cls):
     pytest.param(lambda: smith_normal_form(np.array([[1, 0], [0, 0.5]])),
                  id="float-array"),
     pytest.param(lambda: smith_normal_form([[1, "2"]]), id="string"),
+    pytest.param(lambda: invariant_factors([[1, 0.5]]),
+                 id="invariant-factors"),
 ])
 def test_non_integer_entries_rejected(call):
     with pytest.raises(ValueError, match="not an integer"):
@@ -229,3 +233,115 @@ def test_certificate_survives_optimized_mode():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert "not unimodular" in out.stdout
+
+
+# invariant_factors: the same elimination as smith_normal_form, without U
+# and V, so it must agree with it on rank and factors
+
+
+def _edge_and_conjugated_matrices():
+    """Empty, 0 x n, n x 0 and all-zero matrices, then rectangular,
+    rank-deficient and torsion-heavy conjugated ones."""
+    yield from ([], [[]], [[], [], []], [[0] * 4] * 3, [[0]], [[7]],
+                [[0, 3, 0]], [[2], [4], [6]])
+    rng = random.Random("invariant-factors")
+    for _ in range(60):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        rank = rng.randint(0, min(rows, cols))
+        unit_share = rng.choice((0.0, 0.3, 0.9))
+        yield conjugated_matrix(rng, rows, cols, rank, unit_share,
+                                rng.randint(1, 3), coeffs=(-2, -1, 1, 2))[0]
+
+
+def _check_invariant_factors(m):
+    res = smith_normal_form(m)
+    rank, factors = invariant_factors(m)
+    assert (rank, factors) == (res.rank, res.invariant_factors)
+    assert rank == rational_rank(m)
+    assert sorted(f for f in factors if f >= 2) == sympy_invariant_factors(m)
+
+
+@pytest.mark.parametrize("m", list(_edge_and_conjugated_matrices()))
+def test_invariant_factors_match_smith_normal_form(m):
+    _check_invariant_factors(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_strategy)
+def test_invariant_factors_match_oracles(m):
+    _check_invariant_factors(m)
+
+
+# Each case corrupts the core's output after a correct elimination: the
+# input, the diagonal entries to overwrite, the rank to report instead
+# (None: the true one), and the check that must fail.
+CORRUPTIONS = {
+    # (1, 6) -> (1, 3): still a chain, 3 divides det = 6 but is not |det|
+    "wrong-factor": ([[1, 0], [0, 6]], {1: 3}, None, "!= [|]det[|]"),
+    # (2, 4) -> (2, 8): a chain, but 16 does not divide the minor -8
+    "factor-past-minor": ([[2, 4, 0], [6, 8, 0]], {1: 8}, None,
+                          "does not divide"),
+    "broken-chain": ([[2, 0], [0, 3]], {0: 2, 1: 3}, None,
+                     "divisibility chain"),
+    "nonpositive-factor": ([[2, 0], [0, 4]], {0: -2}, None,
+                           "nonpositive factor"),
+    # a consistent diagonal of rank 1: only the Bareiss rank can tell
+    "wrong-rank": ([[1, 2], [3, 4], [5, 6]], {1: 0}, 1, "rank differs"),
+}
+
+
+def _corrupted_core(diagonal, rank):
+    core = snf._diagonalize
+
+    def corrupted(m, u=None, v=None):
+        true_rank = core(m, u, v)
+        for i, x in diagonal.items():
+            m[i][i] = x
+        return true_rank if rank is None else rank
+    return corrupted
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_invariant_factors_postconditions_catch_a_corrupted_core(
+        case, monkeypatch):
+    m, diagonal, rank, message = CORRUPTIONS[case]
+    monkeypatch.setattr(snf, "_diagonalize", _corrupted_core(diagonal, rank))
+    with pytest.raises(AssertionError, match=message):
+        invariant_factors(m)
+
+
+def test_invariant_factors_postconditions_survive_optimized_mode():
+    script = (
+        "import re, weinkit.snf as snf\n"
+        "from test_snf import CORRUPTIONS, _corrupted_core\n"
+        "core = snf._diagonalize\n"
+        "for case, (m, diagonal, rank, message) in sorted(CORRUPTIONS.items()):\n"
+        "    snf._diagonalize = _corrupted_core(diagonal, rank)\n"
+        "    try:\n"
+        "        snf.invariant_factors(m)\n"
+        "    except AssertionError as e:\n"
+        "        print(case, bool(re.search(message, str(e))))\n"
+        "    else:\n"
+        "        print(case, 'passed')\n"
+        "    snf._diagonalize = core\n")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(here.parent / "src"), str(here)]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == [
+        word for case in sorted(CORRUPTIONS) for word in (case, "True")]
+
+
+@pytest.mark.parametrize("module", ["graded.py", "handles.py"])
+def test_homology_reads_invariant_factors_only(module):
+    # the homology path builds no transforms: no smith_normal_form there
+    tree = ast.parse((Path(snf.__file__).parent / module).read_text())
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)}
+    assert "invariant_factors" in names
+    assert "smith_normal_form" not in names
