@@ -244,13 +244,13 @@ def nearby_iso(**_):
                    [_entry("isomorphism concluded", True, verdict.fired)])
 
 
-def scaling_bounds(grid=501, **_):
+def scaling_bounds(**_):
     """Profile ratio, integral residual, conformal factor, and the family
-    identities on a reduced grid."""
+    identities, from the exact certificate."""
     profile = build_g()
-    ratio = bound_ratio(profile, nodes=grid)
+    ratio = bound_ratio(profile)
     conf = conformal_bound()
-    fam = verify_h_family(profile, nodes=grid, t_nodes=51)
+    fam = verify_h_family(profile)
     return _report("scaling-bounds",
                    "g/(t g + 1) <= 5/4; |int g| ~ 0; e^{5/4} < 4; family "
                    "identities on the grid",

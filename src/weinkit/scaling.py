@@ -1,55 +1,84 @@
-"""Numerical verification of the interpolation profile behind the
+"""Exact certificate for the interpolation profile behind the
 action-rescaling estimates.
 
 The profile g lives on [0, 1]: identically -1 on [0, 1/2], a smoothstep
 rise to a plateau, a smoothstep fall, and identically 0 strictly before 1.
-The plateau amplitude is calibrated so the integral vanishes, which makes
+Its breakpoints are rationals, and the plateau amplitude is calibrated so
+the integral vanishes (103/92 for the default breakpoints).  That makes
 h(t, z) = z + t * G(|z|) * sign(z) (G the antiderivative of g) a family of
 odd maps fixing everything outside [-1, 1], compressing [-1/2, 1/2]
-linearly by 1 - t, and staying monotone for t < 1.  Everything checked
-here is a finite-dimensional surrogate: max of g/(t g + 1) over a grid,
-exactness of the defining identities on a grid, and the conformal factor
-bound e^{5/4} < 4.
+linearly by 1 - t, and staying monotone for t < 1.
+
+g and G are piecewise polynomials with rational coefficients, so every
+statement is proved from the pieces in exact arithmetic, for all t and z
+at once: the range of g from the Bernstein coefficients of its pieces,
+the integral and the identities of G from term-by-term integration, and
+e^height < 4 from Taylor bounds.  Nothing is sampled: `GProfile.samples`
+evaluates the pieces in floats only for the --csv dump.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import zip_longest
+from operator import attrgetter
+from typing import NamedTuple
 
 from .serialize import as_int
 
-# numpy is imported inside the functions that build a float grid, not here,
-# so `import weinkit` and every command but scaling-verify and examples run
-# without loading it.
-
-RATIO_CAP = 1.25          # height budget for g and for g/(t g + 1)
-CONFORMAL_LIMIT = 4.0     # e^{height} must stay below this
-BLOCK_CELLS = 1 << 15     # (t, z) cells alive at once in verify_h_family
+RATIO_CAP = Fraction(5, 4)   # height budget for g and for g/(t g + 1)
+CONFORMAL_LIMIT = 4          # e^{height} must stay below this
 
 
-def _simpson(y, x):
-    """Composite Simpson's rule over an odd count of nodes, in the
-    spacing-aware form (Cartwright 2017).  Keep the operation order:
-    reports print the result to the last bit, and the textbook uniform
-    form rounds differently (0.0 where this gives 5.55e-17 at 2001 nodes)."""
-    import numpy as np
+class _Piece(NamedTuple):
+    """sum(coeffs[j] * u ** j) at r = lo + width * u, for u in [0, 1]; the
+    last piece of a profile also holds past its end."""
+    lo: object
+    width: object
+    coeffs: tuple
 
-    h = np.diff(x)
-    h0, h1 = h[0::2], h[1::2]
-    hsum = h0 + h1
-    h0divh1 = h0 / h1
-    terms = hsum / 6.0 * (y[0:-2:2] * (2.0 - 1.0 / h0divh1)
-                          + y[1::2] * (hsum * (hsum / (h0 * h1)))
-                          + y[2::2] * (2.0 - h0divh1))
-    return np.sum(terms)
+    def at(self, r):
+        u = (r - self.lo) / self.width
+        acc = 0
+        for a in reversed(self.coeffs):
+            acc = acc * u + a
+        return acc
+
+    def bernstein(self):
+        """The coefficients in the Bernstein basis of the same degree: the
+        first and last are the end values, and every value of the piece
+        lies between the least and the largest."""
+        n = len(self.coeffs) - 1
+        return [sum(Fraction(math.comb(k, j), math.comb(n, j)) * a
+                    for j, a in enumerate(self.coeffs[:k + 1]))
+                for k in range(n + 1)]
+
+    def integral(self, start):
+        """start + the integral of this piece from lo, as a piece."""
+        return _Piece(self.lo, self.width, (start, *(
+            self.width * a / (j + 1) for j, a in enumerate(self.coeffs))))
+
+    def in_floats(self):
+        return _Piece(float(self.lo), float(self.width),
+                      tuple(map(float, self.coeffs)))
 
 
-def _smoothstep(u):
-    return u * u * (3.0 - 2.0 * u)
+def _rational(x, name):
+    """X as a Fraction.  A float is read as the shortest decimal that
+    rounds to it, so 0.03 is 3/100 and 1.25 is 5/4."""
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x}")
+        return Fraction(repr(float(x)))
+    return Fraction(x)
 
 
-def _smoothstep_integral(u):
-    # int_0^u s = u^3 - u^4/2
-    return u ** 3 - 0.5 * u ** 4
+def _count(nodes):
+    nodes = as_int(nodes, "nodes")
+    if nodes < 1:
+        raise ValueError(f"the grid needs at least one node, got {nodes}")
+    return nodes
 
 
 @dataclass(frozen=True)
@@ -58,239 +87,248 @@ class GProfile:
 
     Breakpoints: -1 on [0, 1/2]; rise on [1/2, 1/2 + rise_width]; plateau
     at `amplitude` up to fall_start; fall on [fall_start, fall_start +
-    fall_width]; 0 afterwards.  amplitude is derived, not chosen.
+    fall_width]; 0 afterwards.  The parameters are read as rationals and
+    amplitude is derived, not chosen.  `nodes` is how many samples
+    `samples` yields; no bound reads it.
     """
-    height: float
-    rise_width: float
-    fall_start: float
-    fall_width: float
+    height: Fraction
+    rise_width: Fraction
+    fall_start: Fraction
+    fall_width: Fraction
     nodes: int
-    amplitude: float = field(init=False)
+    amplitude: Fraction = field(init=False)
+    _exact: tuple = field(init=False, repr=False, compare=False)
+    _floats: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("rise_width", "fall_start", "fall_width"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(
-                    f"{name} must be finite, got {getattr(self, name)}")
+            object.__setattr__(self, name,
+                               _rational(getattr(self, name), name))
         if not 0 < self.height <= RATIO_CAP:
-            raise ValueError(
-                f"height must lie in (0, {RATIO_CAP}], got {self.height}")
+            raise ValueError(f"height must lie in (0, {float(RATIO_CAP)}], "
+                             f"got {self.height}")
+        object.__setattr__(self, "height", _rational(self.height, "height"))
         if self.rise_width <= 0 or self.fall_width <= 0:
             raise ValueError("transition widths must be positive")
-        if 0.5 + self.rise_width >= self.fall_start:
-            raise ValueError("plateau is empty: rise ends at "
-                             f"{0.5 + self.rise_width}, fall starts at "
-                             f"{self.fall_start}")
-        if self.fall_start + self.fall_width >= 1:
-            raise ValueError(
-                "profile must vanish strictly before 1; fall ends at "
-                f"{self.fall_start + self.fall_width}")
-        if self.nodes < 3 or self.nodes % 2 == 0:
-            raise ValueError("Simpson quadrature needs an odd node count >= 3")
-        # integral of the fixed part is -(1/2) - w_r/2; the amplitude
-        # multiplies w_r/2 + plateau + w_f/2, so zero total integral forces
+        if self.rise_end >= self.fall_start:
+            raise ValueError(f"plateau is empty: rise ends at {self.rise_end}"
+                             f", fall starts at {self.fall_start}")
+        if self.zero_from >= 1:
+            raise ValueError("profile must vanish strictly before 1; fall "
+                             f"ends at {self.zero_from}")
+        object.__setattr__(self, "nodes", _count(self.nodes))
+        # the fixed part integrates to -(1 + w_r)/2 and the amplitude
+        # multiplies (w_r + w_f)/2 + plateau, so zero total integral forces
         w_r, w_f = self.rise_width, self.fall_width
-        plateau = self.fall_start - 0.5 - w_r
-        amp = (0.5 + 0.5 * w_r) / (0.5 * w_r + plateau + 0.5 * w_f)
-        if amp > self.height * (1 + 1e-12):
+        plateau = self.fall_start - self.rise_end
+        v = (1 + w_r) / (w_r + 2 * plateau + w_f)
+        if v > self.height:
             raise ValueError(
-                f"area balance needs amplitude {amp:.6f} > height cap "
-                f"{self.height}; widen the plateau or raise the height")
-        object.__setattr__(self, "amplitude", amp)
+                f"area balance needs amplitude {float(v):.6f} > height cap "
+                f"{float(self.height)}; widen the plateau or raise the "
+                "height")
+        object.__setattr__(self, "amplitude", v)
+        # rise and fall are affine images of the smoothstep 3u^2 - 2u^3
+        g = (_Piece(Fraction(0), Fraction(1, 2), (-1,)),
+             _Piece(Fraction(1, 2), w_r, (-1, 0, 3 * (v + 1), -2 * (v + 1))),
+             _Piece(self.rise_end, plateau, (v,)),
+             _Piece(self.fall_start, w_f, (v, 0, -3 * v, 2 * v)),
+             _Piece(self.zero_from, 1 - self.zero_from, (0,)))
+        big_g, start = [], Fraction(0)
+        for piece in g:
+            big_g.append(piece.integral(start))
+            start = sum(big_g[-1].coeffs)
+        exact = (g, tuple(big_g))
+        object.__setattr__(self, "_exact", exact)
+        object.__setattr__(self, "_floats", tuple(
+            tuple(piece.in_floats() for piece in pieces) for pieces in exact))
 
     @property
     def rise_end(self):
-        return 0.5 + self.rise_width
+        return Fraction(1, 2) + self.rise_width
 
     @property
     def zero_from(self):
         return self.fall_start + self.fall_width
 
-    def g(self, r):
-        """Profile values, vectorized; arguments are taken by |r|."""
-        import numpy as np
+    def _at(self, which, r):
+        """Piece table WHICH (0 for g, 1 for G) at |r|: exact for a
+        rational r, in floats for a float."""
+        pieces = (self._floats if isinstance(r, float) else self._exact)[which]
+        r = abs(r)
+        return pieces[bisect_right(pieces, r, key=attrgetter("lo")) - 1].at(r)
 
-        r = np.abs(np.asarray(r, dtype=float))
-        v = self.amplitude
-        out = np.zeros_like(r)
-        out[r < 0.5] = -1.0
-        m = (r >= 0.5) & (r < self.rise_end)
-        u = (r[m] - 0.5) / self.rise_width
-        out[m] = -1.0 + (v + 1.0) * _smoothstep(u)
-        m = (r >= self.rise_end) & (r < self.fall_start)
-        out[m] = v
-        m = (r >= self.fall_start) & (r < self.zero_from)
-        u = (r[m] - self.fall_start) / self.fall_width
-        out[m] = v * (1.0 - _smoothstep(u))
-        return out
+    def g(self, r):
+        """g(|r|)."""
+        return self._at(0, r)
 
     def antiderivative(self, r):
-        """G(r) = int_0^r g, vectorized, by the closed piecewise form."""
-        import numpy as np
-
-        r = np.abs(np.asarray(r, dtype=float))
-        v = self.amplitude
-        w_r, w_f = self.rise_width, self.fall_width
-        g_rise_end = -self.rise_end + (v + 1.0) * w_r * 0.5
-        g_fall_start = g_rise_end + v * (self.fall_start - self.rise_end)
-        g_tail = g_fall_start + v * w_f * 0.5
-        out = np.empty_like(r)
-        m = r < 0.5
-        out[m] = -r[m]
-        m = (r >= 0.5) & (r < self.rise_end)
-        u = (r[m] - 0.5) / w_r
-        out[m] = -r[m] + (v + 1.0) * w_r * _smoothstep_integral(u)
-        m = (r >= self.rise_end) & (r < self.fall_start)
-        out[m] = g_rise_end + v * (r[m] - self.rise_end)
-        m = (r >= self.fall_start) & (r < self.zero_from)
-        u = (r[m] - self.fall_start) / w_f
-        out[m] = g_fall_start + v * (
-            (r[m] - self.fall_start) - w_f * _smoothstep_integral(u))
-        out[r >= self.zero_from] = g_tail
-        return out
+        """G(|r|) = int_0^|r| g, by term-by-term integration of the pieces."""
+        return self._at(1, r)
 
     def h(self, t, z):
-        """The interpolation family, odd in z, broadcast over t and z."""
-        import numpy as np
-
-        t = np.asarray(t, dtype=float)
-        z = np.asarray(z, dtype=float)
-        return z + t * self.antiderivative(np.abs(z)) * np.sign(z)
+        """The interpolation family z + t G(|z|) sign(z), odd in z."""
+        big = self.antiderivative(z)
+        return z + t * (big if z >= 0 else -big)
 
     def slope(self, t, z):
         """dh/dz = t g(|z|) + 1, the monotonicity quantity."""
-        import numpy as np
+        return t * self.g(z) + 1
 
-        t = np.asarray(t, dtype=float)
-        z = np.asarray(z, dtype=float)
-        return t * self.g(z) + 1.0
-
-    def own_grid(self):
-        import numpy as np
-
-        return np.linspace(0.0, 1.0, self.nodes)
+    def g_range(self):
+        """(min g, max g, the least z where g is max), from the Bernstein
+        coefficients of the pieces; raises unless both bounds are values
+        g takes at a breakpoint."""
+        pieces = self._exact[0]
+        hull = [b for piece in pieces for b in piece.bernstein()]
+        low, high = min(hull), max(hull)
+        ends = [end for piece in pieces for end in (
+            (piece.lo, piece.coeffs[0]),
+            (piece.lo + piece.width, sum(piece.coeffs)))]
+        taken = {value for _, value in ends}
+        if low not in taken or high not in taken:
+            raise ValueError("the Bernstein bounds of g are not attained")
+        return low, high, next(r for r, value in ends if value == high)
 
     def integral_residual(self):
-        """Simpson quadrature of g over [0, 1] on the profile's own grid.
+        """The integral of g over [0, 1], exactly: 0 by the calibration."""
+        return self.antiderivative(1)
 
-        The default breakpoints sit on even grid indices and the pieces are
-        cubics, so composite Simpson is exact there up to roundoff.
-        """
-        r = self.own_grid()
-        return float(_simpson(self.g(r), r))
+    def samples(self):
+        """(z, g(z), G(z)) in floats at `nodes` evenly spaced z in [0, 1]."""
+        last = max(self.nodes - 1, 1)
+        for i in range(self.nodes):
+            z = i / last
+            yield z, self.g(z), self.antiderivative(z)
 
     def to_json(self):
         return {
-            "height": self.height,
-            "rise_width": self.rise_width,
-            "fall_start": self.fall_start,
-            "fall_width": self.fall_width,
+            "height": float(self.height),
+            "rise_width": float(self.rise_width),
+            "fall_start": float(self.fall_start),
+            "fall_width": float(self.fall_width),
             "nodes": self.nodes,
-            "amplitude": self.amplitude,
-            "integral_residual": self.integral_residual(),
+            "amplitude": float(self.amplitude),
+            "integral_residual": float(self.integral_residual()),
         }
 
 
 def build_g(height=1.25, rise_width=0.03, fall_start=0.96, fall_width=0.03,
             nodes=2001) -> GProfile:
     """Calibrated profile; raises when the height cannot balance the area."""
-    return GProfile(float(height), float(rise_width), float(fall_start),
-                    float(fall_width), as_int(nodes, "nodes"))
+    return GProfile(height, rise_width, fall_start, fall_width, nodes)
 
 
 @dataclass(frozen=True)
 class RatioReport:
-    max_ratio: float
-    at_t: float
-    at_z: float
-    cap: float
-    tolerance: float
+    max_ratio: Fraction
+    at_t: Fraction
+    at_z: Fraction
+    cap: Fraction
+    tolerance: Fraction
     holds: bool
 
     def to_json(self):
         return {
-            "formula": "max g(z) / (t g(z) + 1) over the (t, z) grid",
-            "max_ratio": self.max_ratio,
-            "argmax": {"t": self.at_t, "z": self.at_z},
-            "cap": self.cap,
-            "tolerance": self.tolerance,
+            "formula": "max g(z) / (t g(z) + 1) over 0 <= t <= t_max and "
+                       "0 <= z <= 1, from the pieces of g",
+            "max_ratio": float(self.max_ratio),
+            "argmax": {"t": float(self.at_t), "z": float(self.at_z)},
+            "cap": float(self.cap),
+            "tolerance": float(self.tolerance),
             "holds": self.holds,
         }
 
 
-def _check_t_max(t_max):
-    """Both grid checks need 0 <= t_max < 1: t g + 1 >= 1 - t vanishes at
-    t = 1, so t_max >= 1 is rejected rather than silently clipped."""
+def _t_max(t_max):
+    """t_max as a rational in [0, 1): t g + 1 >= 1 - t vanishes at t = 1,
+    so t_max >= 1 is rejected rather than silently clipped."""
     if t_max >= 1:
         raise ValueError(
             "t g + 1 vanishes at t = 1 where g = -1; need t_max < 1, got "
             f"{t_max}")
     if not t_max >= 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
+    return _rational(t_max, "t_max")
 
 
 def bound_ratio(profile: GProfile = None, t_max=0.999, nodes=2001,
                 tolerance=1e-6) -> RatioReport:
-    """Grid maximum of g/(t g + 1) for t in [0, t_max], z in [0, 1].
+    """The maximum of g/(t g + 1) over 0 <= t <= t_max and 0 <= z <= 1.
 
-    The (t, z) grid's first maximum in row-major order is read off its
-    t = 0 row.  For finite g >= -1 and 0 <= t < 1 the rounded denominator
-    fl(fl(t g) + 1) is >= 1 when g >= 0 and lies in (0, 1] when g < 0, so
-    every cell rounds to at most g, the exact value of its t = 0 cell.
+    With min g >= -1 and t < 1 every denominator is at least 1 - t > 0.
+    Where g >= 0 the ratio is at most g, with equality at t = 0, and where
+    g < 0 it is negative; so with max g >= 0 the maximum is max g (the
+    amplitude), reached at t = 0 and the least z where g takes it.  `nodes`
+    is checked as a count and enters no bound.
     """
     if profile is None:
         profile = build_g()
-    _check_t_max(t_max)
-    nodes = as_int(nodes, "nodes")
-    if nodes < 1:
-        raise ValueError(f"the grid needs at least one node, got {nodes}")
-    import numpy as np
-
-    zs = np.linspace(0.0, 1.0, nodes)
-    g = profile.g(zs)
-    if not (np.isfinite(g).all() and g.min() >= -1.0):
-        raise ValueError(
-            f"the ratio bound needs finite g >= -1, got min g = {g.min()}")
-    iz = int(np.argmax(g))
-    mx = float(g[iz])
-    return RatioReport(mx, 0.0, float(zs[iz]), RATIO_CAP, tolerance,
-                       mx <= RATIO_CAP + tolerance)
+    _t_max(t_max)
+    _count(nodes)
+    tolerance = _rational(tolerance, "tolerance")
+    low, high, at_z = profile.g_range()
+    if low < -1 or high < 0:
+        raise ValueError("the ratio bound needs min g >= -1 and max g >= 0, "
+                         f"got {float(low)} and {float(high)}")
+    return RatioReport(high, Fraction(0), at_z, RATIO_CAP, tolerance,
+                       high <= RATIO_CAP + tolerance)
 
 
 @dataclass(frozen=True)
 class ConformalReport:
-    exponent: float
+    exponent: Fraction
     value: float
-    limit: float
+    limit: int
     holds: bool
 
     def to_json(self):
         return {
             "formula": "conformal factor <= exp(height) < 4",
-            "exponent": self.exponent,
+            "exponent": float(self.exponent),
             "value": self.value,
-            "limit": self.limit,
+            "limit": float(self.limit),
             "holds": self.holds,
         }
 
 
+def _exp_below(h, limit):
+    """Whether e^h < limit, for rationals h > 0 and limit.  The Taylor sum
+    S of e^h up to h^(k-1)/(k-1)! is a lower bound, and once k + 1 > h,
+    S + h^k/k! * (k + 1)/(k + 1 - h) an upper one (the tail is below a
+    geometric series); terms are added until one side decides.  e^h is
+    transcendental for rational h != 0, so it never equals the limit."""
+    total, term, k = Fraction(0), Fraction(1), 0
+    while True:
+        total += term
+        k += 1
+        term = term * h / k
+        if total >= limit:
+            return False
+        if k + 1 > h and total + term * (k + 1) / (k + 1 - h) < limit:
+            return True
+
+
 def conformal_bound(height=1.25) -> ConformalReport:
-    """exp(height) compared against the limit 4; exp(5/4) = 3.4903... < 4."""
+    """e^height against the limit 4, decided in rationals by `_exp_below`:
+    at the default 5/4 the upper bound 1 + h + h^2/2 * 3/(3 - h) = 3.589...
+    settles e^{5/4} < 4, which is e^5 < 256.  `value` is math.exp(height),
+    for display."""
     if height <= 0:
         raise ValueError("height must be positive")
-    value = math.exp(height)
-    return ConformalReport(float(height), value, CONFORMAL_LIMIT,
-                           value < CONFORMAL_LIMIT)
+    exponent = _rational(height, "height")
+    return ConformalReport(exponent, math.exp(exponent), CONFORMAL_LIMIT,
+                           _exp_below(exponent, CONFORMAL_LIMIT))
 
 
 @dataclass(frozen=True)
 class CheckResult:
-    value: float
+    value: Fraction
     tolerance: float
     ok: bool
 
     def to_json(self):
-        return {"value": self.value, "tolerance": self.tolerance,
+        return {"value": float(self.value), "tolerance": self.tolerance,
                 "ok": self.ok}
 
 
@@ -299,14 +337,15 @@ class HFamilyReport:
     checks: dict
     ok: bool
     nodes: int
-    t_max: float
+    t_max: Fraction
     fd_step: float
 
     def to_json(self):
         return {
-            "formula": "h(t, z) = z + t G(|z|) sign(z); five grid identities",
+            "formula": "h(t, z) = z + t G(|z|) sign(z); five identities, "
+                       "from the pieces of G",
             "nodes": self.nodes,
-            "t_max": self.t_max,
+            "t_max": float(self.t_max),
             "fd_step": self.fd_step,
             "checks": {k: v.to_json() for k, v in self.checks.items()},
             "ok": self.ok,
@@ -314,91 +353,47 @@ class HFamilyReport:
 
 
 def verify_h_family(profile: GProfile = None, nodes=2001, t_max=0.999,
-                    t_nodes=201, fd_step=1e-3) -> HFamilyReport:
-    """Check the five defining identities of the family on a grid:
+                    fd_step=1e-3) -> HFamilyReport:
+    """Prove the five defining identities of the family for every
+    0 <= t <= t_max and every z.  Each value is an upper bound on the
+    largest deviation, 0 when the identity is exact:
 
-    1. h(0, z) = z;
-    2. h(t, z) = (1 - t) z on [-1/2, 1/2];
-    3. h(t, z) = z for |z| >= 1;
-    4. dh/dz = t g + 1 > 0 throughout;
-    5. the t-derivative of dh/dz, taken by central differences at fd_step,
-       equals g (the family is linear in t, so this measures consistency
-       of the implemented slope against the implemented profile).
+    1. h(0, z) = z, as h - z = t G(|z|) sign(z) has the factor t;
+    2. h(t, z) = (1 - t) z on [-1/2, 1/2]: there t |G(r) + r| <= t_max
+       times the sum of |coefficients| of G + r on each piece of [0, 1/2];
+    3. h(t, z) = z for |z| >= 1: g's last piece is 0, so G's is the
+       constant G(1) = int g and |h - z| <= t_max |G(1)|;
+    4. dh/dz = t g + 1 > 0: its value is the exact minimum,
+       1 + t_max min(g, 0), which is 1 - t_max as min g = -1;
+    5. the central difference of dh/dz in t at fd_step equals g: t g + 1
+       is affine in t, so the difference is exact at every step.
 
-    Checks 2-5 walk the (t, z) grid in blocks of whole t rows, about
-    BLOCK_CELLS cells each, so memory grows with `nodes`, not with
-    `nodes * t_nodes`.  The z columns (g, the core and outside nodes and
-    their G(|z|) values) are computed once, each cell takes the same
-    floating-point operations as `h` and `slope`, and blocks are reduced
-    by np.max / np.min again (NaN propagates), so the report equals the
-    whole grid's bit for bit.
+    `nodes` is the sample count the report belongs to; no check reads it.
     """
     if profile is None:
         profile = build_g()
-    _check_t_max(t_max)
-    nodes = as_int(nodes, "nodes")
-    t_nodes = as_int(t_nodes, "t_nodes")
-    if nodes < 3:
-        raise ValueError(f"the z grid needs nodes >= 3, got {nodes}")
+    t_max = _t_max(t_max)
+    nodes = _count(nodes)
     if not 0 < fd_step < math.inf:
         raise ValueError(
             f"fd_step must be a finite positive number, got {fd_step}")
-    import numpy as np
-
-    zs = np.linspace(-1.5, 1.5, nodes)
-    ts = np.linspace(0.0, t_max, t_nodes)[:, None]
-    t_mid = ts[(ts[:, 0] >= fd_step) & (ts[:, 0] + fd_step <= 1.0)]
-    if not t_mid.size:
-        raise ValueError(
-            f"no grid t lies in [fd_step, 1 - fd_step] for t_max = {t_max}, "
-            f"t_nodes = {t_nodes}, fd_step = {fd_step}")
-    checks = {}
-
-    h0 = profile.h(0.0, zs)
-    checks["initial_identity"] = _check(np.max(np.abs(h0 - zs)), 1e-12)
-
-    def h_of(z):
-        """t -> h(t, z), with G(|z|) and sign z computed once."""
-        big_g, sign = profile.antiderivative(np.abs(z)), np.sign(z)
-        return lambda t: z + t * big_g * sign
-
-    core = zs[np.abs(zs) <= 0.5]
-    h_core = h_of(core)
-    checks["linear_core"] = _check(_blocked(
-        np.max, ts, core.size,
-        lambda t: np.abs(h_core(t) - (1.0 - t) * core)), 1e-12)
-
-    outside = zs[np.abs(zs) >= 1.0]
-    h_outside = h_of(outside)
-    checks["outside_identity"] = _check(_blocked(
-        np.max, ts, outside.size,
-        lambda t: np.abs(h_outside(t) - outside)), 1e-12)
-
-    g = profile.g(zs)
-
-    def slope(t):
-        return t * g + 1.0
-
-    min_slope = float(_blocked(np.min, ts, nodes, slope))
-    checks["slope_positive"] = CheckResult(min_slope, 0.0, min_slope > 0.0)
-
-    checks["mixed_partial_fd"] = _check(_blocked(
-        np.max, t_mid, nodes, lambda t: np.abs(
-            (slope(t + fd_step) - slope(t - fd_step)) / (2.0 * fd_step)
-            - g)), 1e-4)
-
+    big_g = profile._exact[1]
+    core = max(sum(abs(a + b) for a, b in zip_longest(
+        piece.coeffs, (piece.lo, piece.width), fillvalue=0))
+        for piece in big_g if piece.lo + piece.width <= Fraction(1, 2))
+    low = profile.g_range()[0]
+    min_slope = 1 + t_max * min(low, 0)
+    checks = {
+        "initial_identity": _check(Fraction(0), 1e-12),
+        "linear_core": _check(t_max * core, 1e-12),
+        "outside_identity": _check(
+            t_max * abs(profile.integral_residual()), 1e-12),
+        "slope_positive": CheckResult(min_slope, 0.0, min_slope > 0),
+        "mixed_partial_fd": _check(Fraction(0), 1e-4),
+    }
     return HFamilyReport(checks, all(c.ok for c in checks.values()),
                          nodes, t_max, fd_step)
 
 
-def _blocked(reduce, t_rows, width, cells):
-    """reduce (np.max or np.min) of cells(t) over the rows of t_rows,
-    evaluated BLOCK_CELLS // width rows at a time."""
-    step = max(1, BLOCK_CELLS // width)
-    return reduce([reduce(cells(t_rows[i:i + step]))
-                   for i in range(0, len(t_rows), step)])
-
-
 def _check(value, tolerance):
-    value = float(value)
     return CheckResult(value, tolerance, value <= tolerance)

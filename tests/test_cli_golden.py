@@ -192,7 +192,9 @@ RUNS = [
     ["scaling-verify", "--grid", "301", "--height", "0.5"],
     ["scaling-verify", "--grid", "301", "--tol", "x"],
     ["scaling-verify", "--grid", "301", "--t-max", "1.5"],
+    ["scaling-verify", "--grid", "301", "--t-max", "0"],
     ["scaling-verify", "--grid", "4"],
+    ["scaling-verify", "--grid", "0"],
     ["examples"],
     ["examples", "wedge-family", "--i", "7"],
     ["examples", "no-such"],

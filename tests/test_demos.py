@@ -22,7 +22,7 @@ STDOUT_SHA256 = {
     "handle_calculus.py":
         "4de184d922586c8686dbffd89a551ee77a4665705d6645196bee2d78f0d144ea",
     "scaling_profile.py":
-        "778285d9ff40049b9182f2075968324fb435c097caac89131317cf5b3f9c18c3",
+        "8679327de9583ef4b59c1394975976bf6a554d648e9a0bd8c8aff5ef7eec8ace",
     "vanishing_formulas.py":
         "1d56cf54b74baf094ca17a6231fb1f6e51070f739a791ed129a83122feffc793",
 }

@@ -1,11 +1,12 @@
 """Package-wide properties: postconditions survive `python -O`, the
-command line loads nothing outside the standard library, numpy loads only
-for the float grids of scaling-verify and the examples corpus, `import
-weinkit` executes no submodule and each command executes only the modules
-it uses, the public names are those of the eager package, the Python
-API rejects non-integer counts instead of truncating them, every JSON
-reader goes through `serialize.reader` and raises only SchemaError, and
-only `graded.py` pairs a group's rank and torsion in one degree."""
+command line loads nothing outside the standard library, no module under
+src/ imports numpy and every golden run keeps its transcript with numpy
+blocked, `import weinkit` executes no submodule and each command executes
+only the modules it uses, the public names are those of the eager
+package, the Python API rejects non-integer counts instead of truncating
+them, every JSON reader goes through `serialize.reader` and raises only
+SchemaError, and only `graded.py` pairs a group's rank and torsion in one
+degree."""
 
 import ast
 import json
@@ -317,49 +318,64 @@ def test_import_leaves_out_sympy_scipy_and_numpy():
 
 def test_command_line_loads_only_the_standard_library(tmp_path):
     # every module the process loads past interpreter start-up is the
-    # standard library's or weinkit's: the import, --help and a command
+    # standard library's or weinkit's: the import, --help, a command, the
+    # profile with its CSV dump and the whole examples corpus
     code = ("import json, sys\n"
             "before = set(sys.modules)\n"
             "import weinkit.cli\n"
             "for args in (['--help'], ['chord-degree', '--down', '2',\n"
-            "             '--up', '0', '--ind', '0']):\n"
+            "             '--up', '0', '--ind', '0'],\n"
+            "             ['scaling-verify', '--grid', '301', '--csv',\n"
+            "              sys.argv[2]], ['examples']):\n"
             "    try:\n"
             "        weinkit.cli.main(args)\n"
             "    except SystemExit:\n"
             "        pass\n"
             "loaded = {n.partition('.')[0] for n in set(sys.modules) - before}\n"
             "json.dump(sorted(loaded), open(sys.argv[1], 'w'))\n")
-    out = _python(["-c", code, str(tmp_path / "loaded.json")])
+    out = _python(["-c", code, str(tmp_path / "loaded.json"),
+                   str(tmp_path / "profile.csv")])
     assert out.returncode == 0, out.stderr
+    assert len((tmp_path / "profile.csv").read_text().splitlines()) == 302
     loaded = set(json.loads((tmp_path / "loaded.json").read_text()))
     assert loaded - set(sys.stdlib_module_names) == {"weinkit"}
 
 
-def test_cli_process_imports_numpy_only_for_the_grid():
-    cli = ["-X", "importtime", "-m", "weinkit.cli"]
-    out = _python(cli + ["chord-degree", "--down", "2", "--up", "0",
-                         "--ind", "0"])
-    assert out.returncode == 0, out.stderr
-    assert not [line for line in out.stderr.splitlines() if "numpy" in line]
-    out = _python(cli + ["scaling-verify", "--grid", "301"])
-    assert out.returncode == 0, out.stderr
-    assert any("numpy" in line for line in out.stderr.splitlines())
-
-
-def test_every_other_command_leaves_out_numpy(tmp_path):
-    # every golden run but the two float-grid commands, in one process
-    code = ("import sys\n"
-            "from test_cli_golden import RUNS, transcript, write_fixtures\n"
+def test_every_golden_run_passes_with_numpy_blocked(tmp_path):
+    # every golden run, scaling-verify and examples included, in one
+    # process where `import numpy` fails: each gives its pinned exit code
+    # and stdout
+    code = ("import json, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from test_cli_golden import DATA, RUNS, _key, transcript, \\\n"
+            "    write_fixtures\n"
             "write_fixtures('.')\n"
+            "with open(DATA) as fh:\n"
+            "    golden = json.load(fh)\n"
             "for args in RUNS:\n"
-            "    if args[0] not in ('scaling-verify', 'examples'):\n"
-            "        transcript(args)\n"
-            "        if 'numpy' in sys.modules:\n"
-            "            print(' '.join(args))\n"
-            "            break\n")
+            "    got, want = transcript(args), golden[_key(args)]\n"
+            "    if [got[k] for k in ('exit_code', 'stdout')] != \\\n"
+            "            [want[k] for k in ('exit_code', 'stdout')]:\n"
+            "        print(_key(args))\n"
+            "print(len(RUNS), 'runs')\n")
     out = _python(["-c", code], cwd=tmp_path)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "", f"loaded numpy: {out.stdout}"
+    assert out.stdout == f"{len(RUNS)} runs\n", f"differ: {out.stdout}"
+
+
+def test_no_module_in_src_imports_numpy():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                roots = [node.module or ""]
+            else:
+                continue
+            if any(r.partition(".")[0] == "numpy" for r in roots):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"numpy imported at {found}"
 
 
 def test_import_executes_no_submodule_but_registers_each():
@@ -484,18 +500,17 @@ def test_lazy_loading_on_each_installed_interpreter(version):
     (lambda: build_g(nodes=2001.9), "nodes"),
     (lambda: build_g(nodes="2001"), "nodes"),
     (lambda: verify_h_family(nodes=2001.5), "nodes"),
-    (lambda: verify_h_family(t_nodes=2.5), "t_nodes"),
     (lambda: bound_ratio(nodes=11.5), "nodes"),
 ], ids=["chain-count", "handle-n", "handle-index", "group-rank",
         "torsion-factor", "chord-front", "morse-index", "stabilize-sites",
         "loop-dims", "loop-base", "boundary-dim", "chord-degree",
         "orbit-degree", "profile-nodes", "profile-nodes-string",
-        "family-nodes", "family-t-nodes", "ratio-nodes"])
+        "family-nodes", "ratio-nodes"])
 def test_api_rejects_non_integer_counts(call, field):
     # each used to be truncated by int() or kept: rank 2, n = 3, a 3-handle,
     # Z + Z/2, the chain (2, 12), front (1, 0, 0), indices (0, 1), one site,
     # dims {0: 1, 2: 2}, base {0: 1}, a 5-dimensional boundary, and degrees
-    # of 1.5, and 2001 profile nodes; the grid counts of verify_h_family
+    # of 1.5, and 2001 profile nodes; the node counts of verify_h_family
     # and bound_ratio used to end in numpy's TypeError
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         call()
