@@ -1,12 +1,12 @@
 """Package-wide properties: postconditions survive `python -O`, the
 command line loads nothing outside the standard library, no module under
-src/ imports numpy and every golden run keeps its transcript with numpy
-blocked, `import weinkit` executes no submodule and each command executes
-only the modules it uses, the public names are those of the eager
-package, the Python API rejects non-integer counts instead of truncating
-them, every JSON reader goes through `serialize.reader` and raises only
-SchemaError, and only `graded.py` pairs a group's rank and torsion in one
-degree."""
+src/ imports numpy, no command process loads it and every golden run
+keeps its transcript with numpy blocked, `import weinkit` executes no
+submodule and each command executes only the modules it uses, the public
+names are those of the eager package, the Python API rejects non-integer
+counts instead of truncating them, every JSON reader goes through
+`serialize.reader` and raises only SchemaError, and only `graded.py`
+pairs a group's rank and torsion in one degree."""
 
 import ast
 import json
@@ -339,6 +339,34 @@ def test_command_line_loads_only_the_standard_library(tmp_path):
     assert len((tmp_path / "profile.csv").read_text().splitlines()) == 302
     loaded = set(json.loads((tmp_path / "loaded.json").read_text()))
     assert loaded - set(sys.stdlib_module_names) == {"weinkit"}
+
+
+def test_cli_process_imports_numpy_only_for_the_grid():
+    # the exact scaling certificate needs no float grid library: neither a
+    # plain command nor scaling-verify's grid imports numpy
+    cli = ["-X", "importtime", "-m", "weinkit.cli"]
+    for args in (["chord-degree", "--down", "2", "--up", "0", "--ind", "0"],
+                 ["scaling-verify", "--grid", "301"]):
+        out = _python(cli + args)
+        assert out.returncode == 0, out.stderr
+        assert not [line for line in out.stderr.splitlines()
+                    if "numpy" in line], args
+
+
+def test_every_other_command_leaves_out_numpy(tmp_path):
+    # every golden run but the two grid commands, in one process
+    code = ("import sys\n"
+            "from test_cli_golden import RUNS, transcript, write_fixtures\n"
+            "write_fixtures('.')\n"
+            "for args in RUNS:\n"
+            "    if args[0] not in ('scaling-verify', 'examples'):\n"
+            "        transcript(args)\n"
+            "        if 'numpy' in sys.modules:\n"
+            "            print(' '.join(args))\n"
+            "            break\n")
+    out = _python(["-c", code], cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "", f"loaded numpy: {out.stdout}"
 
 
 def test_every_golden_run_passes_with_numpy_blocked(tmp_path):
