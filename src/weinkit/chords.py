@@ -6,12 +6,12 @@ is exactly what the degree formula consumes, and no more geometry is kept.
 All actions are exact rationals.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
 from .serialize import (
     SCHEMA_VERSION,
+    Record,
     as_int,
     bool_from_json,
     frac_from_str,
@@ -32,8 +32,8 @@ def chord_degree(down, up, ind):
 
 
 def _trusted(cls, count, **columns):
-    """`count` instances of the slotted class `cls` built without
-    __post_init__ from field values the caller has already shown valid:
+    """`count` instances of the record class `cls` built without its
+    __init__ from field values the caller has already shown valid:
     each keyword names a slot and gives an iterable with a value for every
     instance.  For a ChordRecord, `_action_num` and `_action_den` may stand
     in for `action`."""
@@ -46,53 +46,48 @@ def _trusted(cls, count, **columns):
     return records
 
 
-class _LazyAction:
-    # slots outside the dataclass fields: a record made by stabilize holds
-    # its action as numerator / denominator until the action is first read
-    __slots__ = ("_action_num", "_action_den")
-
-
-@dataclass(frozen=True, slots=True)
-class ChordRecord(_LazyAction):
+class ChordRecord(Record):
     """One Reeb chord: non-empty string id, integer degree, positive
     rational action, optional front provenance (down-cusps, up-cusps, Morse
     index of the height difference), and whether its class in pi_1
     relative the Legendrian vanishes (non-null-homotopic chords carry no
-    canonical grading and are excluded from word enumeration downstream)."""
-    id: str
-    degree: int
-    action: Fraction
-    front: tuple = None
-    null_homotopic: bool = True
+    canonical grading and are excluded from word enumeration downstream).
+    A record made by stabilize holds its action as `_action_num` /
+    `_action_den` until the action is first read."""
+    __slots__ = ("id", "degree", "action", "front", "null_homotopic",
+                 "_action_num", "_action_den")
 
-    def __post_init__(self):
-        if not isinstance(self.id, str):
-            raise ValueError(f"chord id must be a string, got {self.id!r}")
-        if not self.id:
+    def __init__(self, id, degree, action, front=None, null_homotopic=True):
+        if not isinstance(id, str):
+            raise ValueError(f"chord id must be a string, got {id!r}")
+        if not id:
             raise ValueError("chord id must not be empty")
         # hot path when loading large spectra: avoid re-wrapping Fractions
         # and compare through the numerator
-        if type(self.degree) is not int:
-            object.__setattr__(self, "degree", as_int(
-                self.degree, f"chord {self.id!r}: degree"))
-        if type(self.action) is not Fraction:
-            object.__setattr__(self, "action", Fraction(self.action))
-        if self.action.numerator <= 0:
-            raise ValueError(f"chord {self.id!r}: action must be positive")
-        if self.front is not None:
+        if type(degree) is not int:
+            degree = as_int(degree, f"chord {id!r}: degree")
+        if type(action) is not Fraction:
+            action = Fraction(action)
+        if action.numerator <= 0:
+            raise ValueError(f"chord {id!r}: action must be positive")
+        if front is not None:
             try:
-                d, u, ind = self.front
+                d, u, ind = front
             except ValueError:
                 raise ValueError(
-                    f"chord {self.id!r}: front must be (D, U, ind)") from None
-            front = tuple(as_int(x, f"chord {self.id!r}: front entry")
+                    f"chord {id!r}: front must be (D, U, ind)") from None
+            front = tuple(as_int(x, f"chord {id!r}: front entry")
                           for x in (d, u, ind))
-            object.__setattr__(self, "front", front)
             expect = chord_degree(*front)
-            if expect != self.degree:
+            if expect != degree:
                 raise ValueError(
-                    f"chord {self.id!r}: degree {self.degree} does not match "
+                    f"chord {id!r}: degree {degree} does not match "
                     f"front value {expect}")
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "front", front)
+        object.__setattr__(self, "null_homotopic", null_homotopic)
 
     def __getattr__(self, name):
         # reached only when normal lookup fails, as for the unset action
@@ -126,32 +121,32 @@ class ChordRecord(_LazyAction):
             bool_from_json(doc.get("null_homotopic", True), "null_homotopic"))
 
 
-@dataclass(frozen=True, slots=True)
-class ChordSpectrum:
+class ChordSpectrum(Record):
     """All chords with action below the bound, for a contact boundary of
     half-dimension n.  Finite by genericity; ids must be distinct."""
-    n: int
-    chords: tuple
-    bound: Fraction
+    __slots__ = ("n", "chords", "bound")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"half-dimension must be >= 1, got {self.n}")
-        object.__setattr__(self, "chords", tuple(self.chords))
-        if type(self.bound) is not Fraction:
-            object.__setattr__(self, "bound", Fraction(self.bound))
-        if self.bound.numerator <= 0:
+    def __init__(self, n, chords, bound):
+        if n < 1:
+            raise ValueError(f"half-dimension must be >= 1, got {n}")
+        chords = tuple(chords)
+        if type(bound) is not Fraction:
+            bound = Fraction(bound)
+        if bound.numerator <= 0:
             raise ValueError("action bound must be positive")
         seen = set()
         # cross-multiplied int compare; this validation sees every record
-        bn, bd = self.bound.numerator, self.bound.denominator
-        for c in self.chords:
+        bn, bd = bound.numerator, bound.denominator
+        for c in chords:
             if c.id in seen:
                 raise ValueError(f"duplicate chord id {c.id!r}")
             seen.add(c.id)
             if c.action.numerator * bd >= bn * c.action.denominator:
                 raise ValueError(
-                    f"chord {c.id!r}: action {c.action} >= bound {self.bound}")
+                    f"chord {c.id!r}: action {c.action} >= bound {bound}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "chords", chords)
+        object.__setattr__(self, "bound", bound)
 
     def min_degree(self):
         return min((c.degree for c in self.chords), default=None)
@@ -173,30 +168,30 @@ class ChordSpectrum:
                              frac_from_str(doc["bound"]))
 
 
-@dataclass(frozen=True)
-class MorseData:
+class MorseData(Record):
     """A closed manifold Q carried as Morse data only: its dimension, Euler
     characteristic, orientability, and critical point indices.  The Morse
     equation sum (-1)^ind = chi is enforced."""
-    name: str
-    dimension: int
-    chi: int
-    orientable: bool
-    critical_points: tuple
+    __slots__ = ("name", "dimension", "chi", "orientable", "critical_points")
 
-    def __post_init__(self):
-        object.__setattr__(self, "critical_points", tuple(
-            as_int(i, "critical index") for i in self.critical_points))
-        if self.dimension < 0:
+    def __init__(self, name, dimension, chi, orientable, critical_points):
+        critical_points = tuple(
+            as_int(i, "critical index") for i in critical_points)
+        if dimension < 0:
             raise ValueError("dimension must be >= 0")
-        for i in self.critical_points:
-            if not 0 <= i <= self.dimension:
+        for i in critical_points:
+            if not 0 <= i <= dimension:
                 raise ValueError(
-                    f"critical index {i} outside [0, {self.dimension}]")
-        alt = sum((-1) ** i for i in self.critical_points)
-        if alt != self.chi:
+                    f"critical index {i} outside [0, {dimension}]")
+        alt = sum((-1) ** i for i in critical_points)
+        if alt != chi:
             raise ValueError(
-                f"Morse data inconsistent: sum (-1)^ind = {alt} != chi = {self.chi}")
+                f"Morse data inconsistent: sum (-1)^ind = {alt} != chi = {chi}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "orientable", orientable)
+        object.__setattr__(self, "critical_points", critical_points)
 
     def to_json(self):
         return {
@@ -303,12 +298,15 @@ def stabilize(spectrum: ChordSpectrum, N, q_data: MorseData,
     return result
 
 
-@dataclass(frozen=True)
-class SelfIntersectionIndex:
+class SelfIntersectionIndex(Record):
     """Signed count of double points of the regular homotopy; lives in Z
-    for even n with orientable Q, in Z/2 otherwise."""
-    value: int
-    modulus: str  # "Z" or "Z/2"
+    for even n with orientable Q, in Z/2 otherwise (modulus "Z" or
+    "Z/2")."""
+    __slots__ = ("value", "modulus")
+
+    def __init__(self, value, modulus):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "modulus", modulus)
 
     @property
     def vanishes(self):

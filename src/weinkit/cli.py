@@ -19,7 +19,6 @@ error report {"schema", "command", "error", "ok": false}, with exit 2.
 """
 
 import argparse
-import csv
 import functools
 import json
 import operator
@@ -140,15 +139,25 @@ _TABLE = _arg("--table", action="store_true",
 
 
 class _Parser(argparse.ArgumentParser):
-    """No abbreviations, no -h; a `takes_value` option takes any next token."""
+    """No abbreviations, no -h; a `takes_value` option takes any next token.
+    The arguments PARAMS (as `command` takes them) are added when the
+    parser first parses, so a process builds only the arguments of the
+    command it runs."""
 
-    def __init__(self, **keywords):
+    def __init__(self, params=(), **keywords):
         super().__init__(allow_abbrev=False, add_help=False, **keywords)
         self.takes_value = set()
+        self.params = params
         self.add_argument("--help", action="help",
                           help="Show this message and exit.")
 
     def parse_known_args(self, args=None, namespace=None):
+        for param in self.params:
+            names, keywords = _arg(param) if isinstance(param, str) else param
+            action = self.add_argument(*names, **keywords)
+            if action.nargs != 0:
+                self.takes_value.update(action.option_strings)
+        self.params = ()
         tokens, joined = list(args), []  # "--eps -1/2" -> "--eps=-1/2"
         while tokens and tokens[0] != "--":
             token = tokens.pop(0)
@@ -176,14 +185,9 @@ def _parser(prog):
             choices[group] = choices[""].add_parser(
                 group, help=GROUPS[group], description=GROUPS[group]
             ).add_subparsers(metavar="COMMAND", required=True)
-        parser = choices[group].add_parser(leaf, help=run.__doc__,
-                                           description=run.__doc__)
-        for param in (*params, _TABLE):
-            names, keywords = _arg(param) if isinstance(param, str) else param
-            action = parser.add_argument(*names, **keywords)
-            if action.nargs != 0:
-                parser.takes_value.update(action.option_strings)
-        parser.set_defaults(command=name)
+        choices[group].add_parser(
+            leaf, help=run.__doc__, description=run.__doc__,
+            params=(*params, _TABLE)).set_defaults(command=name)
     return root
 
 
@@ -455,6 +459,7 @@ def scaling_verify(grid, t_max, height, tol, csv_path):
     conf = scaling_mod.conformal_bound(height)
     family = scaling_mod.verify_h_family(profile, nodes=grid, t_max=t_max)
     if csv_path is not None:
+        import csv
         try:
             with open(csv_path, "w", newline="") as fh:
                 writer = csv.writer(fh)

@@ -7,28 +7,26 @@ Distinguisher verdicts are three-valued: fired, inconclusive, or invalid
 input; "the two are the same" is never claimed.
 """
 
-from dataclasses import dataclass
-
 from .graded import GradedGroup
-from .serialize import SCHEMA_VERSION, SchemaError, Verdict, as_int, int_from_json, reader
+from .serialize import SCHEMA_VERSION, Record, SchemaError, Verdict, as_int, int_from_json, reader
 
 
 INDISTINGUISHABLE = "indistinguishable by this invariant"
 
 
-@dataclass(frozen=True)
-class SHPlusProfile:
+class SHPlusProfile(Record):
     """Graded profile of a positive-symplectic or wrapped invariant.
 
     group holds integral descriptors; provenance records whether the entries
     came out of a vanishing formula or straight from the caller.
     """
-    group: GradedGroup
-    provenance: str = "formula"
+    __slots__ = ("group", "provenance")
 
-    def __post_init__(self):
-        if self.provenance not in ("formula", "user-supplied"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
+    def __init__(self, group, provenance="formula"):
+        if provenance not in ("formula", "user-supplied"):
+            raise ValueError(f"unknown provenance {provenance!r}")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "provenance", provenance)
 
     @property
     def support(self):

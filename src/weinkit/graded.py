@@ -7,10 +7,9 @@ integer is ever factored into primes.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd
 
-from .serialize import SCHEMA_VERSION, SchemaError, as_int, int_from_json, list_from_json, matrix_from_json, matrix_to_json, reader
+from .serialize import SCHEMA_VERSION, Record, SchemaError, as_int, int_from_json, list_from_json, matrix_from_json, matrix_to_json, reader
 from .snf import _as_rows, block_sum, invariant_factors, mat_mul
 
 
@@ -71,10 +70,12 @@ def _elementary_divisors(factors, base):
     return out
 
 
-@dataclass(frozen=True)
-class GradedGroup:
+class GradedGroup(Record):
     """Canonical descriptor: sorted ((degree, rank, factors), ...)."""
-    parts: tuple
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        object.__setattr__(self, "parts", parts)
 
     @staticmethod
     def from_dict(groups):

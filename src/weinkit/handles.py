@@ -14,8 +14,6 @@ they are caller data, and degrees depending on missing ranks are reported
 as undetermined rather than guessed.
 """
 
-from dataclasses import dataclass, field
-
 from .graded import (
     ChainComplex,
     GradedGroup,
@@ -24,7 +22,7 @@ from .graded import (
     homology,
     semi_characteristic,
 )
-from .serialize import SCHEMA_VERSION, SchemaError, as_int, bool_from_json, int_from_json, list_from_json, matrix_from_json, matrix_to_json, reader, str_from_json
+from .serialize import SCHEMA_VERSION, Record, SchemaError, as_int, bool_from_json, int_from_json, list_from_json, matrix_from_json, matrix_to_json, reader, str_from_json
 from .snf import _as_rows, block_sum, invariant_factors
 
 
@@ -136,20 +134,24 @@ def cohomology(p: HandlePresentation):
     return h, cohomology_from_homology(h)
 
 
-@dataclass(frozen=True)
-class BoundaryHomologyReport:
+class BoundaryHomologyReport(Record):
     """Q-dimensions (and forced integral groups) of the boundary Y of a handlebody.
 
     q_dims holds only the determined degrees; degrees whose value needs a
     missing pairing rank are listed in undetermined.  integral_homology maps
     degree j to the forced H_j(Y;Z) descriptor (rank, invariant factors).
     """
-    boundary_dim: int
-    q_dims: dict
-    undetermined: tuple
-    integral_homology: dict
-    euler: int
-    notes: tuple = field(default=())
+    __slots__ = ("boundary_dim", "q_dims", "undetermined",
+                 "integral_homology", "euler", "notes")
+
+    def __init__(self, boundary_dim, q_dims, undetermined, integral_homology,
+                 euler, notes=()):
+        object.__setattr__(self, "boundary_dim", boundary_dim)
+        object.__setattr__(self, "q_dims", q_dims)
+        object.__setattr__(self, "undetermined", undetermined)
+        object.__setattr__(self, "integral_homology", integral_homology)
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "notes", notes)
 
     def dim(self, k):
         """dim_Q H_k(Y), or None when undetermined."""
@@ -313,10 +315,12 @@ def intersection_form_rank(p: HandlePresentation) -> int:
     return hstar.rank(p.n) + hstar.rank(p.n - 1) - hn_y
 
 
-@dataclass(frozen=True)
-class OmegaVerdict:
-    member: bool
-    reason: str
+class OmegaVerdict(Record):
+    __slots__ = ("member", "reason")
+
+    def __init__(self, member, reason):
+        object.__setattr__(self, "member", member)
+        object.__setattr__(self, "reason", reason)
 
     def __bool__(self):
         return self.member
@@ -379,19 +383,23 @@ def boundary_connect_sum(p: HandlePresentation,
     return HandlePresentation(p.n, handles, boundaries, form)
 
 
-@dataclass(frozen=True)
-class C1HandleNote:
-    index: int
-    label: str
-    applies: bool
-    note: str
+class C1HandleNote(Record):
+    __slots__ = ("index", "label", "applies", "note")
+
+    def __init__(self, index, label, applies, note):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "applies", applies)
+        object.__setattr__(self, "note", note)
 
 
-@dataclass(frozen=True)
-class C1Report:
-    n: int
-    entries: tuple
-    all_apply: bool
+class C1Report(Record):
+    __slots__ = ("n", "entries", "all_apply")
+
+    def __init__(self, n, entries, all_apply):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "all_apply", all_apply)
 
     def to_json(self):
         return {

@@ -19,13 +19,12 @@ evaluates the pieces in floats only for the --csv dump.
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
 from operator import attrgetter
 from typing import NamedTuple
 
-from .serialize import as_int
+from .serialize import Record, as_int
 
 RATIO_CAP = Fraction(5, 4)   # height budget for g and for g/(t g + 1)
 CONFORMAL_LIMIT = 4          # e^{height} must stay below this
@@ -81,58 +80,56 @@ def _count(nodes):
     return nodes
 
 
-@dataclass(frozen=True)
-class GProfile:
+class GProfile(Record):
     """The compactly supported profile with its calibrated amplitude.
 
     Breakpoints: -1 on [0, 1/2]; rise on [1/2, 1/2 + rise_width]; plateau
     at `amplitude` up to fall_start; fall on [fall_start, fall_start +
     fall_width]; 0 afterwards.  The parameters are read as rationals and
     amplitude is derived, not chosen.  `nodes` is how many samples
-    `samples` yields; no bound reads it.
+    `samples` yields; no bound reads it.  `_exact` and `_floats` hold the
+    pieces of g and of G, in rationals and in floats.
     """
-    height: Fraction
-    rise_width: Fraction
-    fall_start: Fraction
-    fall_width: Fraction
-    nodes: int
-    amplitude: Fraction = field(init=False)
-    _exact: tuple = field(init=False, repr=False, compare=False)
-    _floats: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("height", "rise_width", "fall_start", "fall_width", "nodes",
+                 "amplitude", "_exact", "_floats")
 
-    def __post_init__(self):
-        for name in ("rise_width", "fall_start", "fall_width"):
-            object.__setattr__(self, name,
-                               _rational(getattr(self, name), name))
-        if not 0 < self.height <= RATIO_CAP:
+    def __init__(self, height, rise_width, fall_start, fall_width, nodes):
+        rise_width = _rational(rise_width, "rise_width")
+        fall_start = _rational(fall_start, "fall_start")
+        fall_width = _rational(fall_width, "fall_width")
+        if not 0 < height <= RATIO_CAP:
             raise ValueError(f"height must lie in (0, {float(RATIO_CAP)}], "
-                             f"got {self.height}")
-        object.__setattr__(self, "height", _rational(self.height, "height"))
-        if self.rise_width <= 0 or self.fall_width <= 0:
+                             f"got {height}")
+        height = _rational(height, "height")
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "rise_width", rise_width)
+        object.__setattr__(self, "fall_start", fall_start)
+        object.__setattr__(self, "fall_width", fall_width)
+        if rise_width <= 0 or fall_width <= 0:
             raise ValueError("transition widths must be positive")
-        if self.rise_end >= self.fall_start:
+        if self.rise_end >= fall_start:
             raise ValueError(f"plateau is empty: rise ends at {self.rise_end}"
-                             f", fall starts at {self.fall_start}")
+                             f", fall starts at {fall_start}")
         if self.zero_from >= 1:
             raise ValueError("profile must vanish strictly before 1; fall "
                              f"ends at {self.zero_from}")
-        object.__setattr__(self, "nodes", _count(self.nodes))
+        object.__setattr__(self, "nodes", _count(nodes))
         # the fixed part integrates to -(1 + w_r)/2 and the amplitude
         # multiplies (w_r + w_f)/2 + plateau, so zero total integral forces
-        w_r, w_f = self.rise_width, self.fall_width
-        plateau = self.fall_start - self.rise_end
+        w_r, w_f = rise_width, fall_width
+        plateau = fall_start - self.rise_end
         v = (1 + w_r) / (w_r + 2 * plateau + w_f)
-        if v > self.height:
+        if v > height:
             raise ValueError(
                 f"area balance needs amplitude {float(v):.6f} > height cap "
-                f"{float(self.height)}; widen the plateau or raise the "
+                f"{float(height)}; widen the plateau or raise the "
                 "height")
         object.__setattr__(self, "amplitude", v)
         # rise and fall are affine images of the smoothstep 3u^2 - 2u^3
         g = (_Piece(Fraction(0), Fraction(1, 2), (-1,)),
              _Piece(Fraction(1, 2), w_r, (-1, 0, 3 * (v + 1), -2 * (v + 1))),
              _Piece(self.rise_end, plateau, (v,)),
-             _Piece(self.fall_start, w_f, (v, 0, -3 * v, 2 * v)),
+             _Piece(fall_start, w_f, (v, 0, -3 * v, 2 * v)),
              _Piece(self.zero_from, 1 - self.zero_from, (0,)))
         big_g, start = [], Fraction(0)
         for piece in g:
@@ -219,14 +216,16 @@ def build_g(height=1.25, rise_width=0.03, fall_start=0.96, fall_width=0.03,
     return GProfile(height, rise_width, fall_start, fall_width, nodes)
 
 
-@dataclass(frozen=True)
-class RatioReport:
-    max_ratio: Fraction
-    at_t: Fraction
-    at_z: Fraction
-    cap: Fraction
-    tolerance: Fraction
-    holds: bool
+class RatioReport(Record):
+    __slots__ = ("max_ratio", "at_t", "at_z", "cap", "tolerance", "holds")
+
+    def __init__(self, max_ratio, at_t, at_z, cap, tolerance, holds):
+        object.__setattr__(self, "max_ratio", max_ratio)
+        object.__setattr__(self, "at_t", at_t)
+        object.__setattr__(self, "at_z", at_z)
+        object.__setattr__(self, "cap", cap)
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "holds", holds)
 
     def to_json(self):
         return {
@@ -275,12 +274,14 @@ def bound_ratio(profile: GProfile = None, t_max=0.999, nodes=2001,
                        high <= RATIO_CAP + tolerance)
 
 
-@dataclass(frozen=True)
-class ConformalReport:
-    exponent: Fraction
-    value: float
-    limit: int
-    holds: bool
+class ConformalReport(Record):
+    __slots__ = ("exponent", "value", "limit", "holds")
+
+    def __init__(self, exponent, value, limit, holds):
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "limit", limit)
+        object.__setattr__(self, "holds", holds)
 
     def to_json(self):
         return {
@@ -313,32 +314,40 @@ def conformal_bound(height=1.25) -> ConformalReport:
     """e^height against the limit 4, decided in rationals by `_exp_below`:
     at the default 5/4 the upper bound 1 + h + h^2/2 * 3/(3 - h) = 3.589...
     settles e^{5/4} < 4, which is e^5 < 256.  `value` is math.exp(height),
-    for display."""
+    for display, or None where e^height is past the largest float."""
     if height <= 0:
         raise ValueError("height must be positive")
     exponent = _rational(height, "height")
-    return ConformalReport(exponent, math.exp(exponent), CONFORMAL_LIMIT,
+    try:
+        value = math.exp(exponent)
+    except OverflowError:
+        value = None
+    return ConformalReport(exponent, value, CONFORMAL_LIMIT,
                            _exp_below(exponent, CONFORMAL_LIMIT))
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    value: Fraction
-    tolerance: float
-    ok: bool
+class CheckResult(Record):
+    __slots__ = ("value", "tolerance", "ok")
+
+    def __init__(self, value, tolerance, ok):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "ok", ok)
 
     def to_json(self):
         return {"value": float(self.value), "tolerance": self.tolerance,
                 "ok": self.ok}
 
 
-@dataclass(frozen=True)
-class HFamilyReport:
-    checks: dict
-    ok: bool
-    nodes: int
-    t_max: Fraction
-    fd_step: float
+class HFamilyReport(Record):
+    __slots__ = ("checks", "ok", "nodes", "t_max", "fd_step")
+
+    def __init__(self, checks, ok, nodes, t_max, fd_step):
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "t_max", t_max)
+        object.__setattr__(self, "fd_step", fd_step)
 
     def to_json(self):
         return {

@@ -11,14 +11,30 @@ matrix entries as decimal strings, so arbitrary precision survives JSON.
 certificate check return, lives here so that surgery need not load floer,
 and `as_int`, the Python API's reader of counts and indices, so that every
 module can use it.
+
+`Record` is the base of every record type (Verdict, GradedGroup,
+ChordRecord, Stage, ...), an immutable value made of named fields:
+
+- Field table: a subclass lists its slots in `__slots__`.  Those whose
+  names do not start with "_" are its fields, in that order, kept as the
+  class attribute `_fields`; the others are private caches (the exact and
+  float pieces of a GProfile, the numerator and denominator a zig-zag
+  chord holds until its action is read), outside everything below.
+- Each subclass writes its own `__init__`, which checks and normalizes its
+  arguments and stores them with `object.__setattr__`.
+- Equality: `a == b` when both have the same type and equal field tuples;
+  against any other type `__eq__` returns NotImplemented.
+- Hash: the hash of the field tuple, so equal records hash alike; a record
+  holding a dict or list is unhashable.
+- Repr: `Name(field=value, ...)` over the fields in order.
+- Immutability: assigning or deleting any attribute raises AttributeError.
 """
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
-from operator import index
+from operator import attrgetter, index
 
 SCHEMA_VERSION = 1
 # what Fraction would read as an exponent: "1e1000000" has a million digits
@@ -29,13 +45,48 @@ class SchemaError(ValueError):
     """Input document does not match the expected schema."""
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Record:
+    """Base of the record types: fields, equality, hash, repr and
+    immutability as the module docstring sets out."""
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        get = attrgetter(*fields)
+        cls._fields = fields
+        # the field tuple; attrgetter of one name returns the bare value
+        cls._values = property(get if len(fields) > 1
+                               else lambda record: (get(record),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Verdict(Record):
     """Outcome of a test; fired means the obstruction/distinction holds."""
-    outcome: str
-    fired: bool
-    witness: dict = None
-    coefficients: str = "Z"
+    __slots__ = ("outcome", "fired", "witness", "coefficients")
+
+    def __init__(self, outcome, fired, witness=None, coefficients="Z"):
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "fired", fired)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "coefficients", coefficients)
 
     def __bool__(self):
         return self.fired

@@ -37,9 +37,10 @@ pivot, which divides everything.  Its working matrix can still grow on
 dense input with large torsion.
 """
 
-from dataclasses import dataclass
 from math import prod
 from operator import index
+
+from .serialize import Record
 
 
 def _as_rows(a):
@@ -169,14 +170,17 @@ def is_unimodular(a):
     return bareiss_determinant(a) in (1, -1)
 
 
-@dataclass(frozen=True)
-class SNFResult:
-    """U*A*V = D with U, V unimodular and D a diagonal divisibility chain."""
-    d: list
-    u: list
-    v: list
-    rank: int
-    invariant_factors: tuple  # the |d_ii| >= 1, in chain order
+class SNFResult(Record):
+    """U*A*V = D with U, V unimodular and D a diagonal divisibility chain;
+    invariant_factors are the |d_ii| >= 1, in chain order."""
+    __slots__ = ("d", "u", "v", "rank", "invariant_factors")
+
+    def __init__(self, d, u, v, rank, invariant_factors):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "invariant_factors", invariant_factors)
 
     @property
     def torsion_factors(self):

@@ -19,7 +19,6 @@ takes "_" appended until it is fresh.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
@@ -27,6 +26,7 @@ from math import lcm
 from .chords import ChordRecord, ChordSpectrum, _fresh_id, _trusted, choose_Q, min_positive_N, stabilize
 from .serialize import (
     SCHEMA_VERSION,
+    Record,
     Verdict,
     as_int,
     bool_from_json,
@@ -49,18 +49,17 @@ def canonical_rotation(seq):
     return min(twice[i:i + n] for i in range(n) if seq[i] == least)
 
 
-@dataclass(frozen=True, slots=True)
-class CyclicWord:
+class CyclicWord(Record):
     """A cyclic equivalence class of chord ids with its total degree and
     action.  letters always stores the canonical (least) rotation."""
-    letters: tuple
-    degree: int
-    action: Fraction
+    __slots__ = ("letters", "degree", "action")
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", canonical_rotation(self.letters))
-        if type(self.action) is not Fraction:
-            object.__setattr__(self, "action", Fraction(self.action))
+    def __init__(self, letters, degree, action):
+        if type(action) is not Fraction:
+            action = Fraction(action)
+        object.__setattr__(self, "letters", canonical_rotation(letters))
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "action", action)
 
     def __len__(self):
         return len(self.letters)
@@ -160,37 +159,36 @@ def _lattice(chords, *actions):
     return letters, [num(a) for a in actions], den
 
 
-@dataclass(frozen=True, slots=True)
-class OrbitRecord:
+class OrbitRecord(Record):
     """One closed orbit: degree, positive rational action, provenance
     (pre-existing, a chord word, or a belt-sphere iterate), and whether it
     is contractible.  Non-contractible orbits have no canonical degree and
     are skipped by positivity checks."""
-    degree: int
-    action: Fraction
-    origin: str = "old"
-    contractible: bool = True
+    __slots__ = ("degree", "action", "origin", "contractible")
 
-    def __post_init__(self):
-        if type(self.degree) is not int:
-            object.__setattr__(self, "degree",
-                               as_int(self.degree, "orbit degree"))
-        if type(self.action) is not Fraction:
-            object.__setattr__(self, "action", Fraction(self.action))
-        if self.action <= 0:
+    def __init__(self, degree, action, origin="old", contractible=True):
+        if type(degree) is not int:
+            degree = as_int(degree, "orbit degree")
+        if type(action) is not Fraction:
+            action = Fraction(action)
+        if action.numerator <= 0:
             raise ValueError("orbit action must be positive")
-        o = self.origin
-        if o == "old" or (o.startswith("word:") and len(o) > 5):
-            return
-        if o.startswith("belt:"):
+        if not (origin == "old"
+                or (origin.startswith("word:") and len(origin) > 5)):
+            if not origin.startswith("belt:"):
+                raise ValueError(f"bad origin {origin!r}: use 'old', "
+                                 "'word:<ids>', 'belt:<j>'")
             try:
-                j = int(o[5:])
+                j = int(origin[5:])
             except ValueError:
                 j = 0
-            if j >= 1:
-                return
-            raise ValueError(f"belt origin needs iterate >= 1, got {o!r}")
-        raise ValueError(f"bad origin {o!r}: use 'old', 'word:<ids>', 'belt:<j>'")
+            if j < 1:
+                raise ValueError(
+                    f"belt origin needs iterate >= 1, got {origin!r}")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "contractible", contractible)
 
     def to_json(self):
         return {
@@ -210,26 +208,26 @@ class OrbitRecord:
                                           "contractible"))
 
 
-@dataclass(frozen=True, slots=True)
-class OrbitSpectrum:
+class OrbitSpectrum(Record):
     """All closed orbits with action below the bound; finite by genericity,
     which is a caller assertion carried as the generic flag."""
-    n: int
-    orbits: tuple
-    bound: Fraction
-    generic: bool = True
+    __slots__ = ("n", "orbits", "bound", "generic")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"half-dimension must be >= 1, got {self.n}")
-        object.__setattr__(self, "orbits", tuple(self.orbits))
-        object.__setattr__(self, "bound", Fraction(self.bound))
-        if self.bound <= 0:
+    def __init__(self, n, orbits, bound, generic=True):
+        if n < 1:
+            raise ValueError(f"half-dimension must be >= 1, got {n}")
+        orbits = tuple(orbits)
+        if type(bound) is not Fraction:
+            bound = Fraction(bound)
+        if bound.numerator <= 0:
             raise ValueError("action bound must be positive")
-        for r in self.orbits:
-            if r.action >= self.bound:
-                raise ValueError(
-                    f"orbit action {r.action} >= bound {self.bound}")
+        for r in orbits:
+            if r.action >= bound:
+                raise ValueError(f"orbit action {r.action} >= bound {bound}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "orbits", orbits)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "generic", generic)
 
     def to_json(self):
         return {
@@ -430,22 +428,24 @@ def rescale(x, s):
     raise TypeError(f"cannot rescale {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(Record):
     """One stage of a certificate: a contact form (as a scale relative to
     stage 1), its action bound, and the orbit spectrum below that bound."""
-    scale: Fraction
-    bound: Fraction
-    spectrum: OrbitSpectrum
+    __slots__ = ("scale", "bound", "spectrum")
 
-    def __post_init__(self):
-        object.__setattr__(self, "scale", Fraction(self.scale))
-        object.__setattr__(self, "bound", Fraction(self.bound))
-        if self.scale <= 0:
+    def __init__(self, scale, bound, spectrum):
+        if type(scale) is not Fraction:
+            scale = Fraction(scale)
+        if type(bound) is not Fraction:
+            bound = Fraction(bound)
+        if scale.numerator <= 0:
             raise ValueError("stage scale must be positive")
-        if self.bound != self.spectrum.bound:
+        if bound != spectrum.bound:
             raise ValueError(
-                f"stage bound {self.bound} != spectrum bound {self.spectrum.bound}")
+                f"stage bound {bound} != spectrum bound {spectrum.bound}")
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "spectrum", spectrum)
 
     def to_json(self):
         return {
@@ -461,19 +461,19 @@ class Stage:
                      OrbitSpectrum.from_json(doc["spectrum"]))
 
 
-@dataclass(frozen=True)
-class ADCCertificate:
+class ADCCertificate(Record):
     """Stages witnessing asymptotic dynamical convexity.  The constructor
     checks each stage locally; the cross-stage monotonicity conditions are
     the business of adc_check, so partially built or failing certificates
     can be represented and reported on."""
-    stages: tuple
+    __slots__ = ("stages",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "stages", tuple(self.stages))
-        ns = {st.spectrum.n for st in self.stages}
+    def __init__(self, stages):
+        stages = tuple(stages)
+        ns = {st.spectrum.n for st in stages}
         if len(ns) > 1:
             raise ValueError(f"stages mix half-dimensions {sorted(ns)}")
+        object.__setattr__(self, "stages", stages)
 
     @property
     def n(self):

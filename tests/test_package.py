@@ -1,7 +1,10 @@
 """Package-wide properties: postconditions survive `python -O`, the
 command line loads nothing outside the standard library, no module under
-src/ imports numpy, no command process loads it and every golden run
-keeps its transcript with numpy blocked, `import weinkit` executes no
+src/ imports numpy or dataclasses, no command process loads numpy,
+`chord-degree` and `surgery flexible` load neither dataclasses nor
+inspect, every golden run keeps its transcript with numpy or dataclasses
+blocked, every record type has the equality, hash, repr
+and immutability of `serialize.Record`, `import weinkit` executes no
 submodule and each command executes only the modules it uses, the public
 names are those of the eager package, the Python API rejects non-integer
 counts instead of truncating them, every JSON reader goes through
@@ -14,6 +17,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -369,12 +373,15 @@ def test_every_other_command_leaves_out_numpy(tmp_path):
     assert out.stdout == "", f"loaded numpy: {out.stdout}"
 
 
-def test_every_golden_run_passes_with_numpy_blocked(tmp_path):
-    # every golden run, scaling-verify and examples included, in one
-    # process where `import numpy` fails: each gives its pinned exit code
-    # and stdout
+def _golden_runs_with_blocked(module, cwd):
+    """Every golden run, scaling-verify and examples included, in one
+    process where `import MODULE` fails: each must give its pinned exit
+    code and stdout."""
+    # pytest, which the golden module imports, itself needs dataclasses,
+    # so it is imported before the block and the weinkit modules after it
     code = ("import json, sys\n"
-            "sys.modules['numpy'] = None\n"
+            "import pytest\n"
+            f"sys.modules[{module!r}] = None\n"
             "from test_cli_golden import DATA, RUNS, _key, transcript, \\\n"
             "    write_fixtures\n"
             "write_fixtures('.')\n"
@@ -386,12 +393,22 @@ def test_every_golden_run_passes_with_numpy_blocked(tmp_path):
             "            [want[k] for k in ('exit_code', 'stdout')]:\n"
             "        print(_key(args))\n"
             "print(len(RUNS), 'runs')\n")
-    out = _python(["-c", code], cwd=tmp_path)
+    out = _python(["-c", code], cwd=cwd)
     assert out.returncode == 0, out.stderr
     assert out.stdout == f"{len(RUNS)} runs\n", f"differ: {out.stdout}"
 
 
-def test_no_module_in_src_imports_numpy():
+def test_every_golden_run_passes_with_numpy_blocked(tmp_path):
+    _golden_runs_with_blocked("numpy", tmp_path)
+
+
+def test_every_golden_run_passes_with_dataclasses_blocked(tmp_path):
+    # records are built on serialize.Record, not generated by dataclasses
+    _golden_runs_with_blocked("dataclasses", tmp_path)
+
+
+def _imports_in_src(package):
+    """`file:line` of every import of PACKAGE in a module under src/."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -401,9 +418,39 @@ def test_no_module_in_src_imports_numpy():
                 roots = [node.module or ""]
             else:
                 continue
-            if any(r.partition(".")[0] == "numpy" for r in roots):
+            if any(r.partition(".")[0] == package for r in roots):
                 found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_module_in_src_imports_numpy():
+    found = _imports_in_src("numpy")
     assert not found, f"numpy imported at {found}"
+
+
+def test_no_module_in_src_imports_dataclasses():
+    found = _imports_in_src("dataclasses")
+    assert not found, f"dataclasses imported at {found}"
+
+
+def _imported(args, cwd=None):
+    """The modules a process running ARGS under -X importtime imports."""
+    out = _python(["-X", "importtime", *args], cwd=cwd)
+    assert out.returncode == 0, out.stderr
+    return {line.rpartition("|")[2].strip()
+            for line in out.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_command_process_imports_neither_dataclasses_nor_inspect(fixtures):
+    # dataclasses loads inspect, ast, dis and tokenize; what interpreter
+    # start-up itself imports (site hooks) is not the command's doing
+    start_up = _imported(["-c", "pass"])
+    for args in (["chord-degree", "--down", "2", "--up", "0", "--ind", "0"],
+                 ["surgery", "flexible", "cert1.json", "--n", "3",
+                  "--chords", "chords.json"]):
+        loaded = _imported(["-m", "weinkit.cli", *args], cwd=fixtures)
+        assert not {"dataclasses", "inspect"} & (loaded - start_up), args
 
 
 def test_import_executes_no_submodule_but_registers_each():
@@ -472,6 +519,130 @@ def test_public_names_are_those_of_the_eager_package():
 def test_verdict_lives_in_serialize():
     # surgery takes Verdict from serialize, so it need not execute floer
     assert weinkit.floer.Verdict is weinkit.serialize.Verdict
+
+
+def _zigzag_record():
+    """A chord stabilize made, its action not yet read."""
+    spectrum = stabilize(mixed_sign_spectrum(), 1, choose_Q(4))
+    return next(c for c in spectrum.chords if c.id == "zz1")
+
+
+def _stage(scale=1):
+    return Stage(scale, 2, OrbitSpectrum(3, (OrbitRecord(1, 1),), 2))
+
+
+# (record, an equal one built apart, an unequal one of the same type, the
+# field names) for every record type
+RECORDS = [
+    (lambda: weinkit.serialize.Verdict("x", True),
+     lambda: weinkit.serialize.Verdict("x", True, None, "Z"),
+     lambda: weinkit.serialize.Verdict("x", False),
+     "outcome fired witness coefficients"),
+    (lambda: weinkit.snf.smith_normal_form([[2]]),
+     lambda: weinkit.SNFResult([[2]], [[1]], [[1]], 1, (2,)),
+     lambda: weinkit.SNFResult([[2]], [[1]], [[1]], 0, (2,)),
+     "d u v rank invariant_factors"),
+    (lambda: GradedGroup.from_dict({0: (1, [4, 6])}),
+     lambda: GradedGroup(((0, 1, (2, 12)),)),
+     lambda: GradedGroup.zero(), "parts"),
+    (lambda: SHPlusProfile(GradedGroup.zero()),
+     lambda: SHPlusProfile(GradedGroup(()), "formula"),
+     lambda: SHPlusProfile(GradedGroup.zero(), "user-supplied"),
+     "group provenance"),
+    (lambda: weinkit.BoundaryHomologyReport(3, {0: 1}, (), {}, 2),
+     lambda: weinkit.BoundaryHomologyReport(3, {0: 1}, (), {}, 2, ()),
+     lambda: weinkit.BoundaryHomologyReport(3, {0: 1}, (), {}, 0),
+     "boundary_dim q_dims undetermined integral_homology euler notes"),
+    (lambda: weinkit.OmegaVerdict(True, "r"),
+     lambda: weinkit.OmegaVerdict(True, "r"),
+     lambda: weinkit.OmegaVerdict(False, "r"), "member reason"),
+    (lambda: weinkit.handles.C1HandleNote(2, "h", False, "n"),
+     lambda: weinkit.handles.C1HandleNote(2, "h", False, "n"),
+     lambda: weinkit.handles.C1HandleNote(3, "h", False, "n"),
+     "index label applies note"),
+    (lambda: weinkit.C1Report(3, (), True),
+     lambda: weinkit.C1Report(3, (), True),
+     lambda: weinkit.C1Report(3, (), False), "n entries all_apply"),
+    (_zigzag_record,
+     lambda: ChordRecord("zz1", 1, Fraction(1, 34),
+                         (2, 0, 0)),
+     lambda: ChordRecord("zz2", 1, "1/34", (2, 0, 0)),
+     "id degree action front null_homotopic"),
+    (lambda: ChordSpectrum(3, [ChordRecord("a", 1, 1)], 2),
+     lambda: ChordSpectrum(3, (ChordRecord("a", 1, 1, None, True),), "2"),
+     lambda: ChordSpectrum(3, (ChordRecord("a", 1, 1),), 3),
+     "n chords bound"),
+    (lambda: choose_Q(3),
+     lambda: MorseData("S^1", 1, 0, True, [0, 1]),
+     lambda: MorseData("T", 1, 0, True, (0, 1)),
+     "name dimension chi orientable critical_points"),
+    (lambda: weinkit.SelfIntersectionIndex(0, "Z"),
+     lambda: weinkit.SelfIntersectionIndex(0, "Z"),
+     lambda: weinkit.SelfIntersectionIndex(0, "Z/2"), "value modulus"),
+    (lambda: weinkit.CyclicWord(("b", "a"), 2, 1),
+     lambda: weinkit.CyclicWord(("a", "b"), 2, "1"),
+     lambda: weinkit.CyclicWord(("a", "b"), 3, 1), "letters degree action"),
+    (lambda: OrbitRecord(1, "1/2"),
+     lambda: OrbitRecord(1, Fraction(1, 2), "old", True),
+     lambda: OrbitRecord(1, "1/2", "belt:1"),
+     "degree action origin contractible"),
+    (lambda: OrbitSpectrum(3, [OrbitRecord(1, 1)], 2),
+     lambda: OrbitSpectrum(3, (OrbitRecord(1, 1),), "2", True),
+     lambda: OrbitSpectrum(3, (OrbitRecord(1, 1),), 2, False),
+     "n orbits bound generic"),
+    (_stage, lambda: _stage("1"), lambda: _stage("1/2"),
+     "scale bound spectrum"),
+    (lambda: ADCCertificate([_stage()]), lambda: ADCCertificate((_stage(),)),
+     lambda: ADCCertificate(()), "stages"),
+    (build_g, lambda: build_g(1.25, 0.03, 0.96, 0.03, 2001),
+     lambda: build_g(nodes=11),
+     "height rise_width fall_start fall_width nodes amplitude"),
+    (bound_ratio, lambda: bound_ratio(build_g(), nodes=11),
+     lambda: bound_ratio(tolerance=0),
+     "max_ratio at_t at_z cap tolerance holds"),
+    (weinkit.conformal_bound,
+     lambda: weinkit.conformal_bound(Fraction(5, 4)),
+     lambda: weinkit.conformal_bound(1000), "exponent value limit holds"),
+    (lambda: weinkit.scaling.CheckResult(0, 0.5, True),
+     lambda: weinkit.scaling.CheckResult(0, 0.5, True),
+     lambda: weinkit.scaling.CheckResult(0, 0.5, False),
+     "value tolerance ok"),
+    (verify_h_family, lambda: verify_h_family(nodes=2001),
+     lambda: verify_h_family(nodes=11), "checks ok nodes t_max fd_step"),
+]
+
+
+def test_every_record_type_is_in_the_table():
+    built = {type(make()) for make, _, _, _ in RECORDS}
+    assert built == set(weinkit.serialize.Record.__subclasses__())
+
+
+@pytest.mark.parametrize("make, same, other, fields", RECORDS,
+                         ids=[type(make()).__name__ for make, *_ in RECORDS])
+def test_record_semantics(make, same, other, fields):
+    record, twin, unequal = make(), same(), other()
+    fields = fields.split()
+    values = tuple(getattr(twin, name) for name in fields)
+    # equal field tuples give equal records and equal hashes; records with a
+    # dict or list field are unhashable
+    assert record == twin and not record != twin and record is not twin
+    assert record != unequal and type(unequal) is type(record)
+    assert record != values and record.__eq__(values) is NotImplemented
+    try:
+        want = hash(values)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(twin) == want
+    assert repr(record) == "{}({})".format(type(record).__name__, ", ".join(
+        f"{name}={value!r}" for name, value in zip(fields, values)))
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert record == twin
 
 
 LIBRARY_CODE = ("import json, sys, types\n" + EXECUTED_CODE + """\

@@ -377,6 +377,16 @@ class TestConformalBound:
         # values, not by math.exp, and a large height ends at once
         assert conformal_bound(height).holds == (Fraction(height) < LN_4)
 
+    @pytest.mark.parametrize("height, value", [
+        (709, math.exp(709)), (710, None), (1e300, None)])
+    def test_value_past_the_largest_float_is_null(self, height, value):
+        # e^709 is a float, e^710 is not: the report then carries null, and
+        # the verdict still comes from the rationals
+        rep = conformal_bound(height)
+        assert not rep.holds
+        assert rep.value == value
+        assert json.loads(json.dumps(rep.to_json()))["value"] == value
+
 
 class TestHFamily:
     def test_all_checks_pass_on_default(self):
