@@ -10,16 +10,16 @@ from fractions import Fraction
 from itertools import repeat
 
 from .serialize import (
-    SCHEMA_VERSION,
+    BOOL,
+    INT,
+    RATIONAL,
+    RAW,
+    STRING,
     Record,
     as_int,
-    bool_from_json,
-    frac_from_str,
-    frac_to_str,
-    int_from_json,
-    list_from_json,
-    reader,
-    str_from_json,
+    int_tuple,
+    optional,
+    records_of,
 )
 
 
@@ -56,6 +56,11 @@ class ChordRecord(Record):
     `_action_den` until the action is first read."""
     __slots__ = ("id", "degree", "action", "front", "null_homotopic",
                  "_action_num", "_action_den")
+    # the constructor checks the id, so its codec passes it through
+    _codecs = {"id": RAW, "degree": INT, "action": RATIONAL,
+               "front": optional(int_tuple("front entry"), None),
+               "null_homotopic": optional(BOOL, True)}
+    _schema = False
 
     def __init__(self, id, degree, action, front=None, null_homotopic=True):
         if not isinstance(id, str):
@@ -83,11 +88,7 @@ class ChordRecord(Record):
                 raise ValueError(
                     f"chord {id!r}: degree {degree} does not match "
                     f"front value {expect}")
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "front", front)
-        object.__setattr__(self, "null_homotopic", null_homotopic)
+        Record.__init__(self, id, degree, action, front, null_homotopic)
 
     def __getattr__(self, name):
         # reached only when normal lookup fails, as for the unset action
@@ -99,34 +100,15 @@ class ChordRecord(Record):
         object.__setattr__(self, "action", action)
         return action
 
-    def to_json(self):
-        return {
-            "id": self.id,
-            "degree": self.degree,
-            "action": frac_to_str(self.action),
-            "front": list(self.front) if self.front is not None else None,
-            "null_homotopic": self.null_homotopic,
-        }
-
-    @staticmethod
-    @reader("ChordRecord", schema=False)
-    def from_json(doc):
-        front = doc.get("front")
-        if front is not None:
-            front = tuple(int_from_json(x, "front entry")
-                          for x in list_from_json(front, "front"))
-        return ChordRecord(
-            doc["id"], int_from_json(doc["degree"], "degree"),
-            frac_from_str(doc["action"]), front,
-            bool_from_json(doc.get("null_homotopic", True), "null_homotopic"))
-
 
 class ChordSpectrum(Record):
     """All chords with action below the bound, for a contact boundary of
     half-dimension n.  Finite by genericity; ids must be distinct."""
     __slots__ = ("n", "chords", "bound")
+    _codecs = {"n": INT, "bound": RATIONAL, "chords": records_of(ChordRecord)}
 
     def __init__(self, n, chords, bound):
+        n = as_int(n, "half-dimension")
         if n < 1:
             raise ValueError(f"half-dimension must be >= 1, got {n}")
         chords = tuple(chords)
@@ -144,28 +126,10 @@ class ChordSpectrum(Record):
             if c.action.numerator * bd >= bn * c.action.denominator:
                 raise ValueError(
                     f"chord {c.id!r}: action {c.action} >= bound {bound}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "chords", chords)
-        object.__setattr__(self, "bound", bound)
+        Record.__init__(self, n, chords, bound)
 
     def min_degree(self):
         return min((c.degree for c in self.chords), default=None)
-
-    def to_json(self):
-        return {
-            "schema": SCHEMA_VERSION,
-            "n": self.n,
-            "bound": frac_to_str(self.bound),
-            "chords": [c.to_json() for c in self.chords],
-        }
-
-    @staticmethod
-    @reader("ChordSpectrum")
-    def from_json(doc):
-        chords = tuple(ChordRecord.from_json(c)
-                       for c in list_from_json(doc["chords"], "chords"))
-        return ChordSpectrum(int_from_json(doc["n"], "n"), chords,
-                             frac_from_str(doc["bound"]))
 
 
 class MorseData(Record):
@@ -173,8 +137,13 @@ class MorseData(Record):
     characteristic, orientability, and critical point indices.  The Morse
     equation sum (-1)^ind = chi is enforced."""
     __slots__ = ("name", "dimension", "chi", "orientable", "critical_points")
+    _codecs = {"name": STRING, "dimension": INT, "chi": INT,
+               "orientable": BOOL,
+               "critical_points": int_tuple("critical index")}
 
     def __init__(self, name, dimension, chi, orientable, critical_points):
+        dimension = as_int(dimension, "dimension")
+        chi = as_int(chi, "chi")
         critical_points = tuple(
             as_int(i, "critical index") for i in critical_points)
         if dimension < 0:
@@ -187,33 +156,8 @@ class MorseData(Record):
         if alt != chi:
             raise ValueError(
                 f"Morse data inconsistent: sum (-1)^ind = {alt} != chi = {chi}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "orientable", orientable)
-        object.__setattr__(self, "critical_points", critical_points)
-
-    def to_json(self):
-        return {
-            "schema": SCHEMA_VERSION,
-            "name": self.name,
-            "dimension": self.dimension,
-            "chi": self.chi,
-            "orientable": self.orientable,
-            "critical_points": list(self.critical_points),
-        }
-
-    @staticmethod
-    @reader("MorseData")
-    def from_json(doc):
-        return MorseData(
-            str_from_json(doc["name"], "name"),
-            int_from_json(doc["dimension"], "dimension"),
-            int_from_json(doc["chi"], "chi"),
-            bool_from_json(doc["orientable"], "orientable"),
-            tuple(int_from_json(i, "critical index")
-                  for i in list_from_json(doc["critical_points"],
-                                          "critical_points")))
+        Record.__init__(self, name, dimension, chi, orientable,
+                        critical_points)
 
 
 def _fresh_id(cid, used):
@@ -303,10 +247,6 @@ class SelfIntersectionIndex(Record):
     for even n with orientable Q, in Z/2 otherwise (modulus "Z" or
     "Z/2")."""
     __slots__ = ("value", "modulus")
-
-    def __init__(self, value, modulus):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "modulus", modulus)
 
     @property
     def vanishes(self):

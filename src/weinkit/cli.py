@@ -454,10 +454,9 @@ def scaling_verify(grid, t_max, height, tol, csv_path):
     """Verify the scaling-profile bounds on a grid."""
     tolerance = _frac(tol, "--tol")
     profile = scaling_mod.build_g(height=height, nodes=grid)
-    ratio = scaling_mod.bound_ratio(profile, t_max=t_max, nodes=grid,
-                                    tolerance=tolerance)
+    ratio = scaling_mod.bound_ratio(profile, t_max=t_max, tolerance=tolerance)
     conf = scaling_mod.conformal_bound(height)
-    family = scaling_mod.verify_h_family(profile, nodes=grid, t_max=t_max)
+    family = scaling_mod.verify_h_family(profile, t_max=t_max)
     if csv_path is not None:
         import csv
         try:

@@ -25,8 +25,7 @@ class SHPlusProfile(Record):
     def __init__(self, group, provenance="formula"):
         if provenance not in ("formula", "user-supplied"):
             raise ValueError(f"unknown provenance {provenance!r}")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "provenance", provenance)
+        Record.__init__(self, group, provenance)
 
     @property
     def support(self):

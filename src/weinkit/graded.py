@@ -74,9 +74,6 @@ class GradedGroup(Record):
     """Canonical descriptor: sorted ((degree, rank, factors), ...)."""
     __slots__ = ("parts",)
 
-    def __init__(self, parts):
-        object.__setattr__(self, "parts", parts)
-
     @staticmethod
     def from_dict(groups):
         """groups: {degree: (rank, iterable of torsion factors)}."""

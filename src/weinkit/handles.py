@@ -22,7 +22,7 @@ from .graded import (
     homology,
     semi_characteristic,
 )
-from .serialize import SCHEMA_VERSION, Record, SchemaError, as_int, bool_from_json, int_from_json, list_from_json, matrix_from_json, matrix_to_json, reader, str_from_json
+from .serialize import BOOL, INT, SCHEMA_VERSION, STRING, Record, SchemaError, as_int, bool_from_json, int_from_json, list_from_json, matrix_from_json, matrix_to_json, reader, records_of, str_from_json
 from .snf import _as_rows, block_sum, invariant_factors
 
 
@@ -102,6 +102,8 @@ class HandlePresentation:
         }
         if self.intersection_form is not None:
             doc["intersection_form"] = matrix_to_json(self.intersection_form)
+        if self.chain.dim(0) != 1:
+            doc["allow_many_zero_handles"] = True
         return doc
 
     @staticmethod
@@ -146,12 +148,8 @@ class BoundaryHomologyReport(Record):
 
     def __init__(self, boundary_dim, q_dims, undetermined, integral_homology,
                  euler, notes=()):
-        object.__setattr__(self, "boundary_dim", boundary_dim)
-        object.__setattr__(self, "q_dims", q_dims)
-        object.__setattr__(self, "undetermined", undetermined)
-        object.__setattr__(self, "integral_homology", integral_homology)
-        object.__setattr__(self, "euler", euler)
-        object.__setattr__(self, "notes", notes)
+        Record.__init__(self, boundary_dim, q_dims, undetermined,
+                        integral_homology, euler, notes)
 
     def dim(self, k):
         """dim_Q H_k(Y), or None when undetermined."""
@@ -318,10 +316,6 @@ def intersection_form_rank(p: HandlePresentation) -> int:
 class OmegaVerdict(Record):
     __slots__ = ("member", "reason")
 
-    def __init__(self, member, reason):
-        object.__setattr__(self, "member", member)
-        object.__setattr__(self, "reason", reason)
-
     def __bool__(self):
         return self.member
 
@@ -385,31 +379,15 @@ def boundary_connect_sum(p: HandlePresentation,
 
 class C1HandleNote(Record):
     __slots__ = ("index", "label", "applies", "note")
-
-    def __init__(self, index, label, applies, note):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "applies", applies)
-        object.__setattr__(self, "note", note)
+    _codecs = {"index": INT, "label": STRING, "applies": BOOL,
+               "note": STRING}
+    _schema = False
 
 
 class C1Report(Record):
     __slots__ = ("n", "entries", "all_apply")
-
-    def __init__(self, n, entries, all_apply):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "all_apply", all_apply)
-
-    def to_json(self):
-        return {
-            "schema": SCHEMA_VERSION,
-            "n": self.n,
-            "all_apply": self.all_apply,
-            "entries": [{"index": e.index, "label": e.label,
-                         "applies": e.applies, "note": e.note}
-                        for e in self.entries],
-        }
+    _codecs = {"n": INT, "all_apply": BOOL,
+               "entries": records_of(C1HandleNote)}
 
 
 def c1_propagation_check(p: HandlePresentation) -> C1Report:

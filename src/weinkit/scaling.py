@@ -24,7 +24,7 @@ from itertools import zip_longest
 from operator import attrgetter
 from typing import NamedTuple
 
-from .serialize import Record, as_int
+from .serialize import BOOL, FLOAT, RAW, Record, as_int
 
 RATIO_CAP = Fraction(5, 4)   # height budget for g and for g/(t g + 1)
 CONFORMAL_LIMIT = 4          # e^{height} must stay below this
@@ -101,36 +101,35 @@ class GProfile(Record):
             raise ValueError(f"height must lie in (0, {float(RATIO_CAP)}], "
                              f"got {height}")
         height = _rational(height, "height")
-        object.__setattr__(self, "height", height)
-        object.__setattr__(self, "rise_width", rise_width)
-        object.__setattr__(self, "fall_start", fall_start)
-        object.__setattr__(self, "fall_width", fall_width)
         if rise_width <= 0 or fall_width <= 0:
             raise ValueError("transition widths must be positive")
-        if self.rise_end >= fall_start:
-            raise ValueError(f"plateau is empty: rise ends at {self.rise_end}"
+        rise_end = Fraction(1, 2) + rise_width
+        if rise_end >= fall_start:
+            raise ValueError(f"plateau is empty: rise ends at {rise_end}"
                              f", fall starts at {fall_start}")
-        if self.zero_from >= 1:
+        zero_from = fall_start + fall_width
+        if zero_from >= 1:
             raise ValueError("profile must vanish strictly before 1; fall "
-                             f"ends at {self.zero_from}")
-        object.__setattr__(self, "nodes", _count(nodes))
+                             f"ends at {zero_from}")
+        nodes = _count(nodes)
         # the fixed part integrates to -(1 + w_r)/2 and the amplitude
         # multiplies (w_r + w_f)/2 + plateau, so zero total integral forces
         w_r, w_f = rise_width, fall_width
-        plateau = fall_start - self.rise_end
+        plateau = fall_start - rise_end
         v = (1 + w_r) / (w_r + 2 * plateau + w_f)
         if v > height:
             raise ValueError(
                 f"area balance needs amplitude {float(v):.6f} > height cap "
                 f"{float(height)}; widen the plateau or raise the "
                 "height")
-        object.__setattr__(self, "amplitude", v)
+        Record.__init__(self, height, rise_width, fall_start, fall_width,
+                        nodes, v)
         # rise and fall are affine images of the smoothstep 3u^2 - 2u^3
         g = (_Piece(Fraction(0), Fraction(1, 2), (-1,)),
              _Piece(Fraction(1, 2), w_r, (-1, 0, 3 * (v + 1), -2 * (v + 1))),
-             _Piece(self.rise_end, plateau, (v,)),
+             _Piece(rise_end, plateau, (v,)),
              _Piece(fall_start, w_f, (v, 0, -3 * v, 2 * v)),
-             _Piece(self.zero_from, 1 - self.zero_from, (0,)))
+             _Piece(zero_from, 1 - zero_from, (0,)))
         big_g, start = [], Fraction(0)
         for piece in g:
             big_g.append(piece.integral(start))
@@ -219,14 +218,6 @@ def build_g(height=1.25, rise_width=0.03, fall_start=0.96, fall_width=0.03,
 class RatioReport(Record):
     __slots__ = ("max_ratio", "at_t", "at_z", "cap", "tolerance", "holds")
 
-    def __init__(self, max_ratio, at_t, at_z, cap, tolerance, holds):
-        object.__setattr__(self, "max_ratio", max_ratio)
-        object.__setattr__(self, "at_t", at_t)
-        object.__setattr__(self, "at_z", at_z)
-        object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "tolerance", tolerance)
-        object.__setattr__(self, "holds", holds)
-
     def to_json(self):
         return {
             "formula": "max g(z) / (t g(z) + 1) over 0 <= t <= t_max and "
@@ -251,20 +242,18 @@ def _t_max(t_max):
     return _rational(t_max, "t_max")
 
 
-def bound_ratio(profile: GProfile = None, t_max=0.999, nodes=2001,
+def bound_ratio(profile: GProfile = None, t_max=0.999,
                 tolerance=1e-6) -> RatioReport:
     """The maximum of g/(t g + 1) over 0 <= t <= t_max and 0 <= z <= 1.
 
     With min g >= -1 and t < 1 every denominator is at least 1 - t > 0.
     Where g >= 0 the ratio is at most g, with equality at t = 0, and where
     g < 0 it is negative; so with max g >= 0 the maximum is max g (the
-    amplitude), reached at t = 0 and the least z where g takes it.  `nodes`
-    is checked as a count and enters no bound.
+    amplitude), reached at t = 0 and the least z where g takes it.
     """
     if profile is None:
         profile = build_g()
     _t_max(t_max)
-    _count(nodes)
     tolerance = _rational(tolerance, "tolerance")
     low, high, at_z = profile.g_range()
     if low < -1 or high < 0:
@@ -276,12 +265,6 @@ def bound_ratio(profile: GProfile = None, t_max=0.999, nodes=2001,
 
 class ConformalReport(Record):
     __slots__ = ("exponent", "value", "limit", "holds")
-
-    def __init__(self, exponent, value, limit, holds):
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "limit", limit)
-        object.__setattr__(self, "holds", holds)
 
     def to_json(self):
         return {
@@ -328,26 +311,12 @@ def conformal_bound(height=1.25) -> ConformalReport:
 
 class CheckResult(Record):
     __slots__ = ("value", "tolerance", "ok")
-
-    def __init__(self, value, tolerance, ok):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "tolerance", tolerance)
-        object.__setattr__(self, "ok", ok)
-
-    def to_json(self):
-        return {"value": float(self.value), "tolerance": self.tolerance,
-                "ok": self.ok}
+    _codecs = {"value": FLOAT, "tolerance": RAW, "ok": BOOL}
+    _schema = False
 
 
 class HFamilyReport(Record):
     __slots__ = ("checks", "ok", "nodes", "t_max", "fd_step")
-
-    def __init__(self, checks, ok, nodes, t_max, fd_step):
-        object.__setattr__(self, "checks", checks)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "t_max", t_max)
-        object.__setattr__(self, "fd_step", fd_step)
 
     def to_json(self):
         return {
@@ -361,7 +330,7 @@ class HFamilyReport(Record):
         }
 
 
-def verify_h_family(profile: GProfile = None, nodes=2001, t_max=0.999,
+def verify_h_family(profile: GProfile = None, t_max=0.999,
                     fd_step=1e-3) -> HFamilyReport:
     """Prove the five defining identities of the family for every
     0 <= t <= t_max and every z.  Each value is an upper bound on the
@@ -377,12 +346,11 @@ def verify_h_family(profile: GProfile = None, nodes=2001, t_max=0.999,
     5. the central difference of dh/dz in t at fd_step equals g: t g + 1
        is affine in t, so the difference is exact at every step.
 
-    `nodes` is the sample count the report belongs to; no check reads it.
+    The report's `nodes` is the profile's sample count; no check reads it.
     """
     if profile is None:
         profile = build_g()
     t_max = _t_max(t_max)
-    nodes = _count(nodes)
     if not 0 < fd_step < math.inf:
         raise ValueError(
             f"fd_step must be a finite positive number, got {fd_step}")
@@ -401,7 +369,7 @@ def verify_h_family(profile: GProfile = None, nodes=2001, t_max=0.999,
         "mixed_partial_fd": _check(Fraction(0), 1e-4),
     }
     return HFamilyReport(checks, all(c.ok for c in checks.values()),
-                         nodes, t_max, fd_step)
+                         profile.nodes, t_max, fd_step)
 
 
 def _check(value, tolerance):

@@ -20,8 +20,24 @@ ChordRecord, Stage, ...), an immutable value made of named fields:
   class attribute `_fields`; the others are private caches (the exact and
   float pieces of a GProfile, the numerator and denominator a zig-zag
   chord holds until its action is read), outside everything below.
-- Each subclass writes its own `__init__`, which checks and normalizes its
-  arguments and stores them with `object.__setattr__`.
+- Storage: `Record.__init__(*values)` stores one value per field, in
+  field order, and raises TypeError on a wrong count.  A subclass that
+  checks, normalizes or defaults its arguments does so in its own
+  `__init__`, which ends in one call to `Record.__init__`.
+- JSON: a subclass whose document maps field to field declares
+  `_codecs = {field: codec}` in the document's key order (which `--table`
+  output shows), and `_schema = False` when its document is nested and
+  carries no schema tag.  From that, `Record` derives `to_json` and a
+  `from_json` wrapped by `reader` under the class name, which reads each
+  field with its codec, in field order, and passes the values to the
+  constructor.  A codec is a triple (write, read, default): write turns
+  the value into JSON (None when the value is its own JSON), read turns
+  the JSON value and its key into the value, and default is what a
+  missing key reads as (`_REQUIRED` when the key must be present).  The
+  set is closed: INT, RATIONAL, BOOL, STRING, FLOAT (written as a float,
+  read as the rational its shortest decimal spells), RAW, `int_tuple`,
+  `record_of`, `records_of` and `optional`.  Records whose documents do
+  not map field to field write their own `to_json` and `from_json`.
 - Equality: `a == b` when both have the same type and equal field tuples;
   against any other type `__eq__` returns NotImplemented.
 - Hash: the hash of the field tuple, so equal records hash alike; a record
@@ -45,64 +61,11 @@ class SchemaError(ValueError):
     """Input document does not match the expected schema."""
 
 
-class Record:
-    """Base of the record types: fields, equality, hash, repr and
-    immutability as the module docstring sets out."""
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        fields = tuple(name for name in cls.__slots__ if name[0] != "_")
-        get = attrgetter(*fields)
-        cls._fields = fields
-        # the field tuple; attrgetter of one name returns the bare value
-        cls._values = property(get if len(fields) > 1
-                               else lambda record: (get(record),))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values == other._values
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values)
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self._fields)
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class Verdict(Record):
-    """Outcome of a test; fired means the obstruction/distinction holds."""
-    __slots__ = ("outcome", "fired", "witness", "coefficients")
-
-    def __init__(self, outcome, fired, witness=None, coefficients="Z"):
-        object.__setattr__(self, "outcome", outcome)
-        object.__setattr__(self, "fired", fired)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "coefficients", coefficients)
-
-    def __bool__(self):
-        return self.fired
-
-    def to_json(self):
-        return {
-            "schema": SCHEMA_VERSION,
-            "outcome": self.outcome,
-            "fired": self.fired,
-            "witness": self.witness,
-            "coefficients": self.coefficients,
-        }
-
-
 def frac_to_str(x: Fraction) -> str:
-    x = Fraction(x)
+    # every RATIONAL field holds a Fraction; re-wrapping one costs about
+    # three times the formatting
+    if type(x) is not Fraction:
+        x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -164,6 +127,15 @@ def list_from_json(value, what) -> list:
     raise SchemaError(f"{what} must be a list, got {value!r}")
 
 
+def _decimal_from_json(value, what) -> Fraction:
+    """A JSON number, as the rational its shortest decimal spells, so a
+    rational written as a float reads back equal when it has a short
+    decimal (0.001 is 1/1000)."""
+    if type(value) in (int, float):
+        return Fraction(repr(value))
+    raise SchemaError(f"{what} must be a number, got {value!r}")
+
+
 def matrix_to_json(rows) -> list:
     """Integer matrix -> rows of decimal strings."""
     return [[str(int(x)) for x in row] for row in rows]
@@ -199,6 +171,145 @@ def reader(what, schema=True):
                 raise SchemaError(f"{what}: {exc}") from None
         return read
     return wrap
+
+
+# The field codecs, (write, read, default) as the module docstring sets out.
+_REQUIRED = object()
+INT = (None, int_from_json, _REQUIRED)
+RATIONAL = (frac_to_str, lambda value, key: frac_from_str(value), _REQUIRED)
+BOOL = (None, bool_from_json, _REQUIRED)
+STRING = (None, str_from_json, _REQUIRED)
+FLOAT = (float, _decimal_from_json, _REQUIRED)
+# a value the constructor checks itself, or one of any JSON shape
+RAW = (None, lambda value, key: value, _REQUIRED)
+
+
+def int_tuple(entry):
+    """A tuple of integers, written as a list; ENTRY names an element in
+    read errors, the key names the list."""
+    return (list, lambda value, key: tuple(
+        int_from_json(x, entry) for x in list_from_json(value, key)),
+        _REQUIRED)
+
+
+def record_of(cls):
+    """A record of class CLS, as its own document."""
+    return (lambda record: record.to_json(),
+            lambda value, key: cls.from_json(value), _REQUIRED)
+
+
+def records_of(cls):
+    """A tuple of records of class CLS, as a list of their documents."""
+    return (lambda records: [r.to_json() for r in records],
+            lambda value, key: tuple(map(cls.from_json,
+                                         list_from_json(value, key))),
+            _REQUIRED)
+
+
+def optional(codec, default):
+    """CODEC for a key a document may leave out, which then reads as
+    DEFAULT; with a default of None the value may also be null."""
+    write, read, _ = codec
+    if default is not None:
+        return write, read, default
+
+    def write_or_null(value):
+        return None if value is None else write(value)
+
+    def read_or_null(value, key):
+        return None if value is None else read(value, key)
+    # a value that is its own JSON writes None as null already
+    return (write_or_null if write else None), read_or_null, None
+
+
+def _tuple_getter(names):
+    """A function from a record to the tuple of its NAMES attributes;
+    attrgetter of one name returns the bare value."""
+    get = attrgetter(*names)
+    return get if len(names) > 1 else lambda record: (get(record),)
+
+
+class Record:
+    """Base of the record types: storage, JSON from declared codecs,
+    equality, hash, repr and immutability as the module docstring sets
+    out."""
+    __slots__ = ()
+    _schema = True
+
+    def __init_subclass__(cls):
+        fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls._fields = fields
+        cls._values = property(_tuple_getter(fields))
+        # each slot's setter, bound once here: __init__'s loop over them is
+        # cheaper than one through object.__setattr__ by name
+        cls._setters = tuple(getattr(cls, name).__set__ for name in fields)
+        codecs = vars(cls).get("_codecs")
+        if codecs is None:
+            return
+        keys = tuple(codecs)
+        head = {"schema": SCHEMA_VERSION} if cls._schema else {}
+        values = _tuple_getter(keys)
+        writes = [(key, write) for key, (write, _, _) in codecs.items()
+                  if write is not None]
+        # a KeyError here names a field without a codec
+        reads = [(key, *codecs[key]) for key in fields]
+
+        def to_json(self):
+            doc = head.copy()
+            doc.update(zip(keys, values(self)))
+            for key, write in writes:
+                doc[key] = write(doc[key])
+            return doc
+
+        def from_json(doc):
+            # a missing required key raises KeyError, which reader reports
+            return cls(*[read(doc[key], key)
+                         if default is _REQUIRED or key in doc else default
+                         for key, _, read, default in reads])
+        # set on the class itself, where perfbench's tracer looks them up
+        cls.to_json = to_json
+        cls.from_json = staticmethod(reader(cls.__name__, cls._schema)(
+            from_json))
+
+    def __init__(self, *values):
+        setters = self._setters
+        if len(values) != len(setters):
+            raise TypeError(f"{self.__class__.__name__} takes "
+                            f"{len(setters)} field values, got {len(values)}")
+        for store, value in zip(setters, values):
+            store(self, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Verdict(Record):
+    """Outcome of a test; fired means the obstruction/distinction holds."""
+    __slots__ = ("outcome", "fired", "witness", "coefficients")
+    _codecs = {"outcome": STRING, "fired": BOOL, "witness": RAW,
+               "coefficients": STRING}
+
+    def __init__(self, outcome, fired, witness=None, coefficients="Z"):
+        Record.__init__(self, outcome, fired, witness, coefficients)
+
+    def __bool__(self):
+        return self.fired
 
 
 def dumps_canonical(doc) -> str:

@@ -175,13 +175,6 @@ class SNFResult(Record):
     invariant_factors are the |d_ii| >= 1, in chain order."""
     __slots__ = ("d", "u", "v", "rank", "invariant_factors")
 
-    def __init__(self, d, u, v, rank, invariant_factors):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "invariant_factors", invariant_factors)
-
     @property
     def torsion_factors(self):
         return tuple(f for f in self.invariant_factors if f >= 2)
@@ -353,7 +346,7 @@ def smith_normal_form(a):
             or _det([r[:] for r in v]) not in (1, -1)):
         raise AssertionError("SNF postcondition failed: transform not unimodular")
     factors = _diagonal_factors(m, rank)
-    return SNFResult(d=m, u=u, v=v, rank=rank, invariant_factors=factors)
+    return SNFResult(m, u, v, rank, factors)
 
 
 def invariant_factors(a):

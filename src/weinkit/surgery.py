@@ -25,17 +25,17 @@ from math import lcm
 
 from .chords import ChordRecord, ChordSpectrum, _fresh_id, _trusted, choose_Q, min_positive_N, stabilize
 from .serialize import (
-    SCHEMA_VERSION,
+    BOOL,
+    INT,
+    RATIONAL,
+    STRING,
     Record,
     Verdict,
     as_int,
-    bool_from_json,
-    frac_from_str,
     frac_to_str,
-    int_from_json,
-    list_from_json,
-    reader,
-    str_from_json,
+    optional,
+    record_of,
+    records_of,
 )
 
 
@@ -57,9 +57,7 @@ class CyclicWord(Record):
     def __init__(self, letters, degree, action):
         if type(action) is not Fraction:
             action = Fraction(action)
-        object.__setattr__(self, "letters", canonical_rotation(letters))
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "action", action)
+        Record.__init__(self, canonical_rotation(letters), degree, action)
 
     def __len__(self):
         return len(self.letters)
@@ -165,6 +163,10 @@ class OrbitRecord(Record):
     is contractible.  Non-contractible orbits have no canonical degree and
     are skipped by positivity checks."""
     __slots__ = ("degree", "action", "origin", "contractible")
+    _codecs = {"degree": INT, "action": RATIONAL,
+               "origin": optional(STRING, "old"),
+               "contractible": optional(BOOL, True)}
+    _schema = False
 
     def __init__(self, degree, action, origin="old", contractible=True):
         if type(degree) is not int:
@@ -173,6 +175,8 @@ class OrbitRecord(Record):
             action = Fraction(action)
         if action.numerator <= 0:
             raise ValueError("orbit action must be positive")
+        if not isinstance(origin, str):
+            raise ValueError(f"orbit origin must be a string, got {origin!r}")
         if not (origin == "old"
                 or (origin.startswith("word:") and len(origin) > 5)):
             if not origin.startswith("belt:"):
@@ -185,35 +189,18 @@ class OrbitRecord(Record):
             if j < 1:
                 raise ValueError(
                     f"belt origin needs iterate >= 1, got {origin!r}")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "contractible", contractible)
-
-    def to_json(self):
-        return {
-            "degree": self.degree,
-            "action": frac_to_str(self.action),
-            "origin": self.origin,
-            "contractible": self.contractible,
-        }
-
-    @staticmethod
-    @reader("OrbitRecord", schema=False)
-    def from_json(doc):
-        return OrbitRecord(int_from_json(doc["degree"], "degree"),
-                           frac_from_str(doc["action"]),
-                           str_from_json(doc.get("origin", "old"), "origin"),
-                           bool_from_json(doc.get("contractible", True),
-                                          "contractible"))
+        Record.__init__(self, degree, action, origin, contractible)
 
 
 class OrbitSpectrum(Record):
     """All closed orbits with action below the bound; finite by genericity,
     which is a caller assertion carried as the generic flag."""
     __slots__ = ("n", "orbits", "bound", "generic")
+    _codecs = {"n": INT, "bound": RATIONAL, "generic": optional(BOOL, True),
+               "orbits": records_of(OrbitRecord)}
 
     def __init__(self, n, orbits, bound, generic=True):
+        n = as_int(n, "half-dimension")
         if n < 1:
             raise ValueError(f"half-dimension must be >= 1, got {n}")
         orbits = tuple(orbits)
@@ -224,29 +211,7 @@ class OrbitSpectrum(Record):
         for r in orbits:
             if r.action >= bound:
                 raise ValueError(f"orbit action {r.action} >= bound {bound}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "orbits", orbits)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "generic", generic)
-
-    def to_json(self):
-        return {
-            "schema": SCHEMA_VERSION,
-            "n": self.n,
-            "bound": frac_to_str(self.bound),
-            "generic": self.generic,
-            "orbits": [r.to_json() for r in self.orbits],
-        }
-
-    @staticmethod
-    @reader("OrbitSpectrum")
-    def from_json(doc):
-        orbits = tuple(OrbitRecord.from_json(r)
-                       for r in list_from_json(doc["orbits"], "orbits"))
-        return OrbitSpectrum(int_from_json(doc["n"], "n"), orbits,
-                             frac_from_str(doc["bound"]),
-                             bool_from_json(doc.get("generic", True),
-                                            "generic"))
+        Record.__init__(self, n, orbits, bound, generic)
 
 
 def orbits_after_surgery(old: OrbitSpectrum, chords: ChordSpectrum,
@@ -432,6 +397,9 @@ class Stage(Record):
     """One stage of a certificate: a contact form (as a scale relative to
     stage 1), its action bound, and the orbit spectrum below that bound."""
     __slots__ = ("scale", "bound", "spectrum")
+    _codecs = {"scale": RATIONAL, "bound": RATIONAL,
+               "spectrum": record_of(OrbitSpectrum)}
+    _schema = False
 
     def __init__(self, scale, bound, spectrum):
         if type(scale) is not Fraction:
@@ -443,22 +411,7 @@ class Stage(Record):
         if bound != spectrum.bound:
             raise ValueError(
                 f"stage bound {bound} != spectrum bound {spectrum.bound}")
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "spectrum", spectrum)
-
-    def to_json(self):
-        return {
-            "scale": frac_to_str(self.scale),
-            "bound": frac_to_str(self.bound),
-            "spectrum": self.spectrum.to_json(),
-        }
-
-    @staticmethod
-    @reader("Stage", schema=False)
-    def from_json(doc):
-        return Stage(frac_from_str(doc["scale"]), frac_from_str(doc["bound"]),
-                     OrbitSpectrum.from_json(doc["spectrum"]))
+        Record.__init__(self, scale, bound, spectrum)
 
 
 class ADCCertificate(Record):
@@ -467,29 +420,18 @@ class ADCCertificate(Record):
     the business of adc_check, so partially built or failing certificates
     can be represented and reported on."""
     __slots__ = ("stages",)
+    _codecs = {"stages": records_of(Stage)}
 
     def __init__(self, stages):
         stages = tuple(stages)
         ns = {st.spectrum.n for st in stages}
         if len(ns) > 1:
             raise ValueError(f"stages mix half-dimensions {sorted(ns)}")
-        object.__setattr__(self, "stages", stages)
+        Record.__init__(self, stages)
 
     @property
     def n(self):
         return self.stages[0].spectrum.n if self.stages else None
-
-    def to_json(self):
-        return {
-            "schema": SCHEMA_VERSION,
-            "stages": [st.to_json() for st in self.stages],
-        }
-
-    @staticmethod
-    @reader("ADCCertificate")
-    def from_json(doc):
-        return ADCCertificate(tuple(
-            Stage.from_json(s) for s in list_from_json(doc["stages"], "stages")))
 
 
 def adc_check(cert: ADCCertificate) -> Verdict:

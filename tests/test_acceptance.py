@@ -215,16 +215,14 @@ def test_criterion_07_distinguishers():
 def test_criterion_08_scaling_bounds():
     with Budget("criterion 8 (scaling bounds)", 5.0):
         profile = build_g()
-        ratio = bound_ratio(profile, t_max=0.999, nodes=2001,
-                            tolerance=1e-6)
+        ratio = bound_ratio(profile, t_max=0.999, tolerance=1e-6)
         assert ratio.holds
         assert ratio.max_ratio <= 1.25 + 1e-6
         assert abs(profile.integral_residual()) < 1e-8
         conf = conformal_bound()
         assert abs(conf.value - 3.490343) <= 1e-6
         assert conf.value < 4
-        family = verify_h_family(profile, nodes=2001, t_max=0.999,
-                                 fd_step=1e-3)
+        family = verify_h_family(profile, t_max=0.999, fd_step=1e-3)
         assert family.ok
         fd_check = family.checks["mixed_partial_fd"]
         assert fd_check.ok and fd_check.tolerance == 1e-4

@@ -3,15 +3,17 @@ command line loads nothing outside the standard library, no module under
 src/ imports numpy or dataclasses, no command process loads numpy,
 `chord-degree` and `surgery flexible` load neither dataclasses nor
 inspect, every golden run keeps its transcript with numpy or dataclasses
-blocked, every record type has the equality, hash, repr
+blocked, every record type has the storage, equality, hash, repr
 and immutability of `serialize.Record`, `import weinkit` executes no
 submodule and each command executes only the modules it uses, the public
 names are those of the eager package, the Python API rejects non-integer
 counts instead of truncating them, every JSON reader goes through
-`serialize.reader` and raises only SchemaError, and only `graded.py`
+`serialize.reader` and raises only SchemaError, every sample document
+and record survives its reader's round trip, and only `graded.py`
 pairs a group's rank and torsion in one degree."""
 
 import ast
+import importlib
 import json
 import os
 import shutil
@@ -39,10 +41,16 @@ from weinkit.graded import (
     invariant_factor_chain,
 )
 from weinkit.floer import LoopHomologyTable, SHPlusProfile
-from weinkit.handles import HandlePresentation, handlebody_boundary_homology
+from weinkit.handles import (
+    C1HandleNote,
+    C1Report,
+    HandlePresentation,
+    c1_propagation_check,
+    handlebody_boundary_homology,
+)
 from weinkit.models import middle_rank_family, mixed_sign_spectrum, sample_certificate
-from weinkit.scaling import bound_ratio, build_g, verify_h_family
-from weinkit.serialize import SchemaError
+from weinkit.scaling import CheckResult, bound_ratio, build_g, verify_h_family
+from weinkit.serialize import Record, SchemaError, Verdict, reader
 from weinkit.surgery import (
     ADCCertificate,
     OrbitRecord,
@@ -160,18 +168,44 @@ def test_every_private_helper_has_a_caller():
 # every class with a from_json, and the keys its documents use
 READERS = (ChordRecord, ChordSpectrum, MorseData, OrbitRecord, OrbitSpectrum,
            Stage, ADCCertificate, GradedGroup, ChainComplex,
-           HandlePresentation, SHPlusProfile, LoopHomologyTable)
+           HandlePresentation, SHPlusProfile, LoopHomologyTable, Verdict,
+           CheckResult, C1HandleNote, C1Report)
 DOCUMENT_KEYS = """schema n bound chords id degree action front null_homotopic
     name dimension chi orientable critical_points orbits origin contractible
     generic scale spectrum stages graded_group rank torsion dims boundaries
     handles index label boundary_matrices intersection_form
-    allow_many_zero_handles profile provenance base horizon 0 1 2 -1""".split()
+    allow_many_zero_handles profile provenance base horizon outcome fired
+    witness coefficients value tolerance ok entries all_apply applies note
+    0 1 2 -1""".split()
 
 
 def test_every_from_json_goes_through_reader():
-    # each from_json is decorated with serialize.reader, which alone turns
-    # KeyError, TypeError and ValueError into SchemaError "<Type>: ..."
-    found, undecorated, catching, prefixed = set(), [], [], []
+    # each from_json, written out or derived by Record from its codecs, is
+    # serialize.reader's function, which alone turns KeyError, TypeError and
+    # ValueError into SchemaError "<Type>: ..."
+    read_code = reader("x")(lambda doc: doc).__code__
+    modules = [importlib.import_module(f"weinkit.{path.stem}")
+               for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"]
+    found = {value for module in modules for value in vars(module).values()
+             if isinstance(value, type) and value.__module__ == module.__name__
+             and hasattr(value, "from_json")}
+    assert found == set(READERS)
+    for cls in READERS:
+        name = cls.__name__
+        assert cls.from_json.__code__ is read_code, name
+        with pytest.raises(SchemaError, match=f"^{name}: expected a JSON object"):
+            cls.from_json([])
+        with pytest.raises(SchemaError, match=f"^{name}: "):
+            cls.from_json({"schema": 1})
+        untagged = {k: v for k, v in SAMPLES[cls].items() if k != "schema"}
+        if "schema" in SAMPLES[cls]:
+            with pytest.raises(SchemaError, match=f"^{name}: missing or "
+                               "unsupported schema tag"):
+                cls.from_json(untagged)
+        else:
+            assert isinstance(cls.from_json(untagged), cls)
+    # a from_json written out leaves errors to reader
+    catching, prefixed = [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for cls in ast.walk(tree):
@@ -182,10 +216,6 @@ def test_every_from_json_goes_through_reader():
                         and fn.name == "from_json"):
                     continue
                 where = f"{path.name}:{cls.name}.from_json"
-                found.add(cls.name)
-                if not any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
-                           and d.func.id == "reader" for d in fn.decorator_list):
-                    undecorated.append(where)
                 caught = {node.id for handler in ast.walk(fn)
                           if isinstance(handler, ast.ExceptHandler)
                           and handler.type is not None
@@ -197,8 +227,6 @@ def test_every_from_json_goes_through_reader():
                        and str(node.value).startswith(f"{cls.name}:")
                        for node in ast.walk(fn)):
                     prefixed.append(where)
-    assert found == {cls.__name__ for cls in READERS}
-    assert not undecorated, f"from_json without @reader: {undecorated}"
     assert not catching, f"from_json with its own error policy: {catching}"
     assert not prefixed, f"from_json restating its prefix: {prefixed}"
 
@@ -249,25 +277,27 @@ _documents = _json | st.dictionaries(
         lambda doc: {**doc, "schema": 1})
 
 
-def _samples():
-    """A valid document of each reader, as parsed JSON."""
+def _sample_objects():
+    """A value of each reader's class."""
     cert = sample_certificate(3, 2)
-    docs = (ChordRecord("a", 1, 1, (2, 0, 0)).to_json(),
-            mixed_sign_spectrum().to_json(),
-            MorseData("S2", 2, 2, True, (0, 2)).to_json(),
-            OrbitRecord(1, 1, "belt:1").to_json(),
-            cert.stages[0].spectrum.to_json(), cert.stages[0].to_json(),
-            cert.to_json(),
-            GradedGroup.from_dict({0: (1, ()), 2: (0, (2, 4))}).to_json(),
-            ChainComplex({0: 1, 1: 1}, {1: [[2]]}).to_json(),
-            middle_rank_family(3, 2).to_json(),
-            SHPlusProfile(GradedGroup.free({1: 1})).to_json(),
-            LoopHomologyTable({0: 1, 2: 3}, {0: 1}, 4).to_json())
-    return {cls: json.loads(json.dumps(doc))
-            for cls, doc in zip(READERS, docs)}
+    c1 = c1_propagation_check(middle_rank_family(3, 2))
+    objects = (ChordRecord("a", 1, 1, (2, 0, 0)), mixed_sign_spectrum(),
+               MorseData("S2", 2, 2, True, (0, 2)), OrbitRecord(1, 1, "belt:1"),
+               cert.stages[0].spectrum, cert.stages[0], cert,
+               GradedGroup.from_dict({0: (1, ()), 2: (0, (2, 4))}),
+               ChainComplex({0: 1, 1: 1}, {1: [[2]]}),
+               middle_rank_family(3, 2),
+               SHPlusProfile(GradedGroup.free({1: 1})),
+               LoopHomologyTable({0: 1, 2: 3}, {0: 1}, 4),
+               Verdict("non-contactomorphic", True, {"degree": 2}, "Q"),
+               verify_h_family().checks["slope_positive"], c1.entries[0], c1)
+    return dict(zip(READERS, objects))
 
 
-SAMPLES = _samples()
+SAMPLE_OBJECTS = _sample_objects()
+# a valid document of each reader, as parsed JSON
+SAMPLES = {cls: json.loads(json.dumps(obj.to_json()))
+           for cls, obj in SAMPLE_OBJECTS.items()}
 
 
 def _paths(doc, path=()):
@@ -299,6 +329,23 @@ def _mutants(doc):
 def test_every_sample_document_reads():
     for cls in READERS:
         assert isinstance(cls.from_json(SAMPLES[cls]), cls)
+
+
+TWO_ZERO_HANDLES = HandlePresentation(3, [0, 0, 1],
+                                      allow_many_zero_handles=True)
+
+
+@pytest.mark.parametrize("cls, doc", [
+    *SAMPLES.items(),
+    (HandlePresentation, json.loads(json.dumps(TWO_ZERO_HANDLES.to_json())))],
+    ids=[*(cls.__name__ for cls in SAMPLES), "HandlePresentation-two-0-handles"])
+def test_every_document_round_trips(cls, doc):
+    # the document read back is written out unchanged; a record read from
+    # its own document equals it
+    assert cls.from_json(doc).to_json() == doc
+    record = SAMPLE_OBJECTS[cls]
+    if isinstance(record, Record):
+        assert cls.from_json(record.to_json()) == record
 
 
 @settings(max_examples=200, deadline=None)
@@ -597,7 +644,7 @@ RECORDS = [
     (build_g, lambda: build_g(1.25, 0.03, 0.96, 0.03, 2001),
      lambda: build_g(nodes=11),
      "height rise_width fall_start fall_width nodes amplitude"),
-    (bound_ratio, lambda: bound_ratio(build_g(), nodes=11),
+    (bound_ratio, lambda: bound_ratio(build_g()),
      lambda: bound_ratio(tolerance=0),
      "max_ratio at_t at_z cap tolerance holds"),
     (weinkit.conformal_bound,
@@ -607,8 +654,9 @@ RECORDS = [
      lambda: weinkit.scaling.CheckResult(0, 0.5, True),
      lambda: weinkit.scaling.CheckResult(0, 0.5, False),
      "value tolerance ok"),
-    (verify_h_family, lambda: verify_h_family(nodes=2001),
-     lambda: verify_h_family(nodes=11), "checks ok nodes t_max fd_step"),
+    (verify_h_family, lambda: verify_h_family(build_g()),
+     lambda: verify_h_family(build_g(nodes=11)),
+     "checks ok nodes t_max fd_step"),
 ]
 
 
@@ -637,6 +685,11 @@ def test_record_semantics(make, same, other, fields):
         assert hash(record) == hash(twin) == want
     assert repr(record) == "{}({})".format(type(record).__name__, ", ".join(
         f"{name}={value!r}" for name, value in zip(fields, values)))
+    # Record.__init__ stores one value per field, and no more
+    if "__init__" not in vars(type(record)):
+        assert type(record)(*values) == twin
+    with pytest.raises(TypeError):
+        type(record)(*values, None)
     for name in (*fields, "extra"):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
@@ -698,18 +751,27 @@ def test_lazy_loading_on_each_installed_interpreter(version):
     (lambda: OrbitRecord(1.5, 1), "orbit degree"),
     (lambda: build_g(nodes=2001.9), "nodes"),
     (lambda: build_g(nodes="2001"), "nodes"),
-    (lambda: verify_h_family(nodes=2001.5), "nodes"),
-    (lambda: bound_ratio(nodes=11.5), "nodes"),
+    (lambda: ChordSpectrum(3.5, (), 1), "half-dimension"),
+    (lambda: OrbitSpectrum(3.5, (), 1), "half-dimension"),
+    (lambda: MorseData("x", 1.5, 0, True, (0, 1)), "dimension"),
+    (lambda: MorseData("x", 1, 0.0, True, (0, 1)), "chi"),
 ], ids=["chain-count", "handle-n", "handle-index", "group-rank",
         "torsion-factor", "chord-front", "morse-index", "stabilize-sites",
         "loop-dims", "loop-base", "boundary-dim", "chord-degree",
         "orbit-degree", "profile-nodes", "profile-nodes-string",
-        "family-nodes", "ratio-nodes"])
+        "chord-spectrum-n", "orbit-spectrum-n", "morse-dimension",
+        "morse-chi"])
 def test_api_rejects_non_integer_counts(call, field):
     # each used to be truncated by int() or kept: rank 2, n = 3, a 3-handle,
     # Z + Z/2, the chain (2, 12), front (1, 0, 0), indices (0, 1), one site,
     # dims {0: 1, 2: 2}, base {0: 1}, a 5-dimensional boundary, and degrees
-    # of 1.5, and 2001 profile nodes; the node counts of verify_h_family
-    # and bound_ratio used to end in numpy's TypeError
+    # of 1.5, and 2001 profile nodes; the spectra's half-dimension 3.5 and
+    # the Morse dimension 1.5 and chi 0.0 were kept as floats
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         call()
+
+
+def test_api_rejects_a_non_string_orbit_origin():
+    # used to end in AttributeError: 'int' object has no attribute 'startswith'
+    with pytest.raises(ValueError, match="orbit origin must be a string"):
+        OrbitRecord(1, 1, 5)

@@ -219,13 +219,13 @@ class TestProfileConstruction:
 
 class TestBoundRatio:
     def test_default_grid_holds_cap(self):
-        rep = bound_ratio(nodes=2001)
+        rep = bound_ratio()
         assert rep.holds
         assert rep.max_ratio <= 1.25 + 1e-6
 
     def test_max_is_amplitude_at_t_zero(self):
         p = build_g()
-        rep = bound_ratio(p, nodes=801)
+        rep = bound_ratio(p)
         # for g > 0 the ratio decreases in t, so the max sits at t = 0 on
         # the plateau
         assert rep.at_t == 0.0
@@ -235,8 +235,8 @@ class TestBoundRatio:
         assert (rep.max_ratio, rep.at_z) == (p.amplitude, p.rise_end)
 
     def test_grid_doubling_stable(self):
-        a = bound_ratio(nodes=1001).max_ratio
-        b = bound_ratio(nodes=2001).max_ratio
+        a = bound_ratio(build_g(nodes=1001)).max_ratio
+        b = bound_ratio(build_g(nodes=2001)).max_ratio
         assert abs(a - b) < 1e-4
 
     @staticmethod
@@ -321,7 +321,7 @@ class TestBoundRatio:
 
     def test_large_grid_is_one_row(self):
         with Budget("bound_ratio at 20001 nodes", 0.25):
-            rep = bound_ratio(nodes=20001)
+            rep = bound_ratio(build_g(nodes=20001))
         assert rep.at_t == 0.0 and rep.holds
 
     def test_t_range_validation(self):
@@ -331,8 +331,6 @@ class TestBoundRatio:
             bound_ratio(t_max=-0.5)
         with pytest.raises(ValueError, match="nonnegative, got nan"):
             bound_ratio(t_max=math.nan)
-        with pytest.raises(ValueError, match="at least one node"):
-            bound_ratio(nodes=0)
 
     @pytest.mark.parametrize("coeffs, message", [
         # g = -2 on the core: a denominator t g + 1 can vanish
@@ -425,8 +423,8 @@ class TestHFamily:
         assert p.h(Fraction(3, 4), Fraction(2, 5)) == Fraction(1, 10)
 
     def test_grid_doubling_stable(self):
-        a = verify_h_family(nodes=2001)
-        b = verify_h_family(nodes=4001)
+        a = verify_h_family(build_g(nodes=2001))
+        b = verify_h_family(build_g(nodes=4001))
         for name in a.checks:
             assert abs(a.checks[name].value - b.checks[name].value) < 1e-4
 
@@ -462,7 +460,7 @@ class TestHFamily:
     @pytest.mark.parametrize("kwargs, message", [
         (dict(t_max=math.nan), "t_max must be nonnegative"),
         (dict(t_max=-1e-9), "t_max must be nonnegative"),
-        (dict(nodes=0), "at least one node, got 0"),
+        (dict(fd_step=-1e-3), "fd_step must be a finite positive number"),
         (dict(fd_step=0), "fd_step must be a finite positive number"),
         (dict(fd_step=math.nan), "fd_step must be a finite positive number"),
         (dict(fd_step=math.inf), "fd_step must be a finite positive number")])
@@ -471,7 +469,7 @@ class TestHFamily:
             verify_h_family(**kwargs)
 
     def test_json_shape(self):
-        doc = verify_h_family(nodes=501).to_json()
+        doc = verify_h_family(build_g(nodes=501)).to_json()
         assert doc["ok"] is True
         assert doc["checks"]["slope_positive"]["ok"] is True
         assert "formula" in doc
@@ -599,7 +597,7 @@ def test_family_memory_grows_with_nodes_only(tmp_path):
     p = build_g(nodes=20001)
     tracemalloc.start()
     try:
-        verify_h_family(p, nodes=20001)
+        verify_h_family(p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -635,8 +633,8 @@ class TestRandomFeasibleProfiles:
                     fall_width=fall_w, nodes=501)
         assert p.amplitude == amp
         assert p.antiderivative(1) == 0
-        rep = verify_h_family(p, nodes=401)
+        rep = verify_h_family(p)
         assert rep.ok, {k: v for k, v in rep.checks.items() if not v.ok}
-        ratio = bound_ratio(p, nodes=301)
+        ratio = bound_ratio(p)
         assert ratio.holds and ratio.max_ratio == amp
         assert_agrees(p, 401, t_nodes=11)
