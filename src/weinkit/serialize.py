@@ -74,6 +74,13 @@ def parse_rational(text, what) -> Fraction:
     "<what> '<text>': <reason>".  Exponent notation is refused before
     Fraction can build a huge integer from it."""
     try:
+        # the common "p/q" and "p" in ASCII digits skip both regexes; a zero
+        # q or a too-long p raises what Fraction(text) would
+        num, slash, den = text.partition("/")
+        unsigned = num[1:] if num[:1] in ("+", "-") else num
+        if text.isascii() and unsigned.isdigit() and (den.isdigit()
+                                                      or not slash):
+            return Fraction(int(num), int(den) if slash else 1)
         if _EXPONENT.search(text):
             raise ValueError("exponent notation is not accepted")
         return Fraction(text)

@@ -6,21 +6,22 @@ every check performed here (monotonicity, rescaling transport, the 4^k
 bookkeeping) factors through scales and per-step bound constants.  Actions
 are exact rationals throughout; nothing is compared in floating point.
 
-Words come from one necklace walk.  Its invariant: every cyclic word below
-the bound is emitted exactly once, as its least rotation, in (length,
-letters) order.  enumerate_words, orbits_after_surgery and
-belt_sphere_chords build their records straight from the walk's columns,
-without the per-record checks of the public constructors; CyclicWord(...)
-built by a caller still canonicalizes its letters.  A name spelled from
-letters (orbit origin "word:a.b", belt chord "w:a.b", mixed chord
-"mix:x.a.b.y") is built by _labels, and two words with one name are an
-error; a generated name ("zz<t>" in stabilize, "surg" in add_surgery_chord)
-takes "_" appended until it is fresh.
+Words come from one level-order walk, _walk, cyclic or linear.  Its
+invariant: each level (word length) is in letter order, so words come out
+in (length, letters) order with no sort, each cyclic word below the bound
+once, as its least rotation.  enumerate_words, orbits_after_surgery and
+belt_sphere_chords build their records from its columns without the
+per-record checks of the public constructors; CyclicWord(...) built by a
+caller still canonicalizes its letters.  A name spelled from letters
+(orbit origin "word:a.b", belt chord "w:a.b", mixed chord "mix:x.a.b.y")
+is built by _labels, and two words with one name are an error; a
+generated name ("zz<t>" in stabilize, "surg" in add_surgery_chord) takes
+"_" appended until it is fresh.
 """
 
 from collections import Counter
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from math import lcm
 
 from .chords import ChordRecord, ChordSpectrum, _fresh_id, _trusted, choose_Q, min_positive_N, stabilize
@@ -69,67 +70,76 @@ class CyclicWord(Record):
 def enumerate_words(spectrum: ChordSpectrum, bound,
                     skip_non_null_homotopic=False):
     """All cyclic words over the chord alphabet with total action < bound,
-    one representative per rotation class, sorted by (length, letters).
+    each once, as its least rotation, sorted by (length, letters).
 
-    Each word is emitted once, already in its least rotation, so no word is
-    canonicalized again.  Non-null-homotopic chords carry no canonical
-    grading, so their presence is an error unless skip_non_null_homotopic
-    drops them instead.  Termination is guaranteed by positivity of actions.
+    Non-null-homotopic chords carry no canonical grading, so their presence
+    is an error unless skip_non_null_homotopic drops them instead.
+    Termination is guaranteed by positivity of actions.
     """
-    letters, degrees, actions = _walk(spectrum, bound, 0,
-                                      skip_non_null_homotopic)
+    letters, degrees, actions = _cyclic_words(spectrum, bound, 0,
+                                              skip_non_null_homotopic)
     return tuple(_trusted(CyclicWord, len(letters), letters=letters,
                           degree=degrees, action=actions))
 
 
-def _walk(spectrum, bound, shift, skip_non_null_homotopic=False):
-    """The words of enumerate_words as three columns in its order: letter
-    tuples, degrees raised by shift, and actions, the actions sharing one
-    Fraction per value."""
+def _cyclic_words(spectrum, bound, shift, skip_non_null_homotopic=False):
+    """_walk over the null-homotopic chords, as enumerate_words reads it."""
     bound = Fraction(bound)
     if bound <= 0:
         raise ValueError(f"word action bound must be positive, got {bound}")
-    alphabet = []
-    for c in spectrum.chords:
-        if not c.null_homotopic:
-            if skip_non_null_homotopic:
-                continue
-            raise ValueError(
-                f"chord {c.id!r} is not null-homotopic and has no canonical "
-                "grading (pass skip_non_null_homotopic to drop such chords)")
-        alphabet.append(c)
-    letters, (cap,), den = _lattice(alphabet, bound)
-    position = {cid: i for i, (_, cid, _) in enumerate(letters)}
-    # Fredricksen-Kessler-Maiorana: a prenecklace whose longest Lyndon
-    # prefix has period p extends by the letters >= seq[-p]; seq[-p] keeps
-    # p, a larger letter makes the extension Lyndon.  It is a necklace (a
-    # least rotation) iff p divides its length.  Prefixes of a word below
-    # the cap are prenecklaces below it, so pruning at the cap loses none.
-    # Children are pushed largest letter first, so the pops, and the
-    # necklaces kept, come in letter order; a stable sort by length then
-    # gives the (length, letters) order.
-    found = []
-    stack = [((cid,), 1, num, d + shift)
-             for num, cid, d in reversed(letters) if num < cap]
-    top = len(letters) - 1
-    while stack:
-        entry = stack.pop()
-        seq, p, act, deg = entry
-        if len(seq) % p == 0:
-            found.append(entry)
-        first = position[seq[-p]]
-        for i in range(top, first - 1, -1):
-            num, cid, d = letters[i]
-            if act + num < cap:
-                ext = seq + (cid,)
-                stack.append((ext, p if i == first else len(ext),
-                              act + num, deg + d))
-    if not found:
-        return (), (), ()
-    found.sort(key=lambda entry: len(entry[0]))
-    words, _, nums, degrees = zip(*found)
+    alphabet = [c for c in spectrum.chords if c.null_homotopic]
+    if len(alphabet) < len(spectrum.chords) and not skip_non_null_homotopic:
+        c = next(c for c in spectrum.chords if not c.null_homotopic)
+        raise ValueError(
+            f"chord {c.id!r} is not null-homotopic and has no canonical "
+            "grading (pass skip_non_null_homotopic to drop such chords)")
+    return _walk(alphabet, bound, shift, True)
+
+
+def _walk(chords, bound, shift, cyclic, base=Fraction(0)):
+    """Words over chords with action + base < bound in (length, letters)
+    order, as columns: letter tuples, degrees + shift, actions + base.
+    Cyclic words come once, as least rotations; linear ones all, () first."""
+    letters, (cap, base), den = _lattice(chords, bound, base)
+    letters = [x for x in letters if base + x[0] < cap]
+    # Fredricksen-Kessler-Maiorana in level order; level L is four columns:
+    # prenecklaces of length L, periods, actions, degrees.  A prenecklace
+    # whose longest Lyndon prefix has period p extends by the letters >=
+    # seq[-p] (follow): seq[-p] keeps p, a larger letter makes it Lyndon;
+    # it is a necklace iff p divides its length.  Pruning at the cap loses
+    # none, as every prefix of a word below the cap is below it.  A linear
+    # word extends by every letter and keeps p = 1, so all are emitted.
+    # Invariant: each level is in letter order and each node appends its
+    # children in ascending letter order, so the next is too: no sort.
+    follow = {first: [(num, (cid,), d, not cyclic or j == i)
+                      for j, (num, cid, d) in enumerate(letters)
+                      if j >= i or not cyclic]
+              for i, (_, first, _) in enumerate(letters)}
+    words, nums, degrees = ([], [], []) if cyclic or cap <= base \
+        else ([()], [base], [shift])
+    seqs = [(cid,) for _, cid, _ in letters]
+    periods = [1] * len(seqs)
+    acts = [base + num for num, _, _ in letters]
+    degs = [d + shift for _, _, d in letters]
+    length = 1
+    while seqs:
+        emit = [length % p == 0 for p in periods]
+        words += compress(seqs, emit)
+        nums += compress(acts, emit)
+        degrees += compress(degs, emit)
+        length += 1
+        level, seqs, periods, acts, degs = \
+            zip(seqs, periods, acts, degs), [], [], [], []
+        for seq, p, act, deg in level:
+            room = cap - act
+            for num, letter, d, keep in follow[seq[-p]]:
+                if num < room:
+                    seqs.append(seq + letter)
+                    periods.append(p if keep else length)
+                    acts.append(act + num)
+                    degs.append(deg + d)
     fractions = {num: Fraction(num, den) for num in set(nums)}
-    return words, degrees, tuple(map(fractions.__getitem__, nums))
+    return words, degrees, list(map(fractions.__getitem__, nums))
 
 
 def _labels(prefix, words, what):
@@ -208,8 +218,9 @@ class OrbitSpectrum(Record):
             bound = Fraction(bound)
         if bound.numerator <= 0:
             raise ValueError("action bound must be positive")
+        bn, bd = bound.numerator, bound.denominator
         for r in orbits:
-            if r.action >= bound:
+            if r.action.numerator * bd >= bn * r.action.denominator:
                 raise ValueError(f"orbit action {r.action} >= bound {bound}")
         Record.__init__(self, n, orbits, bound, generic)
 
@@ -229,7 +240,7 @@ def orbits_after_surgery(old: OrbitSpectrum, chords: ChordSpectrum,
         raise ValueError(
             f"requested bound {bound} exceeds the known orbit window {old.bound}")
     kept = [r for r in old.orbits if r.action < bound]
-    words, degrees, actions = _walk(chords, bound, n - 3)
+    words, degrees, actions = _cyclic_words(chords, bound, n - 3)
     # every action is below the bound, so neither the records nor the
     # spectrum are checked again
     kept += _trusted(OrbitRecord, len(words), degree=degrees, action=actions,
@@ -307,7 +318,7 @@ def belt_sphere_chords(spectrum: ChordSpectrum, bound=None) -> ChordSpectrum:
         raise ValueError(
             f"requested bound {bound} exceeds the known chord window "
             f"{spectrum.bound}")
-    words, degrees, actions = _walk(spectrum, bound, n - 2)
+    words, degrees, actions = _cyclic_words(spectrum, bound, n - 2)
     # every action is below the bound and _labels keeps the ids distinct
     chords = tuple(_trusted(
         ChordRecord, len(words), id=_labels("w:", words, "chord id"),
@@ -341,25 +352,14 @@ def nonsimultaneous_words(s_minus: ChordSpectrum, aux: ChordSpectrum,
     bound = s_minus.bound
     base_action = connector_in.action + connector_out.action
     base_degree = connector_in.degree + connector_out.degree
-    letters, (cap, base), den = _lattice(aux.chords, bound - base_action,
-                                         base_action)
-    mixed = []
-    stack = [((), 0, 0)]
-    while stack:
-        seq, act, deg = stack.pop()
-        if act < cap:
-            mixed.append((len(seq), seq, act, deg))
-            for num, cid, d in letters:
-                stack.append((seq + (cid,), act + num, deg + d))
-    mixed.sort()
+    middles, degrees, actions = _walk(aux.chords, bound, base_degree, False,
+                                      base_action)
     null = connector_in.null_homotopic and connector_out.null_homotopic
     ids = _labels("mix:", [(connector_in.id,) + seq + (connector_out.id,)
-                           for _, seq, _, _ in mixed], "chord id")
+                           for seq in middles], "chord id")
     # a clash with an id of s_minus is raised by the checked spectrum
-    out = s_minus.chords + tuple(
-        ChordRecord(cid, base_degree + deg, Fraction(base + act, den), None,
-                    null)
-        for cid, (_, _, act, deg) in zip(ids, mixed))
+    out = s_minus.chords + tuple(map(ChordRecord, ids, degrees, actions,
+                                     repeat(None), repeat(null)))
     return ChordSpectrum(n, out, bound)
 
 

@@ -192,6 +192,25 @@ def brute_force_words(actions, bound):
     return sorted(classes)
 
 
+def brute_force_linear_words(actions, bound):
+    """All words, the empty one included, with total action < bound.
+
+    actions: {letter: Fraction action > 0}.  Enumerates every sequence of
+    each length up to bound / min action with itertools.product and keeps
+    those whose action sums below the bound.  Returns the letter tuples
+    sorted by (length, letters).
+    """
+    bound = Fraction(bound)
+    if bound <= 0:
+        return []
+    letters = sorted(actions)
+    maxlen = int(bound / min(actions.values())) if letters else 0
+    words = [seq for length in range(maxlen + 1)
+             for seq in product(letters, repeat=length)
+             if sum(actions[c] for c in seq) < bound]
+    return sorted(words, key=lambda w: (len(w), w))
+
+
 def exp_series(x, terms=60):
     """exp(x) for Fraction x as a Fraction partial sum (independent of libm)."""
     x = Fraction(x)

@@ -18,7 +18,7 @@ from weinkit.chords import (
     self_intersection_index,
     stabilize,
 )
-from weinkit.serialize import SchemaError
+from weinkit.serialize import SchemaError, frac_from_str
 
 
 def spectrum_of(degrees, bound=4, n=3):
@@ -170,6 +170,36 @@ class TestRecordsAndSpectra:
         with pytest.raises(SchemaError, match=(
                 "bad rational 'one': Invalid literal for Fraction: 'one'")):
             ChordRecord.from_json(doc)
+
+
+def fraction_reader(text):
+    """What frac_from_str read before its ASCII "p/q" path: the exponent
+    refusal, then Fraction(text), a message standing for a SchemaError."""
+    try:
+        if re.search(r"[eE][+-]?[0-9]", text):
+            raise ValueError("exponent notation is not accepted")
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"bad rational {text!r}: {exc}"
+
+
+@pytest.mark.parametrize("text, want", [
+    ("3/4", Fraction(3, 4)), ("+3/4", Fraction(3, 4)), ("-0/5", Fraction(0)),
+    ("04/06", Fraction(2, 3)), ("3/0", "bad rational '3/0': Fraction(3, 0)"),
+    (" 3/4", Fraction(3, 4)), ("3_0/4", None),
+    ("3/-4", "bad rational '3/-4': Invalid literal for Fraction: '3/-4'"),
+    ("\u00b2/3", "bad rational '\u00b2/3': Invalid literal for Fraction: "
+     "'\u00b2/3'"),
+    ("1e5", "bad rational '1e5': exponent notation is not accepted"),
+    ("1.25", Fraction(5, 4))])
+def test_frac_from_str_keeps_every_value_and_message(text, want):
+    # "3_0/4" reads as 15/2 where Fraction takes underscores (3.11 on)
+    try:
+        got = frac_from_str(text)
+    except SchemaError as exc:
+        got = str(exc)
+    assert got == fraction_reader(text)
+    assert want is None or got == want
 
 
 class TestMorseData:

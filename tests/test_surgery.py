@@ -67,6 +67,44 @@ def word_alphabets(draw):
     return ChordSpectrum(3, chords, Fraction(6)), bound
 
 
+@st.composite
+def linear_cases(draw):
+    """A complement spectrum, an auxiliary alphabet of 0-4 chords of
+    positive degree (some not null-homotopic; c10 < c2 < c9 as strings) and
+    two connectors.  Letter actions are at least 1 and the complement bound
+    at most 11/2, so middles stay short for the brute-force oracle."""
+    ids = draw(st.lists(st.sampled_from(["a", "b", "c2", "c10", "c9"]),
+                        max_size=4, unique=True))
+    aux = ChordSpectrum(3, tuple(
+        ChordRecord(cid, draw(st.integers(1, 3)),
+                    draw(st.sampled_from([Fraction(1), Fraction(4, 3),
+                                          Fraction(3, 2), Fraction(2),
+                                          Fraction(5, 2)])),
+                    None, draw(st.booleans()))
+        for cid in ids), Fraction(6))
+    connectors = [
+        ChordRecord(cid, draw(st.integers(1, 3)),
+                    draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2),
+                                          Fraction(1)])),
+                    None, draw(st.booleans()) or draw(st.booleans()))
+        for cid in ("in", "out")]
+    bound = draw(st.sampled_from([Fraction(k, 2) for k in range(2, 12)]))
+    return (spectrum_of(3, bound, ("p", 1, Fraction(1, 2))), aux,
+            *connectors)
+
+
+def mixed_chords(connector_in, connector_out, letters, bound):
+    """(id, degree, action) of each mixed chord the brute-force oracle
+    finds over letters {id: (degree, action)}, in its order."""
+    base = connector_in.action + connector_out.action
+    return [("mix:" + ".".join((connector_in.id,) + w + (connector_out.id,)),
+             connector_in.degree + connector_out.degree
+             + sum(letters[c][0] for c in w),
+             base + sum(letters[c][1] for c in w))
+            for w in oracles.brute_force_linear_words(
+                {c: a for c, (_, a) in letters.items()}, bound - base)]
+
+
 def orbit(deg, act, origin="old", contractible=True):
     return OrbitRecord(deg, Fraction(act), origin, contractible)
 
@@ -439,6 +477,37 @@ class TestNonsimultaneous:
         # in.c.out carries degree 3 + 3, not 3 - 1
         by_id = {c.id: c.degree for c in mixed}
         assert by_id["mix:in.c.out"] == 6
+
+    @given(linear_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_chords_match_brute_force_in_order(self, case):
+        s_minus, aux, x, y = case
+        letters = {c.id: (c.degree, c.action) for c in aux.chords}
+        out = nonsimultaneous_words(s_minus, aux, x, y)
+        kept = len(s_minus.chords)
+        assert out.chords[:kept] == s_minus.chords
+        mixed = out.chords[kept:]
+        assert [(c.id, c.degree, c.action) for c in mixed] == mixed_chords(
+            x, y, letters, s_minus.bound)
+        for c in mixed:
+            assert c.front is None and type(c.action) is Fraction
+            assert c.null_homotopic == (x.null_homotopic and y.null_homotopic)
+
+    def test_stabilized_alphabet_matches_brute_force(self):
+        # degree 0 takes one zig-zag: c rises by 2, and its one site gains
+        # two chords per critical point of S^1, of degree 1 + ind and
+        # action below the zig-zag action 1
+        aux = spectrum_of(3, 3, ("c", 0, Fraction(1, 2)))
+        x = ChordRecord("in", 1, Fraction(1, 4))
+        y = ChordRecord("out", 2, Fraction(1, 4))
+        out = nonsimultaneous_words(spectrum_of(3, Fraction(3, 2)), aux, x, y,
+                                    zigzag_action=Fraction(1))
+        stabilized = {"c": (2, Fraction(1, 2)), "zz1": (1, Fraction(1, 5)),
+                      "zz2": (1, Fraction(2, 5)), "zz3": (2, Fraction(3, 5)),
+                      "zz4": (2, Fraction(4, 5))}
+        want = mixed_chords(x, y, stabilized, Fraction(3, 2))
+        assert len(want) == 24
+        assert [(c.id, c.degree, c.action) for c in out.chords] == want
 
     def test_half_dimension_mismatch(self):
         with pytest.raises(ValueError, match="differ"):
