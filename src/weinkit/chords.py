@@ -17,9 +17,9 @@ from .serialize import (
     STRING,
     Record,
     as_int,
-    int_tuple,
     optional,
     records_of,
+    tuple_of,
 )
 
 
@@ -58,7 +58,7 @@ class ChordRecord(Record):
                  "_action_num", "_action_den")
     # the constructor checks the id, so its codec passes it through
     _codecs = {"id": RAW, "degree": INT, "action": RATIONAL,
-               "front": optional(int_tuple("front entry"), None),
+               "front": optional(tuple_of(INT, "front entry"), None),
                "null_homotopic": optional(BOOL, True)}
     _schema = False
 
@@ -139,7 +139,7 @@ class MorseData(Record):
     __slots__ = ("name", "dimension", "chi", "orientable", "critical_points")
     _codecs = {"name": STRING, "dimension": INT, "chi": INT,
                "orientable": BOOL,
-               "critical_points": int_tuple("critical index")}
+               "critical_points": tuple_of(INT, "critical index")}
 
     def __init__(self, name, dimension, chi, orientable, critical_points):
         dimension = as_int(dimension, "dimension")
@@ -188,6 +188,7 @@ def stabilize(spectrum: ChordSpectrum, N, q_data: MorseData,
     defaults to the number of non-positive-degree chords (one modification
     site each).  N = 0 is allowed and is the identity.
     """
+    N = as_int(N, "N")
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     if N == 0:
@@ -256,6 +257,7 @@ class SelfIntersectionIndex(Record):
 def self_intersection_index(n, N, q_data: MorseData) -> SelfIntersectionIndex:
     """(-1)^{(n-1)(n-2)/2} * N * chi(Q), reduced mod 2 unless the count is
     honestly integer-valued (n even and Q orientable)."""
+    n, N = as_int(n, "half-dimension n"), as_int(N, "N")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     sign = (-1) ** (((n - 1) * (n - 2)) // 2)

@@ -34,7 +34,7 @@ from . import graded as graded_mod
 from . import handles as handles_mod
 from . import scaling as scaling_mod
 from . import surgery as surgery_mod
-from .serialize import SchemaError, dumps_canonical, parse_rational
+from .serialize import INT, SchemaError, degree_map, dumps_canonical, parse_rational
 
 
 def _load(path, loader):
@@ -215,8 +215,8 @@ def homology(presentation, coeff):
     p = _load(presentation, handles_mod.HandlePresentation.from_json)
     h = p.homology()
     result = (h.to_json()["graded_group"] if coeff == "Z" else
-              {str(k): h.dim(k, coeff) for k in h.field_support
-               if h.dim(k, coeff)})
+              degree_map(INT)[0]({k: h.dim(k, coeff) for k in h.field_support
+                                  if h.dim(k, coeff)}))
     return dict(coefficients=coeff, n=p.n, result=result,
                 euler_characteristic=p.euler_characteristic(),
                 describe=h.describe())

@@ -7,8 +7,8 @@ Distinguisher verdicts are three-valued: fired, inconclusive, or invalid
 input; "the two are the same" is never claimed.
 """
 
-from .graded import GradedGroup
-from .serialize import SCHEMA_VERSION, Record, SchemaError, Verdict, as_int, int_from_json, reader
+from .graded import GradedGroup, _read_groups
+from .serialize import GROUP_ENTRY, INT, SCHEMA_VERSION, Record, Verdict, as_int, degree_map, optional, reader
 
 
 INDISTINGUISHABLE = "indistinguishable by this invariant"
@@ -44,8 +44,7 @@ class SHPlusProfile(Record):
     @staticmethod
     @reader("SHPlusProfile")
     def from_json(doc):
-        group = GradedGroup.from_json(
-            {"schema": SCHEMA_VERSION, "graded_group": doc["profile"]})
+        group = GradedGroup.from_dict(_read_groups(doc["profile"], "profile"))
         return SHPlusProfile(group, doc.get("provenance", "user-supplied"))
 
 
@@ -108,12 +107,10 @@ def distinguish_flexible_fillings(hstar_a: GradedGroup, hstar_b: GradedGroup,
     k = hstar_a.first_difference(hstar_b)
     if k is None:
         return Verdict(INDISTINGUISHABLE, False)
-    (rank_a, chain_a), (rank_b, chain_b) = hstar_a.at(k), hstar_b.at(k)
+    write_entry = GROUP_ENTRY[0]
     return Verdict("non-contactomorphic", True, witness={
-        "degree": k,
-        "left": {"rank": rank_a, "torsion": [str(t) for t in chain_a]},
-        "right": {"rank": rank_b, "torsion": [str(t) for t in chain_b]},
-    })
+        "degree": k, "left": write_entry(hstar_a.at(k)),
+        "right": write_entry(hstar_b.at(k))})
 
 
 def cem_flexible_obstruction(k, dim_h1_mod2) -> bool:
@@ -122,6 +119,8 @@ def cem_flexible_obstruction(k, dim_h1_mod2) -> bool:
     A flexible filling would force the boundary connect-sum count k of
     copies to satisfy k <= dim H^1(Y;Z/2) + 1.
     """
+    k = as_int(k, "copy count")
+    dim_h1_mod2 = as_int(dim_h1_mod2, "dim H^1(Y;Z/2)")
     if k < 1:
         raise ValueError(f"copy count must be >= 1, got {k}")
     if dim_h1_mod2 < 0:
@@ -144,7 +143,7 @@ def _least_offender(support, offends, outcome, **window):
     return Verdict(outcome, True, witness={"degree": k, **window})
 
 
-class LoopHomologyTable:
+class LoopHomologyTable(Record):
     """Finite table of dim_Q H_k of a free loop space, with its base manifold.
 
     dims: {degree: dim} complete up to the declared horizon; base: the
@@ -152,6 +151,9 @@ class LoopHomologyTable:
     space, so dims must dominate base degreewise; violations mean the
     input data is wrong and are rejected here.
     """
+    __slots__ = ("dims", "base", "horizon")
+    _codecs = {"dims": degree_map(INT), "base": degree_map(INT),
+               "horizon": optional(INT, None)}
 
     def __init__(self, dims, base, horizon=None):
         def counts(table, name):
@@ -162,53 +164,26 @@ class LoopHomologyTable:
                 if v != 0:
                     out[k] = v
             return out
-        self.dims, self.base = counts(dims, "dims"), counts(base, "base")
-        keys = set(self.dims) | set(self.base)
-        self.horizon = (as_int(horizon, "horizon") if horizon is not None
-                        else max(keys, default=0))
-        for table, name in ((self.dims, "dims"), (self.base, "base")):
+        dims, base = counts(dims, "dims"), counts(base, "base")
+        horizon = (as_int(horizon, "horizon") if horizon is not None
+                   else max(dims.keys() | base.keys(), default=0))
+        for table, name in ((dims, "dims"), (base, "base")):
             for k, v in table.items():
                 if k < 0 or v < 0:
                     raise ValueError(f"{name} has negative entry at degree {k}")
-                if k > self.horizon:
+                if k > horizon:
                     raise ValueError(
-                        f"{name} entry at degree {k} beyond horizon {self.horizon}")
+                        f"{name} entry at degree {k} beyond horizon {horizon}")
         # dims >= 0, so only a base degree can fail, however far the horizon
-        for k in sorted(self.base):
-            if self.dims.get(k, 0) < self.base[k]:
+        for k in sorted(base):
+            if dims.get(k, 0) < base[k]:
                 raise ValueError(
                     f"constant loops violated at degree {k}: "
-                    f"dim {self.dims.get(k, 0)} < base {self.base[k]}")
+                    f"dim {dims.get(k, 0)} < base {base[k]}")
+        Record.__init__(self, dims, base, horizon)
 
     def dim(self, k):
         return self.dims.get(k, 0)
-
-    def __eq__(self, other):
-        return (isinstance(other, LoopHomologyTable)
-                and self.dims == other.dims and self.base == other.base
-                and self.horizon == other.horizon)
-
-    def to_json(self):
-        return {
-            "schema": SCHEMA_VERSION,
-            "dims": {str(k): v for k, v in sorted(self.dims.items())},
-            "base": {str(k): v for k, v in sorted(self.base.items())},
-            "horizon": self.horizon,
-        }
-
-    @staticmethod
-    @reader("LoopHomologyTable")
-    def from_json(doc):
-        for key in ("dims", "base"):
-            if not isinstance(doc.get(key), dict):
-                raise SchemaError(f"'{key}' must be an object")
-        dims, base = ({int_from_json(k, "degree"): int_from_json(v, key)
-                       for k, v in doc[key].items()}
-                      for key in ("dims", "base"))
-        horizon = doc.get("horizon")
-        if horizon is not None:
-            horizon = int_from_json(horizon, "horizon")
-        return LoopHomologyTable(dims, base, horizon)
 
 
 def boundedinfinite_distinguisher(lm: LoopHomologyTable, ln: LoopHomologyTable,

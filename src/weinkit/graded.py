@@ -6,10 +6,11 @@ lists by gcd/lcm exchange, so descriptor equality is isomorphism.  No
 integer is ever factored into primes.
 """
 
+import re
 from collections import Counter
 from math import gcd
 
-from .serialize import SCHEMA_VERSION, Record, SchemaError, as_int, int_from_json, list_from_json, matrix_from_json, matrix_to_json, reader
+from .serialize import GROUP_ENTRY, INT, MATRIX, SCHEMA_VERSION, Record, SchemaError, as_int, degree_map, optional, reader
 from .snf import _as_rows, block_sum, invariant_factors, mat_mul
 
 
@@ -68,6 +69,10 @@ def _elementary_divisors(factors, base):
             if e:
                 out[b, e] += 1
     return out
+
+
+# the body of a graded group's document: degree -> {"rank", "torsion"}
+_write_groups, _read_groups, _ = degree_map(GROUP_ENTRY)
 
 
 class GradedGroup(Record):
@@ -166,10 +171,8 @@ class GradedGroup(Record):
         return "; ".join(bits)
 
     def to_json(self):
-        groups = {}
-        for deg, rank, chain in self.parts:
-            groups[str(deg)] = {"rank": rank, "torsion": [str(f) for f in chain]}
-        return {"schema": SCHEMA_VERSION, "graded_group": groups}
+        return {"schema": SCHEMA_VERSION, "graded_group": _write_groups(
+            {deg: (rank, chain) for deg, rank, chain in self.parts})}
 
     @staticmethod
     @reader("GradedGroup")
@@ -177,38 +180,33 @@ class GradedGroup(Record):
         groups = doc.get("graded_group")
         if not isinstance(groups, dict):
             raise SchemaError("missing 'graded_group' object")
-        parsed = {}
-        for deg, entry in groups.items():
-            try:
-                k = int_from_json(deg, "degree key")
-            except SchemaError:
-                raise SchemaError(f"bad degree key {deg!r}") from None
-            if not isinstance(entry, dict):
-                raise SchemaError(f"degree {deg} entry must be an object")
-            what = f"degree {deg}"
-            torsion = list_from_json(entry.get("torsion", []), f"{what} torsion")
-            parsed[k] = (int_from_json(entry.get("rank", 0), f"{what} rank"),
-                         [int_from_json(f, f"{what} torsion factor") for f in torsion])
-        return GradedGroup.from_dict(parsed)
+        # this document's own message for a key that spells no degree
+        for deg in groups:
+            if not re.fullmatch(r"[+-]?[0-9]+", str(deg)):
+                raise SchemaError(f"bad degree key {deg!r}")
+        return GradedGroup.from_dict(_read_groups(groups, "graded_group"))
 
 
-class ChainComplex:
+class ChainComplex(Record):
     """Integer chain complex: generator counts n_k and boundaries d_k: C_k -> C_{k-1}.
 
     Matrices are rows-of-ints with shape (n_{k-1}, n_k); omitted matrices are
     zero maps.  d d = 0 is checked at construction.
     """
+    __slots__ = ("dims", "boundaries")
+    _codecs = {"dims": degree_map(INT),
+               "boundaries": optional(degree_map(MATRIX), None)}
 
     def __init__(self, dims, boundaries=None):
         counts = ((k, as_int(v, f"generator count at degree {k}"))
                   for k, v in dims.items())
-        self.dims = {as_int(k, "degree"): v for k, v in counts if v}
-        for k, v in self.dims.items():
+        dims = {as_int(k, "degree"): v for k, v in counts if v}
+        for k, v in dims.items():
             if v < 0:
                 raise ValueError(f"negative generator count at degree {k}")
             if k < 0:
                 raise ValueError("negative degrees are not supported")
-        self.boundaries = {}
+        nonzero = {}
         for k, rows in (boundaries or {}).items():
             k = as_int(k, "boundary degree")
             try:
@@ -217,19 +215,19 @@ class ChainComplex:
                 raise ValueError(f"boundary d_{k}: {e}") from None
             nrows = len(rows)
             ncols = len(rows[0]) if rows else 0
-            if nrows != self.dims.get(k - 1, 0) or ncols != self.dims.get(k, 0):
+            if nrows != dims.get(k - 1, 0) or ncols != dims.get(k, 0):
                 raise ValueError(
                     f"boundary d_{k} has shape {nrows}x{ncols}, expected "
-                    f"{self.dims.get(k - 1, 0)}x{self.dims.get(k, 0)}")
+                    f"{dims.get(k - 1, 0)}x{dims.get(k, 0)}")
             if any(any(row) for row in rows):
-                self.boundaries[k] = rows
+                nonzero[k] = rows
         # d_{k} . d_{k+1} = 0
-        for k in list(self.boundaries):
-            nxt = self.boundaries.get(k + 1)
+        for k, d in nonzero.items():
+            nxt = nonzero.get(k + 1)
             if nxt is not None:
-                prod = mat_mul(self.boundaries[k], nxt)
-                if any(any(row) for row in prod):
+                if any(any(row) for row in mat_mul(d, nxt)):
                     raise ValueError(f"d_{k} . d_{k + 1} != 0: not a chain complex")
+        Record.__init__(self, dims, nonzero)
 
     @property
     def degrees(self):
@@ -258,29 +256,6 @@ class ChainComplex:
                          (other.dim(k - 1), other.dim(k)))
             for k in set(self.boundaries) | set(other.boundaries)}
         return ChainComplex(dict(dims), boundaries)
-
-    def to_json(self):
-        return {
-            "schema": SCHEMA_VERSION,
-            "dims": {str(k): v for k, v in sorted(self.dims.items())},
-            "boundaries": {str(k): matrix_to_json(m)
-                           for k, m in sorted(self.boundaries.items())},
-        }
-
-    @staticmethod
-    @reader("ChainComplex")
-    def from_json(doc):
-        dims = doc.get("dims")
-        if not isinstance(dims, dict):
-            raise SchemaError("missing 'dims' object")
-        boundaries = doc.get("boundaries")
-        if boundaries is not None and not isinstance(boundaries, dict):
-            raise SchemaError("'boundaries' must be an object")
-        dims = {int_from_json(k, "degree"): int_from_json(v, "dim")
-                for k, v in dims.items()}
-        boundaries = {int_from_json(k, "degree"): matrix_from_json(rows)
-                      for k, rows in (boundaries or {}).items()}
-        return ChainComplex(dims, boundaries)
 
 
 def homology(complex_: ChainComplex) -> GradedGroup:

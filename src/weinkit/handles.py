@@ -22,11 +22,15 @@ from .graded import (
     homology,
     semi_characteristic,
 )
-from .serialize import BOOL, INT, SCHEMA_VERSION, STRING, Record, SchemaError, as_int, bool_from_json, int_from_json, list_from_json, matrix_from_json, matrix_to_json, reader, records_of, str_from_json
+from .serialize import BOOL, GROUP_ENTRY, INT, MATRIX, SCHEMA_VERSION, STRING, Record, as_int, bool_from_json, degree_map, int_from_json, list_from_json, matrix_from_json, matrix_to_json, optional, reader, records_of, str_from_json, tuple_of
 from .snf import _as_rows, block_sum, invariant_factors
 
 
-class HandlePresentation:
+# a presentation's boundary matrices, as a chain complex's boundaries
+_write_matrices, _read_matrices, _ = optional(degree_map(MATRIX), None)
+
+
+class HandlePresentation(Record):
     """A Weinstein domain W^{2n} as handles plus integer boundary matrices.
 
     handles: iterable of indices, or of (index, label) pairs.  All indices
@@ -35,46 +39,46 @@ class HandlePresentation:
     integer matrix of the middle-dimensional pairing on the n-handles
     (framing data; not derivable from the chain complex).
     """
+    __slots__ = ("n", "handles", "chain", "intersection_form")
 
     def __init__(self, n, handles, boundaries=None, intersection_form=None,
-                 allow_many_zero_handles=False):
-        self.n = as_int(n, "half-dimension n")
-        if self.n < 1:
+                 *, allow_many_zero_handles=False):
+        n = as_int(n, "half-dimension n")
+        if n < 1:
             raise ValueError(f"half-dimension n must be >= 1, got {n}")
         norm = []
         for i, h in enumerate(handles):
-            if isinstance(h, int):
-                norm.append((h, f"h{h}.{i}"))
-            else:
+            if isinstance(h, (tuple, list)):
                 k, label = h
                 norm.append((as_int(k, f"handle {label!r} index"), str(label)))
-        self.handles = tuple(norm)
-        for k, label in self.handles:
-            if not 0 <= k <= self.n:
-                raise ValueError(
-                    f"handle {label!r} has index {k}, outside [0, {self.n}]")
+            else:
+                k = as_int(h, "handle index")
+                norm.append((k, f"h{k}.{i}"))
         counts = {}
-        for k, _ in self.handles:
+        for k, label in norm:
+            if not 0 <= k <= n:
+                raise ValueError(
+                    f"handle {label!r} has index {k}, outside [0, {n}]")
             counts[k] = counts.get(k, 0) + 1
         if counts.get(0, 0) != 1 and not allow_many_zero_handles:
             raise ValueError(
                 f"expected exactly one 0-handle, got {counts.get(0, 0)} "
                 "(pass allow_many_zero_handles to override)")
-        self.chain = ChainComplex(counts, boundaries or {})
-        if counts.get(0, 0) == 1 and self.chain.boundary(1) is not None:
+        chain = ChainComplex(counts, boundaries or {})
+        if counts.get(0, 0) == 1 and chain.boundary(1) is not None:
             raise ValueError(
                 "with a single 0-handle every 1-handle boundary is zero")
-        self.intersection_form = None
         if intersection_form is not None:
             try:
-                m = _as_rows(intersection_form)
+                intersection_form = _as_rows(intersection_form)
             except ValueError as e:
                 raise ValueError(f"intersection form: {e}") from None
-            nn = counts.get(self.n, 0)
-            if len(m) != nn or any(len(r) != nn for r in m):
+            nn = counts.get(n, 0)
+            if (len(intersection_form) != nn
+                    or any(len(r) != nn for r in intersection_form)):
                 raise ValueError(
-                    f"intersection form must be {nn}x{nn} for {nn} {self.n}-handles")
-            self.intersection_form = m
+                    f"intersection form must be {nn}x{nn} for {nn} {n}-handles")
+        Record.__init__(self, n, tuple(norm), chain, intersection_form)
 
     @property
     def total_dim(self):
@@ -97,8 +101,7 @@ class HandlePresentation:
             "schema": SCHEMA_VERSION,
             "n": self.n,
             "handles": [{"index": k, "label": label} for k, label in self.handles],
-            "boundary_matrices": {str(k): matrix_to_json(m)
-                                  for k, m in sorted(self.chain.boundaries.items())},
+            "boundary_matrices": _write_matrices(self.chain.boundaries),
         }
         if self.intersection_form is not None:
             doc["intersection_form"] = matrix_to_json(self.intersection_form)
@@ -116,18 +119,14 @@ class HandlePresentation:
             index = int_from_json(h["index"], "handle index")
             handles.append((index, str_from_json(h["label"], "handle label"))
                            if "label" in h else index)
-        matrices = doc.get("boundary_matrices")
-        if matrices is not None and not isinstance(matrices, dict):
-            raise SchemaError("'boundary_matrices' must be an object")
-        boundaries = {int_from_json(k, "boundary degree"): matrix_from_json(m)
-                      for k, m in (matrices or {}).items()}
         form = doc.get("intersection_form")
-        if form is not None:
-            form = matrix_from_json(form)
-        return HandlePresentation(n, handles, boundaries, form,
-                                  allow_many_zero_handles=bool_from_json(
-                                      doc.get("allow_many_zero_handles", False),
-                                      "allow_many_zero_handles"))
+        return HandlePresentation(
+            n, handles, _read_matrices(doc.get("boundary_matrices"),
+                                       "boundary_matrices"),
+            None if form is None else matrix_from_json(form),
+            allow_many_zero_handles=bool_from_json(
+                doc.get("allow_many_zero_handles", False),
+                "allow_many_zero_handles"))
 
 
 def cohomology(p: HandlePresentation):
@@ -145,6 +144,10 @@ class BoundaryHomologyReport(Record):
     """
     __slots__ = ("boundary_dim", "q_dims", "undetermined",
                  "integral_homology", "euler", "notes")
+    _codecs = {"boundary_dim": INT, "q_dims": degree_map(INT),
+               "undetermined": tuple_of(INT, "undetermined degree"),
+               "integral_homology": degree_map(GROUP_ENTRY), "euler": INT,
+               "notes": tuple_of(STRING, "note")}
 
     def __init__(self, boundary_dim, q_dims, undetermined, integral_homology,
                  euler, notes=()):
@@ -176,19 +179,6 @@ class BoundaryHomologyReport(Record):
             if k in self.undetermined:
                 raise ValueError(f"degree {k} undetermined")
         return sum(self.q_dims.get(k, 0) for k in range(half + 1)) % 2
-
-    def to_json(self):
-        return {
-            "schema": SCHEMA_VERSION,
-            "boundary_dim": self.boundary_dim,
-            "q_dims": {str(k): v for k, v in sorted(self.q_dims.items())},
-            "undetermined": list(self.undetermined),
-            "integral_homology": {
-                str(k): {"rank": r, "torsion": [str(f) for f in t]}
-                for k, (r, t) in sorted(self.integral_homology.items())},
-            "euler": self.euler,
-            "notes": list(self.notes),
-        }
 
 
 def handlebody_boundary_homology(chain: ChainComplex, total_dim,

@@ -13,7 +13,8 @@ and `as_int`, the Python API's reader of counts and indices, so that every
 module can use it.
 
 `Record` is the base of every record type (Verdict, GradedGroup,
-ChordRecord, Stage, ...), an immutable value made of named fields:
+ChainComplex, HandlePresentation, ChordRecord, Stage, ...), an immutable
+value made of named fields:
 
 - Field table: a subclass lists its slots in `__slots__`.  Those whose
   names do not start with "_" are its fields, in that order, kept as the
@@ -35,9 +36,12 @@ ChordRecord, Stage, ...), an immutable value made of named fields:
   the JSON value and its key into the value, and default is what a
   missing key reads as (`_REQUIRED` when the key must be present).  The
   set is closed: INT, RATIONAL, BOOL, STRING, FLOAT (written as a float,
-  read as the rational its shortest decimal spells), RAW, `int_tuple`,
+  read as the rational its shortest decimal spells), RAW, MATRIX,
+  GROUP_ENTRY (one degree of a graded group), `tuple_of`, `degree_map`
+  (every map from degree to value, as an object keyed by decimal degree),
   `record_of`, `records_of` and `optional`.  Records whose documents do
-  not map field to field write their own `to_json` and `from_json`.
+  not map field to field (GradedGroup, SHPlusProfile, HandlePresentation)
+  write their own `to_json` and `from_json`, through these codecs.
 - Equality: `a == b` when both have the same type and equal field tuples;
   against any other type `__eq__` returns NotImplemented.
 - Hash: the hash of the field tuple, so equal records hash alike; a record
@@ -189,14 +193,57 @@ STRING = (None, str_from_json, _REQUIRED)
 FLOAT = (float, _decimal_from_json, _REQUIRED)
 # a value the constructor checks itself, or one of any JSON shape
 RAW = (None, lambda value, key: value, _REQUIRED)
+MATRIX = (matrix_to_json, lambda value, key: matrix_from_json(value),
+          _REQUIRED)
 
 
-def int_tuple(entry):
-    """A tuple of integers, written as a list; ENTRY names an element in
-    read errors, the key names the list."""
+def _group_entry_from_json(entry, what):
+    if not isinstance(entry, dict):
+        raise SchemaError(f"{what} entry must be an object")
+    torsion = list_from_json(entry.get("torsion", []), f"{what} torsion")
+    return (int_from_json(entry.get("rank", 0), f"{what} rank"),
+            tuple(int_from_json(f, f"{what} torsion factor")
+                  for f in torsion))
+
+
+# one degree of a graded group, (rank, torsion factors), as {"rank": r,
+# "torsion": ["f", ...]}; a missing rank reads as 0, missing torsion as ()
+GROUP_ENTRY = (lambda entry: {"rank": entry[0],
+                              "torsion": [str(f) for f in entry[1]]},
+               _group_entry_from_json, _REQUIRED)
+
+
+def tuple_of(codec, entry):
+    """A tuple of values of CODEC, each its own JSON (INT, STRING), written
+    as a list; ENTRY names an element in read errors, the key names the
+    list."""
+    read = codec[1]
     return (list, lambda value, key: tuple(
-        int_from_json(x, entry) for x in list_from_json(value, key)),
-        _REQUIRED)
+        read(x, entry) for x in list_from_json(value, key)), _REQUIRED)
+
+
+def degree_map(codec):
+    """A dict from integer degree to a value of CODEC, written as an object
+    keyed by decimal degree in ascending order (which `--table` output
+    shows).  A key that spells no integer, or a degree spelled twice ("1"
+    and "01"), is an error; the value at key "d" is read as "degree d"."""
+    write, read, _ = codec
+
+    def write_map(table):
+        return {str(k): table[k] if write is None else write(table[k])
+                for k in sorted(table)}
+
+    def read_map(value, key):
+        if not isinstance(value, dict):
+            raise SchemaError(f"'{key}' must be an object")
+        table = {}
+        for spelled, entry in value.items():
+            k = int_from_json(spelled, "degree key")
+            if k in table:
+                raise SchemaError(f"'{key}' spells degree {k} twice")
+            table[k] = read(entry, f"degree {spelled}")
+        return table
+    return write_map, read_map, _REQUIRED
 
 
 def record_of(cls):

@@ -260,6 +260,8 @@ def subcritical_surgery(spectrum: OrbitSpectrum, n, k, iterates, eps,
     k = 2 changes pi_1 and needs the extra contractibility hypotheses
     asserted by the caller.
     """
+    n, k = as_int(n, "half-dimension n"), as_int(k, "handle index k")
+    iterates = as_int(iterates, "iterates")
     if n != spectrum.n:
         raise ValueError(f"n = {n} does not match spectrum n = {spectrum.n}")
     if not 1 <= k < n:
@@ -293,7 +295,7 @@ def add_surgery_chord(spectrum: ChordSpectrum, k,
     Critical-index surgery (k = n - 1) would create a degree-0 chord and is
     excluded outright.
     """
-    n = spectrum.n
+    n, k = spectrum.n, as_int(k, "handle index k")
     if not 1 <= k < n - 1:
         raise ValueError(
             f"need 1 <= k < n - 1 = {n - 1}, got k = {k}"

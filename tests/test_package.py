@@ -9,8 +9,10 @@ submodule and each command executes only the modules it uses, the public
 names are those of the eager package, the Python API rejects non-integer
 counts instead of truncating them, every JSON reader goes through
 `serialize.reader` and raises only SchemaError, every sample document
-and record survives its reader's round trip, and only `graded.py`
-pairs a group's rank and torsion in one degree."""
+and record survives its reader's round trip, every reader of a degree map
+rejects a degree spelled twice, equal complexes and presentations compare
+equal, and only `graded.py` pairs a group's rank and torsion in one
+degree."""
 
 import ast
 import importlib
@@ -32,6 +34,7 @@ from weinkit.chords import (
     ChordSpectrum,
     MorseData,
     choose_Q,
+    self_intersection_index,
     stabilize,
 )
 from weinkit.graded import (
@@ -40,11 +43,17 @@ from weinkit.graded import (
     homology,
     invariant_factor_chain,
 )
-from weinkit.floer import LoopHomologyTable, SHPlusProfile
+from weinkit.floer import (
+    LoopHomologyTable,
+    SHPlusProfile,
+    cem_flexible_obstruction,
+)
 from weinkit.handles import (
+    BoundaryHomologyReport,
     C1HandleNote,
     C1Report,
     HandlePresentation,
+    boundary_connect_sum,
     c1_propagation_check,
     handlebody_boundary_homology,
 )
@@ -56,6 +65,8 @@ from weinkit.surgery import (
     OrbitRecord,
     OrbitSpectrum,
     Stage,
+    add_surgery_chord,
+    subcritical_surgery,
 )
 
 SRC = Path(weinkit.__file__).resolve().parent
@@ -169,14 +180,15 @@ def test_every_private_helper_has_a_caller():
 READERS = (ChordRecord, ChordSpectrum, MorseData, OrbitRecord, OrbitSpectrum,
            Stage, ADCCertificate, GradedGroup, ChainComplex,
            HandlePresentation, SHPlusProfile, LoopHomologyTable, Verdict,
-           CheckResult, C1HandleNote, C1Report)
+           CheckResult, C1HandleNote, C1Report, BoundaryHomologyReport)
 DOCUMENT_KEYS = """schema n bound chords id degree action front null_homotopic
     name dimension chi orientable critical_points orbits origin contractible
     generic scale spectrum stages graded_group rank torsion dims boundaries
     handles index label boundary_matrices intersection_form
     allow_many_zero_handles profile provenance base horizon outcome fired
     witness coefficients value tolerance ok entries all_apply applies note
-    0 1 2 -1""".split()
+    boundary_dim q_dims undetermined integral_homology euler notes
+    0 1 2 -1 01 +1""".split()
 
 
 def test_every_from_json_goes_through_reader():
@@ -290,7 +302,10 @@ def _sample_objects():
                SHPlusProfile(GradedGroup.free({1: 1})),
                LoopHomologyTable({0: 1, 2: 3}, {0: 1}, 4),
                Verdict("non-contactomorphic", True, {"degree": 2}, "Q"),
-               verify_h_family().checks["slope_positive"], c1.entries[0], c1)
+               verify_h_family().checks["slope_positive"], c1.entries[0], c1,
+               # undetermined degrees, a note and torsion
+               handlebody_boundary_homology(ChainComplex(
+                   {0: 1, 1: 1, 2: 1, 3: 1}, {2: [[2]]}), 6))
     return dict(zip(READERS, objects))
 
 
@@ -346,6 +361,32 @@ def test_every_document_round_trips(cls, doc):
     record = SAMPLE_OBJECTS[cls]
     if isinstance(record, Record):
         assert cls.from_json(record.to_json()) == record
+
+
+@pytest.mark.parametrize("cls, doc, degree", [
+    (GradedGroup, {"graded_group": {"1": {"rank": 1}, "01": {"rank": 2}}}, 1),
+    (SHPlusProfile, {"profile": {"2": {"rank": 1}, "+2": {"rank": 1}}}, 2),
+    (ChainComplex, {"dims": {"0": 1, "+0": 3}}, 0),
+    (HandlePresentation, {"n": 2, "handles": [{"index": 0}, {"index": 1},
+                                              {"index": 2}],
+                          "boundary_matrices": {"2": [[1]], "02": [[0]]}}, 2),
+    (LoopHomologyTable, {"dims": {"0": 1, "00": 2}, "base": {}}, 0),
+], ids=["GradedGroup", "SHPlusProfile", "ChainComplex", "HandlePresentation",
+        "LoopHomologyTable"])
+def test_degree_maps_reject_a_degree_spelled_twice(cls, doc, degree):
+    # the last spelling used to win: rank 2, dims {0: 3}, d_2 dropped
+    with pytest.raises(SchemaError, match=f"spells degree {degree} twice"):
+        cls.from_json({"schema": 1, **doc})
+
+
+def test_equal_complexes_and_presentations_compare_equal():
+    # both used to compare by identity, so equal data built twice differed
+    assert ChainComplex({0: 1, 1: 1}, {1: [[2]]}) == ChainComplex(
+        {1: 1, 0: 1, 2: 0}, {1: [[2]]})
+    p = middle_rank_family(3, 2)
+    assert p == middle_rank_family(3, 2) != middle_rank_family(3, 3)
+    assert HandlePresentation.from_json(p.to_json()) == p
+    assert boundary_connect_sum(p, p) == boundary_connect_sum(p, p)
 
 
 @settings(max_examples=200, deadline=None)
@@ -657,6 +698,17 @@ RECORDS = [
     (verify_h_family, lambda: verify_h_family(build_g()),
      lambda: verify_h_family(build_g(nodes=11)),
      "checks ok nodes t_max fd_step"),
+    (lambda: ChainComplex({0: 1, 1: 1}, {1: [[2]]}),
+     lambda: ChainComplex({0: 1, 1: 1, 2: 0}, {1: [[2]]}),
+     lambda: ChainComplex({0: 1, 1: 1}, {1: [[3]]}), "dims boundaries"),
+    (lambda: LoopHomologyTable({0: 1, 2: 3}, {0: 1}, 4),
+     lambda: LoopHomologyTable({0: 1, 1: 0, 2: 3}, {0: 1, 3: 0}, 4),
+     lambda: LoopHomologyTable({0: 1, 2: 3}, {0: 1}, 5),
+     "dims base horizon"),
+    (lambda: HandlePresentation(2, [0, 2], intersection_form=[[2]]),
+     lambda: HandlePresentation(2, [(0, "h0.0"), (2, "h2.1")], {}, [[2]]),
+     lambda: HandlePresentation(2, [0, 2], intersection_form=[[0]]),
+     "n handles chain intersection_form"),
 ]
 
 
@@ -755,20 +807,38 @@ def test_lazy_loading_on_each_installed_interpreter(version):
     (lambda: OrbitSpectrum(3.5, (), 1), "half-dimension"),
     (lambda: MorseData("x", 1.5, 0, True, (0, 1)), "dimension"),
     (lambda: MorseData("x", 1, 0.0, True, (0, 1)), "chi"),
+    (lambda: stabilize(mixed_sign_spectrum(), 1.5, choose_Q(4)), "N"),
+    (lambda: subcritical_surgery(OrbitSpectrum(3, (), 4), 3, 1, 2.0, 1),
+     "iterates"),
+    (lambda: add_surgery_chord(mixed_sign_spectrum(), 1.5), "handle index k"),
+    (lambda: self_intersection_index(4, 1.5, choose_Q(4)), "N"),
+    (lambda: cem_flexible_obstruction(1.5, 0), "copy count"),
+    (lambda: HandlePresentation(3, [0, 3.5]), "handle index"),
 ], ids=["chain-count", "handle-n", "handle-index", "group-rank",
         "torsion-factor", "chord-front", "morse-index", "stabilize-sites",
         "loop-dims", "loop-base", "boundary-dim", "chord-degree",
         "orbit-degree", "profile-nodes", "profile-nodes-string",
         "chord-spectrum-n", "orbit-spectrum-n", "morse-dimension",
-        "morse-chi"])
+        "morse-chi", "stabilize-N", "subcritical-iterates", "ambient-k",
+        "self-index-N", "cem-copies", "handle-bare-index"])
 def test_api_rejects_non_integer_counts(call, field):
     # each used to be truncated by int() or kept: rank 2, n = 3, a 3-handle,
     # Z + Z/2, the chain (2, 12), front (1, 0, 0), indices (0, 1), one site,
     # dims {0: 1, 2: 2}, base {0: 1}, a 5-dimensional boundary, and degrees
     # of 1.5, and 2001 profile nodes; the spectra's half-dimension 3.5 and
-    # the Morse dimension 1.5 and chi 0.0 were kept as floats
+    # the Morse dimension 1.5 and chi 0.0 were kept as floats; N = 1.5
+    # failed as a chord degree of 1.0, iterates 2.0 as a TypeError, k = 1.5
+    # as the new chord's degree, the index came out -0.0, the obstruction
+    # False, and a bare 3.5 failed to unpack
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         call()
+
+
+def test_api_reads_a_bare_handle_index_as_an_integer():
+    # np.int64(3) used to fail to unpack and True became the label "hTrue.2"
+    import numpy as np
+    p = HandlePresentation(3, [0, np.int64(3), True])
+    assert p.handles == ((0, "h0.0"), (3, "h3.1"), (1, "h1.2"))
 
 
 def test_api_rejects_a_non_string_orbit_origin():
