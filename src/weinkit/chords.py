@@ -25,6 +25,10 @@ from .serialize import (
 
 def chord_degree(down, up, ind):
     """Degree of a chord from its front: down - up + ind - 1."""
+    if type(down) is not int or type(up) is not int or type(ind) is not int:
+        down = as_int(down, "down-cusp count")
+        up = as_int(up, "up-cusp count")
+        ind = as_int(ind, "Morse index")
     if down < 0 or up < 0 or ind < 0:
         raise ValueError(
             f"cusp counts and Morse index must be >= 0, got ({down}, {up}, {ind})")
@@ -271,6 +275,7 @@ def choose_Q(n) -> MorseData:
     """A closed orientable Q of dimension n-2 with chi = 0 that embeds in
     R^{n-1}: the circle for n = 3, S^1 x S^{n-3} for n >= 4.  No such Q
     exists for n = 2 (zero-manifolds have chi > 0)."""
+    n = as_int(n, "half-dimension n")
     if n <= 2:
         raise ValueError(
             f"no chi = 0 choice in dimension {n - 2}: every closed 0-manifold "

@@ -83,6 +83,7 @@ def taut_les_bounds(known_dims, hstar_dims, n):
     so from either one of the pair the other lies in
     [max(0, s - B_k), s + B_k].  Both directions use the same window.
     """
+    n = as_int(n, "half-dimension n")
     for table, name in ((known_dims, "known_dims"), (hstar_dims, "hstar_dims")):
         for k, v in table.items():
             if v < 0:
@@ -102,6 +103,7 @@ def distinguish_flexible_fillings(hstar_a: GradedGroup, hstar_b: GradedGroup,
                                   n) -> Verdict:
     """Contact-distinguish two boundaries of flexible domains (c_1 = 0
     asserted by the caller) through their filling cohomologies."""
+    n = as_int(n, "half-dimension n")
     if n < 3:
         raise ValueError(f"flexibility needs n >= 3, got n = {n}")
     k = hstar_a.first_difference(hstar_b)
@@ -131,6 +133,7 @@ def cem_flexible_obstruction(k, dim_h1_mod2) -> bool:
 def flexible_support_test(support, n) -> Verdict:
     """Flexible fillings force SH+ support inside [1, n+1]; anything at
     k <= 0 or k >= n+2 rules a flexible filling out."""
+    n = as_int(n, "half-dimension n")
     return _least_offender(support, lambda k: not 1 <= k <= n + 1,
                            "no flexible filling", allowed_range=[1, n + 1])
 
@@ -246,5 +249,6 @@ def nearby_conclusion(hl: GradedGroup, hm: GradedGroup,
 def sh_support_adc_obstruction(support, n) -> Verdict:
     """Asymptotically dynamically convex boundaries have SH_k+ = 0 in
     degrees k <= 3 - n; support there rules the property out."""
+    n = as_int(n, "half-dimension n")
     return _least_offender(support, lambda k: k <= 3 - n, "not ADC",
                            vanishing_range=f"k <= {3 - n}")

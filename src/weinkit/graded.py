@@ -305,6 +305,7 @@ def euler_characteristic(g: GradedGroup) -> int:
 
 def semi_characteristic(g: GradedGroup, n: int, coeff="Q") -> int:
     """Sum of dim H_i for i <= (n-1)/2, mod 2; n must be odd."""
+    n = as_int(n, "dimension n")
     if n % 2 == 0:
         raise ValueError(f"semi-characteristic needs odd n, got {n}")
     if n < 1:

@@ -116,6 +116,8 @@ class HandlePresentation(Record):
         # an unlabeled handle is its bare index: the constructor labels it
         handles = []
         for h in list_from_json(doc["handles"], "handles"):
+            if not isinstance(h, dict):
+                raise ValueError("handle entry must be an object")
             index = int_from_json(h["index"], "handle index")
             handles.append((index, str_from_json(h["label"], "handle label"))
                            if "label" in h else index)
@@ -181,6 +183,15 @@ class BoundaryHomologyReport(Record):
         return sum(self.q_dims.get(k, 0) for k in range(half + 1)) % 2
 
 
+def _checked_rank(h, d, j, r):
+    """R, checked as the rank of the pairing H_{d-j} x H_j -> Q on H."""
+    cap = min(h.rank(j), h.rank(d - j))
+    if not 0 <= r <= cap:
+        raise ValueError(
+            f"pairing rank {r} at degree {j} exceeds min(b_{j}, b_{d - j}) = {cap}")
+    return r
+
+
 def handlebody_boundary_homology(chain: ChainComplex, total_dim,
                                  pairing_ranks=None) -> BoundaryHomologyReport:
     """Boundary homology of a d-dimensional handlebody with the given chain data.
@@ -201,11 +212,8 @@ def handlebody_boundary_homology(chain: ChainComplex, total_dim,
     ranks = {}
     notes = []
     for j, r in (pairing_ranks or {}).items():
-        j, r = as_int(j, "pairing degree"), as_int(r, "pairing rank")
-        cap = min(h.rank(j), h.rank(d - j))
-        if not 0 <= r <= cap:
-            raise ValueError(
-                f"pairing rank {r} at degree {j} exceeds min(b_{j}, b_{d - j}) = {cap}")
+        j = as_int(j, "pairing degree")
+        r = _checked_rank(h, d, j, as_int(r, "pairing rank"))
         for jj in (j, d - j):
             if jj in ranks and ranks[jj] != r:
                 raise ValueError(f"conflicting pairing ranks at degree {jj}")
@@ -290,17 +298,19 @@ def boundary_homology(p: HandlePresentation) -> BoundaryHomologyReport:
 
 
 def intersection_form_rank(p: HandlePresentation) -> int:
-    """rank = dim H^n(W;Q) + dim H^{n-1}(W;Q) - dim H^n(Y;Q)."""
+    """rank = b_n + b_{n-1} - dim H^n(Y;Q) = r_n, as no (n+1)-handle exists:
+    the rank of p.intersection_form (at most b_n), else 0 when b_n = 0,
+    else undetermined.  Homology is computed once."""
     if p.n < 2:
         raise ValueError(f"intersection form rank needs n >= 2, got n = {p.n}")
-    report = boundary_homology(p)
-    hn_y = report.dim(p.n)
-    if hn_y is None:
+    h, form = p.homology(), p.intersection_form
+    if form is not None:
+        return _checked_rank(h, 2 * p.n, p.n, invariant_factors(form)[0])
+    if h.rank(p.n):
         raise ValueError(
             "dim H^n(Y;Q) undetermined without middle framing data; "
             "set intersection_form on the presentation")
-    hstar = p.cohomology()
-    return hstar.rank(p.n) + hstar.rank(p.n - 1) - hn_y
+    return 0
 
 
 class OmegaVerdict(Record):
@@ -318,6 +328,7 @@ def omega_membership(h, n, closed=False, simply_connected=False,
     h: GradedGroup, or {degree: dim_Q} table.  The three flags are caller
     assertions; they are not derivable from homology.
     """
+    n = as_int(n, "dimension n")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if isinstance(h, dict):

@@ -15,6 +15,8 @@ import numpy as np
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as _sympy_snf
 
+from weinkit.handles import boundary_homology
+
 
 def rational_rank(rows):
     """Rank of an integer matrix by Gaussian elimination over Fraction.
@@ -267,6 +269,20 @@ def loop_gap_dense(lm, ln, hy_dims, n):
         if gap > bound:
             return {"degree": k, "gap": gap, "bound": bound}
     return None
+
+
+def intersection_form_rank_by_boundary(p):
+    """rank = dim H^n(W;Q) + dim H^{n-1}(W;Q) - dim H^n(Y;Q), read off the
+    whole boundary report and a second homology of the chain complex."""
+    if p.n < 2:
+        raise ValueError(f"intersection form rank needs n >= 2, got n = {p.n}")
+    hn_y = boundary_homology(p).dim(p.n)
+    if hn_y is None:
+        raise ValueError(
+            "dim H^n(Y;Q) undetermined without middle framing data; "
+            "set intersection_form on the presentation")
+    hstar = p.cohomology()
+    return hstar.rank(p.n) + hstar.rank(p.n - 1) - hn_y
 
 
 def rank_mod2(rows):

@@ -130,6 +130,14 @@ class TestHomologyCommands:
         assert result.exit_code == 2
         assert "error" in report_of(result)
 
+    def test_non_utf8_file_is_named(self, tmp_path):
+        # used to report only "'utf-8' codec can't decode byte 0xff ..."
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        result = invoke(["homology", str(bad)])
+        assert result.exit_code == 2
+        assert report_of(result)["error"].startswith(f"{bad} is not JSON: ")
+
     def test_schema_violation_is_invalid_input(self, files):
         path = files("p.json", {"schema": 99, "n": 3, "handles": []})
         assert invoke(["homology", path]).exit_code == 2
@@ -505,6 +513,14 @@ class TestLargeInput:
         result = json.loads(out.stdout)["result"]
         assert result["outcome"] == "indistinguishable by this invariant"
         assert result["witness"] == {"horizon": 1000000000}
+
+    def test_rank_form_at_a_far_n(self, files, tmp_path):
+        # used to build the boundary report over all 2n degrees
+        files("p.json", {"schema": 1, "n": 1000000000,
+                         "handles": [{"index": 0}]})
+        out, seconds = self.weinkit(["rank-form", "p.json"], tmp_path)
+        assert out.returncode == 0 and seconds < 2
+        assert json.loads(out.stdout)["result"] == 0
 
     def test_exponent_action_is_invalid_input(self, files, tmp_path):
         # Fraction("1e200000") has 200001 digits, too many to print

@@ -1,8 +1,12 @@
 """Presentations, boundary homology, omega membership, connect sums."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from weinkit import graded, handles
 from weinkit.graded import ChainComplex, GradedGroup, homology
 from weinkit.handles import (
     BoundaryHomologyReport,
@@ -177,6 +181,58 @@ class TestIntersectionFormRank:
         with pytest.raises(ValueError, match="undetermined"):
             intersection_form_rank(p)
 
+    @staticmethod
+    def random_presentation(rng):
+        """n in [2, 5]; free handles of index 1 to n - 2, a random d_n
+        from the n-handles to the (n-1)-handles, and no form or a random
+        one of random rank."""
+        n = rng.randint(2, 5)
+        below, middle = rng.randint(0, 3), rng.randint(0, 3)
+        free = ([rng.randint(1, n - 2) for _ in range(rng.randint(0, 2))]
+                if n > 2 else [])
+        indices = [0, *free] + [n - 1] * below + [n] * middle
+        boundaries = {}
+        if below and middle:
+            boundaries[n] = [[rng.randint(-2, 2) for _ in range(middle)]
+                             for _ in range(below)]
+        form = None
+        if rng.random() < 0.75:
+            # a product of middle x r and r x middle factors has rank <= r
+            r = rng.randint(0, middle)
+            a = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(middle)]
+            b = [[rng.randint(-2, 2) for _ in range(middle)] for _ in range(r)]
+            form = [[sum(a[i][t] * b[t][j] for t in range(r))
+                     for j in range(middle)] for i in range(middle)]
+        return HandlePresentation(n, indices, boundaries, form)
+
+    def test_matches_the_boundary_identity(self):
+        # rank = b_n + b_{n-1} - dim H^n(Y;Q) over the whole boundary report,
+        # the route the function took before: same rank or same message
+        def outcome(rank_of, p):
+            try:
+                return rank_of(p)
+            except ValueError as exc:
+                return str(exc)
+        rng = random.Random(20251019)
+        seen = set()
+        for case in range(1200):
+            p = self.random_presentation(rng)
+            want = outcome(oracles.intersection_form_rank_by_boundary, p)
+            assert outcome(intersection_form_rank, p) == want, (case, p)
+            seen.add(want.split()[0] if isinstance(want, str) else want > 0)
+        assert seen == {"pairing", "dim", False, True}, seen
+
+    def test_computes_homology_once(self, monkeypatch):
+        calls = []
+
+        def counted(chain):
+            calls.append(chain)
+            return homology(chain)
+        for module in (graded, handles):
+            monkeypatch.setattr(module, "homology", counted)
+        assert intersection_form_rank(t_star_sphere(2)) == 1
+        assert len(calls) == 1
+
 
 class TestOmegaMembership:
     FLAGS = dict(closed=True, simply_connected=True, stably_parallelizable=True)
@@ -334,7 +390,8 @@ class TestJson:
         ({"handles": "0"}, "handles must be a list"),
         ({"handles": {"0": {"index": 0}}}, "handles must be a list"),
         ({"handles": [{"index": 0, "label": None}]},
-         "handle label must be a string, got None")])
+         "handle label must be a string, got None"),
+        ({"handles": [[0]]}, "handle entry must be an object")])
     def test_from_json_rejects_wrong_types(self, change, message):
         # a list of boundary matrices used to end in an AttributeError
         doc = dict({"schema": 1, "n": 2, "handles": [{"index": 0}]}, **change)

@@ -34,6 +34,7 @@ from weinkit.chords import (
     ChordSpectrum,
     MorseData,
     choose_Q,
+    chord_degree,
     self_intersection_index,
     stabilize,
 )
@@ -42,11 +43,17 @@ from weinkit.graded import (
     GradedGroup,
     homology,
     invariant_factor_chain,
+    semi_characteristic,
 )
 from weinkit.floer import (
     LoopHomologyTable,
     SHPlusProfile,
+    boundedinfinite_distinguisher,
     cem_flexible_obstruction,
+    distinguish_flexible_fillings,
+    flexible_support_test,
+    sh_support_adc_obstruction,
+    taut_les_bounds,
 )
 from weinkit.handles import (
     BoundaryHomologyReport,
@@ -56,6 +63,7 @@ from weinkit.handles import (
     boundary_connect_sum,
     c1_propagation_check,
     handlebody_boundary_homology,
+    omega_membership,
 )
 from weinkit.models import middle_rank_family, mixed_sign_spectrum, sample_certificate
 from weinkit.scaling import CheckResult, bound_ratio, build_g, verify_h_family
@@ -785,6 +793,9 @@ def test_lazy_loading_on_each_installed_interpreter(version):
         "executed": ["chords", "graded", "serialize", "snf", "surgery"]}
 
 
+_POINT = GradedGroup.free({0: 1})
+
+
 @pytest.mark.parametrize("call, field", [
     (lambda: homology(ChainComplex({0: 2.7})), "generator count at degree 0"),
     (lambda: HandlePresentation(3.9, [0]), "half-dimension n"),
@@ -814,13 +825,27 @@ def test_lazy_loading_on_each_installed_interpreter(version):
     (lambda: self_intersection_index(4, 1.5, choose_Q(4)), "N"),
     (lambda: cem_flexible_obstruction(1.5, 0), "copy count"),
     (lambda: HandlePresentation(3, [0, 3.5]), "handle index"),
+    (lambda: distinguish_flexible_fillings(_POINT, _POINT, 3.5),
+     "half-dimension n"),
+    (lambda: flexible_support_test({4}, 2.5), "half-dimension n"),
+    (lambda: choose_Q(3.5), "half-dimension n"),
+    (lambda: chord_degree(1.5, 0, 0), "down-cusp count"),
+    (lambda: taut_les_bounds({}, {0: 1}, 3.5), "half-dimension n"),
+    (lambda: omega_membership(_POINT, 3.5, True, True, True), "dimension n"),
+    (lambda: semi_characteristic(_POINT, 3.5), "dimension n"),
+    (lambda: sh_support_adc_obstruction({0}, 3.5), "half-dimension n"),
+    (lambda: boundedinfinite_distinguisher(
+        LoopHomologyTable({0: 1}, {0: 1}), LoopHomologyTable({0: 1}, {0: 1}),
+        {0: 1}, 3.5), "half-dimension n"),
 ], ids=["chain-count", "handle-n", "handle-index", "group-rank",
         "torsion-factor", "chord-front", "morse-index", "stabilize-sites",
         "loop-dims", "loop-base", "boundary-dim", "chord-degree",
         "orbit-degree", "profile-nodes", "profile-nodes-string",
         "chord-spectrum-n", "orbit-spectrum-n", "morse-dimension",
         "morse-chi", "stabilize-N", "subcritical-iterates", "ambient-k",
-        "self-index-N", "cem-copies", "handle-bare-index"])
+        "self-index-N", "cem-copies", "handle-bare-index", "distinguish-n",
+        "flexible-support-n", "choose-Q-n", "chord-degree-down", "taut-les-n",
+        "omega-n", "semi-characteristic-n", "adc-support-n", "loops-n"])
 def test_api_rejects_non_integer_counts(call, field):
     # each used to be truncated by int() or kept: rank 2, n = 3, a 3-handle,
     # Z + Z/2, the chain (2, 12), front (1, 0, 0), indices (0, 1), one site,
@@ -829,7 +854,9 @@ def test_api_rejects_non_integer_counts(call, field):
     # the Morse dimension 1.5 and chi 0.0 were kept as floats; N = 1.5
     # failed as a chord degree of 1.0, iterates 2.0 as a TypeError, k = 1.5
     # as the new chord's degree, the index came out -0.0, the obstruction
-    # False, and a bare 3.5 failed to unpack
+    # False, and a bare 3.5 failed to unpack; a half-dimension of 3.5 fired
+    # the distinguisher, allowed support up to 3.5, was blamed on Q's
+    # dimension 1.5 or passed, and chord_degree(1.5, 0, 0) returned 0.5
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         call()
 
