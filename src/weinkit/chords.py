@@ -6,8 +6,8 @@ is exactly what the degree formula consumes, and no more geometry is kept.
 All actions are exact rationals.
 """
 
-from fractions import Fraction
 from itertools import repeat
+from math import isqrt
 
 from .serialize import (
     BOOL,
@@ -17,7 +17,10 @@ from .serialize import (
     STRING,
     Record,
     as_int,
+    as_rational,
+    lowest_terms,
     optional,
+    ratio_to_str,
     records_of,
     tuple_of,
 )
@@ -37,10 +40,9 @@ def chord_degree(down, up, ind):
 
 def _trusted(cls, count, **columns):
     """`count` instances of the record class `cls` built without its
-    __init__ from field values the caller has already shown valid:
+    __init__ from slot values the caller has already shown valid:
     each keyword names a slot and gives an iterable with a value for every
-    instance.  For a ChordRecord, `_action_num` and `_action_den` may stand
-    in for `action`."""
+    instance; a rational field f is its slot _f, a pair (p, q)."""
     records = list(map(object.__new__, repeat(cls, count)))
     for name, values in columns.items():
         # a C-level map over the slot setter, one column at a time, costs
@@ -50,16 +52,24 @@ def _trusted(cls, count, **columns):
     return records
 
 
+def _unchecked(cls, *values):
+    """One instance of the record class `cls` holding VALUES, one per field
+    (a rational as its pair), which the caller has already shown valid."""
+    record = object.__new__(cls)
+    Record.__init__(record, *values)
+    return record
+
+
 class ChordRecord(Record):
     """One Reeb chord: non-empty string id, integer degree, positive
     rational action, optional front provenance (down-cusps, up-cusps, Morse
     index of the height difference), and whether its class in pi_1
     relative the Legendrian vanishes (non-null-homotopic chords carry no
     canonical grading and are excluded from word enumeration downstream).
-    A record made by stabilize holds its action as `_action_num` /
-    `_action_den` until the action is first read."""
-    __slots__ = ("id", "degree", "action", "front", "null_homotopic",
-                 "_action_num", "_action_den")
+    The action is held as its pair (p, q) in lowest terms, the same way
+    however the record was made; `action` builds the Fraction on each read."""
+    __slots__ = ("id", "degree", "_action", "front", "null_homotopic")
+    _rationals = ("action",)
     # the constructor checks the id, so its codec passes it through
     _codecs = {"id": RAW, "degree": INT, "action": RATIONAL,
                "front": optional(tuple_of(INT, "front entry"), None),
@@ -71,13 +81,13 @@ class ChordRecord(Record):
             raise ValueError(f"chord id must be a string, got {id!r}")
         if not id:
             raise ValueError("chord id must not be empty")
-        # hot path when loading large spectra: avoid re-wrapping Fractions
-        # and compare through the numerator
         if type(degree) is not int:
             degree = as_int(degree, f"chord {id!r}: degree")
-        if type(action) is not Fraction:
-            action = Fraction(action)
-        if action.numerator <= 0:
+        try:
+            action = as_rational(action, "action")
+        except ValueError as exc:  # the id is formatted only on failure
+            raise type(exc)(f"chord {id!r}: {exc}") from None
+        if action[0] <= 0:
             raise ValueError(f"chord {id!r}: action must be positive")
         if front is not None:
             try:
@@ -94,21 +104,12 @@ class ChordRecord(Record):
                     f"front value {expect}")
         Record.__init__(self, id, degree, action, front, null_homotopic)
 
-    def __getattr__(self, name):
-        # reached only when normal lookup fails, as for the unset action
-        # slot of a zig-zag record
-        if name != "action":
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
-        action = Fraction(self._action_num, self._action_den)
-        object.__setattr__(self, "action", action)
-        return action
-
 
 class ChordSpectrum(Record):
     """All chords with action below the bound, for a contact boundary of
     half-dimension n.  Finite by genericity; ids must be distinct."""
-    __slots__ = ("n", "chords", "bound")
+    __slots__ = ("n", "chords", "_bound")
+    _rationals = ("bound",)
     _codecs = {"n": INT, "bound": RATIONAL, "chords": records_of(ChordRecord)}
 
     def __init__(self, n, chords, bound):
@@ -116,20 +117,19 @@ class ChordSpectrum(Record):
         if n < 1:
             raise ValueError(f"half-dimension must be >= 1, got {n}")
         chords = tuple(chords)
-        if type(bound) is not Fraction:
-            bound = Fraction(bound)
-        if bound.numerator <= 0:
+        bp, bq = bound = as_rational(bound, "action bound")
+        if bp <= 0:
             raise ValueError("action bound must be positive")
         seen = set()
         # cross-multiplied int compare; this validation sees every record
-        bn, bd = bound.numerator, bound.denominator
         for c in chords:
             if c.id in seen:
                 raise ValueError(f"duplicate chord id {c.id!r}")
             seen.add(c.id)
-            if c.action.numerator * bd >= bn * c.action.denominator:
-                raise ValueError(
-                    f"chord {c.id!r}: action {c.action} >= bound {bound}")
+            p, q = c._action
+            if p * bq >= bp * q:
+                raise ValueError(f"chord {c.id!r}: action {c.action} >= "
+                                 f"bound {ratio_to_str(bound)}")
         Record.__init__(self, n, chords, bound)
 
     def min_degree(self):
@@ -197,24 +197,28 @@ def stabilize(spectrum: ChordSpectrum, N, q_data: MorseData,
         raise ValueError(f"N must be >= 0, got {N}")
     if N == 0:
         return spectrum
-    eps = (Fraction(zigzag_action) if zigzag_action is not None
-           else min(Fraction(1), spectrum.bound) / 2)
-    if eps <= 0:
+    bp, bq = spectrum._bound
+    # by default half of min(1, bound)
+    ep, eq = (as_rational(zigzag_action, "zigzag action")
+              if zigzag_action is not None
+              else lowest_terms(min(bp, bq), 2 * bq))
+    if ep <= 0:
         raise ValueError("zigzag action scale must be positive")
-    if eps >= spectrum.bound:
+    if ep * bq >= bp * eq:
         raise ValueError(
-            f"zigzag action {eps} >= spectrum bound {spectrum.bound}: "
-            "new chords would break the bound")
+            f"zigzag action {ratio_to_str((ep, eq))} >= spectrum bound "
+            f"{spectrum.bound}: new chords would break the bound")
     if sites is None:
         sites = sum(1 for c in spectrum.chords if c.degree <= 0)
     sites = as_int(sites, "sites")
     if sites < 0:
         raise ValueError("sites must be >= 0")
 
-    # a front is None or a (D, U, ind) triple; the constructor checks it
-    out = [ChordRecord(c.id, c.degree + 2 * N, c.action,
-                       c.front and (c.front[0] + 2 * N, *c.front[1:]),
-                       c.null_homotopic) for c in spectrum.chords]
+    # every old chord's front gains 2N down-cusps, so its degree still
+    # matches; a front is None or a (D, U, ind) triple
+    out = [_unchecked(ChordRecord, c.id, c.degree + 2 * N, c._action,
+                      c.front and (c.front[0] + 2 * N, *c.front[1:]),
+                      c.null_homotopic) for c in spectrum.chords]
     # The zig-zag records below are valid by construction, so none is
     # re-validated: each has front (2, 0, ind), degree 1 + ind, action
     # eps * t / (total + 1) in (0, eps) and an id kept apart from the old
@@ -230,21 +234,24 @@ def stabilize(spectrum: ChordSpectrum, N, q_data: MorseData,
     if not used.isdisjoint(ids):
         # e.g. re-stabilizing: an old zz<t> pushes the new one to zz<t>_
         ids = [_fresh_id(cid, used) for cid in ids]
-    # the actions share one denominator; each Fraction is made only when
-    # the action is read
     degrees = [1 + ind for ind in q_data.critical_points
                for copy in range(2 * N)] * sites
-    fronts = [(2, 0, ind) for ind in q_data.critical_points
-              for copy in range(2 * N)] * sites
+    fronts = [front for ind in q_data.critical_points
+              for front in repeat((2, 0, ind), 2 * N)] * sites
+    # action t is t e/K, e/K = eps/(total + 1) in lowest terms, so it is
+    # (e t/d, K/d) for d the largest divisor of K that divides t: one slice
+    # per divisor, the largest last, and no gcd per record
+    e, K = lowest_terms(ep, eq * (total + 1))
+    actions = list(zip(range(e, e * total + 1, e), repeat(K)))
+    low = [d for d in range(2, isqrt(K) + 1) if K % d == 0]
+    for d in sorted({K, *low, *(K // d for d in low)}):
+        if d <= total:
+            actions[d - 1::d] = zip(range(e, e * (total // d) + 1, e),
+                                    repeat(K // d))
     out += _trusted(
-        ChordRecord, total, id=ids, degree=degrees, front=fronts,
-        null_homotopic=repeat(True),
-        _action_num=range(eps.numerator, eps.numerator * total + 1,
-                          eps.numerator),
-        _action_den=repeat(eps.denominator * (total + 1)))
-    [result] = _trusted(ChordSpectrum, 1, n=[spectrum.n], chords=[tuple(out)],
-                        bound=[spectrum.bound])
-    return result
+        ChordRecord, total, id=ids, degree=degrees, _action=actions,
+        front=fronts, null_homotopic=repeat(True))
+    return _unchecked(ChordSpectrum, spectrum.n, tuple(out), spectrum._bound)
 
 
 class SelfIntersectionIndex(Record):

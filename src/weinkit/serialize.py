@@ -9,8 +9,9 @@ Rationals travel as strings "p/q" (or "p" when the denominator is 1) and
 matrix entries as decimal strings, so arbitrary precision survives JSON.
 `Verdict`, the outcome both floer's distinguishers and surgery's
 certificate check return, lives here so that surgery need not load floer,
-and `as_int`, the Python API's reader of counts and indices, so that every
-module can use it.
+and `as_int` and `as_rational`, the Python API's readers of counts and of
+actions, so that every module can use them.  `dumps_canonical` writes
+every report.
 
 `Record` is the base of every record type (Verdict, GradedGroup,
 ChainComplex, HandlePresentation, ChordRecord, Stage, ...), an immutable
@@ -18,13 +19,16 @@ value made of named fields:
 
 - Field table: a subclass lists its slots in `__slots__`.  Those whose
   names do not start with "_" are its fields, in that order, kept as the
-  class attribute `_fields`; the others are private caches (the exact and
-  float pieces of a GProfile, the numerator and denominator a zig-zag
-  chord holds until its action is read), outside everything below.
+  class attribute `_fields`, and so is f for a slot "_f" when f is in the
+  class's `_rationals`: a rational field, whose slot holds (p, q) in
+  lowest terms with q > 0 and whose attribute f builds the Fraction on
+  each read.  The other private slots are caches (the exact and float
+  pieces of a GProfile), outside everything below.
 - Storage: `Record.__init__(*values)` stores one value per field, in
-  field order, and raises TypeError on a wrong count.  A subclass that
-  checks, normalizes or defaults its arguments does so in its own
-  `__init__`, which ends in one call to `Record.__init__`.
+  field order (a rational as its pair), and raises TypeError on a wrong
+  count.  A subclass that checks, normalizes or defaults its arguments
+  does so in its own `__init__`, which ends in one call to
+  `Record.__init__`.
 - JSON: a subclass whose document maps field to field declares
   `_codecs = {field: codec}` in the document's key order (which `--table`
   output shows), and `_schema = False` when its document is nested and
@@ -35,15 +39,17 @@ value made of named fields:
   the value into JSON (None when the value is its own JSON), read turns
   the JSON value and its key into the value, and default is what a
   missing key reads as (`_REQUIRED` when the key must be present).  The
-  set is closed: INT, RATIONAL, BOOL, STRING, FLOAT (written as a float,
-  read as the rational its shortest decimal spells), RAW, MATRIX,
-  GROUP_ENTRY (one degree of a graded group), `tuple_of`, `degree_map`
-  (every map from degree to value, as an object keyed by decimal degree),
-  `record_of`, `records_of` and `optional`.  Records whose documents do
-  not map field to field (GradedGroup, SHPlusProfile, HandlePresentation)
-  write their own `to_json` and `from_json`, through these codecs.
-- Equality: `a == b` when both have the same type and equal field tuples;
-  against any other type `__eq__` returns NotImplemented.
+  set is closed: INT, RATIONAL (a rational field's pair), BOOL, STRING,
+  FLOAT (written as a float, read as the rational its shortest decimal
+  spells), RAW, MATRIX, GROUP_ENTRY (one degree of a graded group),
+  `tuple_of`, `degree_map` (every map from degree to value, as an object
+  keyed by decimal degree), `record_of`, `records_of` and `optional`.
+  Records whose documents do not map field to field (GradedGroup,
+  SHPlusProfile, HandlePresentation) write their own `to_json` and
+  `from_json`, through these codecs.
+- Equality: `a == b` when both have the same type and equal field tuples
+  (compared as stored, a rational as its pair); against any other type
+  `__eq__` returns NotImplemented.
 - Hash: the hash of the field tuple, so equal records hash alike; a record
   holding a dict or list is unhashable.
 - Repr: `Name(field=value, ...)` over the fields in order.
@@ -53,7 +59,8 @@ value made of named fields:
 import json
 import re
 from fractions import Fraction
-from functools import wraps
+from functools import partial, wraps
+from math import gcd
 from operator import attrgetter, index
 
 SCHEMA_VERSION = 1
@@ -65,39 +72,77 @@ class SchemaError(ValueError):
     """Input document does not match the expected schema."""
 
 
-def frac_to_str(x: Fraction) -> str:
-    # every RATIONAL field holds a Fraction; re-wrapping one costs about
-    # three times the formatting
-    if type(x) is not Fraction:
-        x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def ratio_to_str(pair) -> str:
+    """A rational held as (p, q), written "p/q", or "p" when q is 1."""
+    p, q = pair
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
-def parse_rational(text, what) -> Fraction:
-    """The rational TEXT spells ("p/q", "p" or "1.25"), or SchemaError
-    "<what> '<text>': <reason>".  Exponent notation is refused before
-    Fraction can build a huge integer from it."""
+def lowest_terms(p, q):
+    """(p, q) over their gcd, for q > 0."""
+    g = gcd(p, q)
+    return p // g, q // g
+
+
+class _Pair(tuple):
+    """(p, q) in lowest terms, q > 0, which `as_rational` passes on as it
+    is: what the RATIONAL codec reads, and what the package hands itself."""
+    __slots__ = ()
+
+
+def _ratio(text, what):
+    """The _Pair of the rational TEXT spells ("p/q", "p" or "1.25"), or
+    SchemaError "<what> '<text>': <reason>".  Exponent notation is refused
+    before Fraction can build a huge integer from it."""
     try:
         # the common "p/q" and "p" in ASCII digits skip both regexes; a zero
         # q or a too-long p raises what Fraction(text) would
         num, slash, den = text.partition("/")
-        unsigned = num[1:] if num[:1] in ("+", "-") else num
-        if text.isascii() and unsigned.isdigit() and (den.isdigit()
-                                                      or not slash):
-            return Fraction(int(num), int(den) if slash else 1)
+        if text.isascii() and (den.isdigit() or not slash) and (
+                num.isdigit() or num[:1] in ("+", "-") and num[1:].isdigit()):
+            p, q = int(num), int(den) if slash else 1
+            if q == 0:
+                raise ZeroDivisionError(f"Fraction({p}, 0)")
+            g = gcd(p, q)
+            return _Pair((p // g, q // g))
         if _EXPONENT.search(text):
             raise ValueError("exponent notation is not accepted")
-        return Fraction(text)
+        x = Fraction(text)
+        return _Pair((x.numerator, x.denominator))
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"{what} {text!r}: {exc}") from None
 
 
-def frac_from_str(s) -> Fraction:
+def parse_rational(text, what) -> Fraction:
+    """The rational TEXT spells, as `_ratio` reads it, as a Fraction."""
+    return Fraction(*_ratio(text, what))
+
+
+def frac_from_str(s, key=None) -> _Pair:
+    """A JSON rational, a "p/q" string or an integer, as its _Pair (the
+    RATIONAL codec's read, which names no key in its errors)."""
+    if isinstance(s, str):
+        return _ratio(s, "bad rational")
     if type(s) is int:
-        return Fraction(s)
-    if not isinstance(s, str):
-        raise SchemaError(f"rational must be 'p/q' string or integer, got {s!r}")
-    return parse_rational(s, "bad rational")
+        return _Pair((s, 1))
+    raise SchemaError(f"rational must be 'p/q' string or integer, got {s!r}")
+
+
+def as_rational(value, what):
+    """An int (as `as_int` takes it), Fraction or "p/q" string of the Python
+    API, as (p, q) in lowest terms with q > 0; a float, an exponent string
+    or any other type is an error naming WHAT."""
+    if type(value) is _Pair:
+        return value
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    if isinstance(value, str):
+        return _ratio(value, what)
+    try:
+        return index(value), 1
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, a Fraction or a 'p/q' "
+                         f"string, got {value!r}") from None
 
 
 def int_from_json(value, what) -> int:
@@ -187,7 +232,8 @@ def reader(what, schema=True):
 # The field codecs, (write, read, default) as the module docstring sets out.
 _REQUIRED = object()
 INT = (None, int_from_json, _REQUIRED)
-RATIONAL = (frac_to_str, lambda value, key: frac_from_str(value), _REQUIRED)
+# a rational field's (p, q), written as "p/q"
+RATIONAL = (ratio_to_str, frac_from_str, _REQUIRED)
 BOOL = (None, bool_from_json, _REQUIRED)
 STRING = (None, str_from_json, _REQUIRED)
 FLOAT = (float, _decimal_from_json, _REQUIRED)
@@ -291,18 +337,29 @@ class Record:
     _schema = True
 
     def __init_subclass__(cls):
-        fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        # private slots are caches, except that _f holds the rational
+        # field f as (p, q) when f is in _rationals
+        rationals = vars(cls).get("_rationals", ())
+        stored = tuple(name for name in cls.__slots__
+                       if name[0] != "_" or name[1:] in rationals)
+        fields = tuple(name.lstrip("_") for name in stored)
+        for name in rationals:
+            setattr(cls, name, property(
+                lambda self, slot=f"_{name}": Fraction(*getattr(self, slot))))
         cls._fields = fields
         cls._values = property(_tuple_getter(fields))
+        # a rational's pair is in lowest terms, so equal pairs are equal values
+        cls._stored = property(_tuple_getter(stored))
         # each slot's setter, bound once here: __init__'s loop over them is
         # cheaper than one through object.__setattr__ by name
-        cls._setters = tuple(getattr(cls, name).__set__ for name in fields)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in stored)
         codecs = vars(cls).get("_codecs")
         if codecs is None:
             return
         keys = tuple(codecs)
         head = {"schema": SCHEMA_VERSION} if cls._schema else {}
-        values = _tuple_getter(keys)
+        values = _tuple_getter(tuple(f"_{key}" if key in rationals else key
+                                     for key in keys))
         writes = [(key, write) for key, (write, _, _) in codecs.items()
                   if write is not None]
         # a KeyError here names a field without a codec
@@ -335,7 +392,7 @@ class Record:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values == other._values
+            return self._stored == other._stored
         return NotImplemented
 
     def __hash__(self):
@@ -366,6 +423,43 @@ class Verdict(Record):
         return self.fired
 
 
+_json = partial(json.dumps, sort_keys=True, separators=(",", ": "), indent=1)
+
+
 def dumps_canonical(doc) -> str:
-    """Deterministic serialization: sorted keys, fixed separators."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1)
+    """Deterministic serialization: the text of `_json(doc)`, for which
+    `indent` takes json's pure-Python encoder; lists, tuples and dicts
+    keyed by strings are written here."""
+    return _dumps(doc, "\n")
+
+
+_ascii = json.encoder.encode_basestring_ascii
+# how json writes a value of each exact type but float
+_SCALARS = {str: _ascii, int: int.__repr__, type(None): {None: "null"}.get,
+            bool: ("false", "true").__getitem__}
+
+
+def _dumps(value, indent):
+    """VALUE as json writes it on a line indented by INDENT, a newline and
+    one space per level."""
+    kind, inner, write = type(value), indent + " ", _SCALARS.get
+    try:
+        if kind is dict:
+            # keys are distinct, so sorting them sorts the items
+            items = [f"{_ascii(k)}: "
+                     f"{w(v) if (w := write(type(v))) else _dumps(v, inner)}"
+                     for k in sorted(value) for v in (value[k],)]
+        elif kind is list or kind is tuple:
+            items = [w(x) if (w := write(type(x))) else _dumps(x, inner)
+                     for x in value]
+        else:
+            items = None
+    except TypeError:  # a key that is not a string, or what json refuses
+        items = None
+    if items is None:
+        # json's own text, its lines moved to this indent
+        return _json(value).replace("\n", indent)
+    ends = "{}" if kind is dict else "[]"
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]

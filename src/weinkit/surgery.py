@@ -3,8 +3,12 @@ contact manifolds, and ADC certificates with their transformations.
 
 Contact forms are modeled by positive scale factors relative to stage 1:
 every check performed here (monotonicity, rescaling transport, the 4^k
-bookkeeping) factors through scales and per-step bound constants.  Actions
-are exact rationals throughout; nothing is compared in floating point.
+bookkeeping) factors through scales and per-step bound constants.  Every
+action, bound and scale is held as integers (p, q) in lowest terms, which
+its public attribute reads as a Fraction: windows, rescaling, the
+certificate checks and the word sums are integer arithmetic, and nothing is
+compared in floating point.  Every action-valued argument is read by
+as_rational, so a float is refused, never rounded.
 
 Words come from one level-order walk, _walk, cyclic or linear.  Its
 invariant: each level (word length) is in letter order, so words come out
@@ -20,11 +24,10 @@ generated name ("zz<t>" in stabilize, "surg" in add_surgery_chord) takes
 """
 
 from collections import Counter
-from fractions import Fraction
 from itertools import compress, repeat
 from math import lcm
 
-from .chords import ChordRecord, ChordSpectrum, _fresh_id, _trusted, choose_Q, min_positive_N, stabilize
+from .chords import ChordRecord, ChordSpectrum, _fresh_id, _trusted, _unchecked, choose_Q, min_positive_N, stabilize
 from .serialize import (
     BOOL,
     INT,
@@ -32,9 +35,12 @@ from .serialize import (
     STRING,
     Record,
     Verdict,
+    _Pair,
     as_int,
-    frac_to_str,
+    as_rational,
+    lowest_terms,
     optional,
+    ratio_to_str,
     record_of,
     records_of,
 )
@@ -53,12 +59,12 @@ def canonical_rotation(seq):
 class CyclicWord(Record):
     """A cyclic equivalence class of chord ids with its total degree and
     action.  letters always stores the canonical (least) rotation."""
-    __slots__ = ("letters", "degree", "action")
+    __slots__ = ("letters", "degree", "_action")
+    _rationals = ("action",)
 
     def __init__(self, letters, degree, action):
-        if type(action) is not Fraction:
-            action = Fraction(action)
-        Record.__init__(self, canonical_rotation(letters), degree, action)
+        Record.__init__(self, canonical_rotation(letters), degree,
+                        as_rational(action, "word action"))
 
     def __len__(self):
         return len(self.letters)
@@ -76,17 +82,19 @@ def enumerate_words(spectrum: ChordSpectrum, bound,
     is an error unless skip_non_null_homotopic drops them instead.
     Termination is guaranteed by positivity of actions.
     """
-    letters, degrees, actions = _cyclic_words(spectrum, bound, 0,
-                                              skip_non_null_homotopic)
+    letters, degrees, actions = _cyclic_words(
+        spectrum, as_rational(bound, "word action bound"), 0,
+        skip_non_null_homotopic)
     return tuple(_trusted(CyclicWord, len(letters), letters=letters,
-                          degree=degrees, action=actions))
+                          degree=degrees, _action=actions))
 
 
 def _cyclic_words(spectrum, bound, shift, skip_non_null_homotopic=False):
-    """_walk over the null-homotopic chords, as enumerate_words reads it."""
-    bound = Fraction(bound)
-    if bound <= 0:
-        raise ValueError(f"word action bound must be positive, got {bound}")
+    """_walk over the null-homotopic chords below the bound (p, q), as
+    enumerate_words reads it."""
+    if bound[0] <= 0:
+        raise ValueError(
+            f"word action bound must be positive, got {ratio_to_str(bound)}")
     alphabet = [c for c in spectrum.chords if c.null_homotopic]
     if len(alphabet) < len(spectrum.chords) and not skip_non_null_homotopic:
         c = next(c for c in spectrum.chords if not c.null_homotopic)
@@ -96,9 +104,10 @@ def _cyclic_words(spectrum, bound, shift, skip_non_null_homotopic=False):
     return _walk(alphabet, bound, shift, True)
 
 
-def _walk(chords, bound, shift, cyclic, base=Fraction(0)):
+def _walk(chords, bound, shift, cyclic, base=(0, 1)):
     """Words over chords with action + base < bound in (length, letters)
-    order, as columns: letter tuples, degrees + shift, actions + base.
+    order, as columns: letter tuples, degrees + shift, and an iterator over
+    actions + base.  Actions, bound and base are pairs (p, q).
     Cyclic words come once, as least rotations; linear ones all, () first."""
     letters, (cap, base), den = _lattice(chords, bound, base)
     letters = [x for x in letters if base + x[0] < cap]
@@ -138,8 +147,9 @@ def _walk(chords, bound, shift, cyclic, base=Fraction(0)):
                     periods.append(p if keep else length)
                     acts.append(act + num)
                     degs.append(deg + d)
-    fractions = {num: Fraction(num, den) for num in set(nums)}
-    return words, degrees, list(map(fractions.__getitem__, nums))
+    # few distinct sums: reduce each once, and share its pair
+    pairs = {num: lowest_terms(num, den) for num in set(nums)}
+    return words, degrees, map(pairs.__getitem__, nums)
 
 
 def _labels(prefix, words, what):
@@ -155,16 +165,25 @@ def _labels(prefix, words, what):
 
 def _lattice(chords, *actions):
     """The chords sorted by id as (action numerator, id, degree), the
-    numerators of the further actions, and their one common denominator:
-    sums and comparisons of actions become int operations."""
-    den = lcm(*(a.denominator for a in actions),
-              *(c.action.denominator for c in chords))
+    numerators of the further actions (p, q), and their one common
+    denominator: sums and comparisons of actions become int operations."""
+    den = lcm(*(q for _, q in actions), *(c._action[1] for c in chords))
 
-    def num(a):
-        return a.numerator * (den // a.denominator)
-    letters = [(num(c.action), c.id, c.degree)
+    def num(pair):
+        return pair[0] * (den // pair[1])
+    letters = [(num(c._action), c.id, c.degree)
                for c in sorted(chords, key=lambda c: c.id)]
     return letters, [num(a) for a in actions], den
+
+
+def _less(a, b):
+    """a < b for rationals held as (p, q) with q > 0."""
+    return a[0] * b[1] < b[0] * a[1]
+
+
+def _times(a, b):
+    """a * b for rationals held as (p, q), q > 0, in lowest terms."""
+    return lowest_terms(a[0] * b[0], a[1] * b[1])
 
 
 class OrbitRecord(Record):
@@ -172,7 +191,8 @@ class OrbitRecord(Record):
     (pre-existing, a chord word, or a belt-sphere iterate), and whether it
     is contractible.  Non-contractible orbits have no canonical degree and
     are skipped by positivity checks."""
-    __slots__ = ("degree", "action", "origin", "contractible")
+    __slots__ = ("degree", "_action", "origin", "contractible")
+    _rationals = ("action",)
     _codecs = {"degree": INT, "action": RATIONAL,
                "origin": optional(STRING, "old"),
                "contractible": optional(BOOL, True)}
@@ -181,9 +201,8 @@ class OrbitRecord(Record):
     def __init__(self, degree, action, origin="old", contractible=True):
         if type(degree) is not int:
             degree = as_int(degree, "orbit degree")
-        if type(action) is not Fraction:
-            action = Fraction(action)
-        if action.numerator <= 0:
+        action = as_rational(action, "orbit action")
+        if action[0] <= 0:
             raise ValueError("orbit action must be positive")
         if not isinstance(origin, str):
             raise ValueError(f"orbit origin must be a string, got {origin!r}")
@@ -205,7 +224,8 @@ class OrbitRecord(Record):
 class OrbitSpectrum(Record):
     """All closed orbits with action below the bound; finite by genericity,
     which is a caller assertion carried as the generic flag."""
-    __slots__ = ("n", "orbits", "bound", "generic")
+    __slots__ = ("n", "orbits", "_bound", "generic")
+    _rationals = ("bound",)
     _codecs = {"n": INT, "bound": RATIONAL, "generic": optional(BOOL, True),
                "orbits": records_of(OrbitRecord)}
 
@@ -214,14 +234,14 @@ class OrbitSpectrum(Record):
         if n < 1:
             raise ValueError(f"half-dimension must be >= 1, got {n}")
         orbits = tuple(orbits)
-        if type(bound) is not Fraction:
-            bound = Fraction(bound)
-        if bound.numerator <= 0:
+        bp, bq = bound = as_rational(bound, "action bound")
+        if bp <= 0:
             raise ValueError("action bound must be positive")
-        bn, bd = bound.numerator, bound.denominator
         for r in orbits:
-            if r.action.numerator * bd >= bn * r.action.denominator:
-                raise ValueError(f"orbit action {r.action} >= bound {bound}")
+            p, q = r._action
+            if p * bq >= bp * q:
+                raise ValueError(f"orbit action {r.action} >= bound "
+                                 f"{ratio_to_str(bound)}")
         Record.__init__(self, n, orbits, bound, generic)
 
 
@@ -235,20 +255,18 @@ def orbits_after_surgery(old: OrbitSpectrum, chords: ChordSpectrum,
         raise ValueError(f"need n >= 2, got {n}")
     if chords.n != n:
         raise ValueError(f"half-dimensions differ: {chords.n} != {n}")
-    bound = Fraction(bound)
-    if bound > old.bound:
-        raise ValueError(
-            f"requested bound {bound} exceeds the known orbit window {old.bound}")
-    kept = [r for r in old.orbits if r.action < bound]
+    bound = as_rational(bound, "requested bound")
+    if _less(old._bound, bound):
+        raise ValueError(f"requested bound {ratio_to_str(bound)} exceeds the "
+                         f"known orbit window {old.bound}")
+    kept = [r for r in old.orbits if _less(r._action, bound)]
     words, degrees, actions = _cyclic_words(chords, bound, n - 3)
     # every action is below the bound, so neither the records nor the
     # spectrum are checked again
-    kept += _trusted(OrbitRecord, len(words), degree=degrees, action=actions,
+    kept += _trusted(OrbitRecord, len(words), degree=degrees, _action=actions,
                      origin=_labels("word:", words, "orbit origin"),
                      contractible=repeat(True))
-    [out] = _trusted(OrbitSpectrum, 1, n=[n], orbits=[tuple(kept)],
-                     bound=[bound], generic=[old.generic])
-    return out
+    return _unchecked(OrbitSpectrum, n, tuple(kept), bound, old.generic)
 
 
 def subcritical_surgery(spectrum: OrbitSpectrum, n, k, iterates, eps,
@@ -274,17 +292,20 @@ def subcritical_surgery(spectrum: OrbitSpectrum, n, k, iterates, eps,
         raise ValueError("iterate horizon must be >= 0")
     if iterates == 0:
         return spectrum
-    eps = Fraction(eps)
-    if eps <= 0:
+    eps = as_rational(eps, "handle-shrinking parameter")
+    if eps[0] <= 0:
         raise ValueError("handle-shrinking parameter must be positive")
-    if eps * iterates >= spectrum.bound:
+    top = _times(eps, (iterates, 1))
+    if not _less(top, spectrum._bound):
         raise ValueError(
-            f"eps * iterates = {eps * iterates} >= bound {spectrum.bound}; "
+            f"eps * iterates = {ratio_to_str(top)} >= bound {spectrum.bound}; "
             "shrink the handle further")
-    new = [OrbitRecord(2 * n - k - 4 + 2 * j, eps * j, f"belt:{j}", True)
+    # every action eps * j is at most eps * iterates, below the bound
+    new = [_unchecked(OrbitRecord, 2 * n - k - 4 + 2 * j, _times(eps, (j, 1)),
+                      f"belt:{j}", True)
            for j in range(1, iterates + 1)]
-    return OrbitSpectrum(spectrum.n, spectrum.orbits + tuple(new),
-                         spectrum.bound, spectrum.generic)
+    return _unchecked(OrbitSpectrum, spectrum.n, spectrum.orbits + tuple(new),
+                      spectrum._bound, spectrum.generic)
 
 
 def add_surgery_chord(spectrum: ChordSpectrum, k,
@@ -300,13 +321,14 @@ def add_surgery_chord(spectrum: ChordSpectrum, k,
         raise ValueError(
             f"need 1 <= k < n - 1 = {n - 1}, got k = {k}"
             + (": critical surgery creates degree-0 chords" if k == n - 1 else ""))
-    action = Fraction(new_action) if new_action is not None \
-        else spectrum.bound / 1000
-    if not 0 < action < spectrum.bound:
+    bound = spectrum._bound
+    action = as_rational(new_action, "new chord action") \
+        if new_action is not None else _times(bound, (1, 1000))
+    if not 0 < action[0] or not _less(action, bound):
         raise ValueError(f"new chord action must lie in (0, {spectrum.bound})")
     cid = _fresh_id("surg", {c.id for c in spectrum.chords})
-    new = ChordRecord(cid, n - k - 1, action)
-    return ChordSpectrum(n, spectrum.chords + (new,), spectrum.bound)
+    new = _unchecked(ChordRecord, cid, n - k - 1, action, None, True)
+    return _unchecked(ChordSpectrum, n, spectrum.chords + (new,), bound)
 
 
 def belt_sphere_chords(spectrum: ChordSpectrum, bound=None) -> ChordSpectrum:
@@ -315,19 +337,19 @@ def belt_sphere_chords(spectrum: ChordSpectrum, bound=None) -> ChordSpectrum:
     n = spectrum.n
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    bound = Fraction(bound) if bound is not None else spectrum.bound
-    if bound > spectrum.bound:
+    bound = spectrum._bound if bound is None \
+        else as_rational(bound, "requested bound")
+    if _less(spectrum._bound, bound):
         raise ValueError(
-            f"requested bound {bound} exceeds the known chord window "
-            f"{spectrum.bound}")
+            f"requested bound {ratio_to_str(bound)} exceeds the known chord "
+            f"window {spectrum.bound}")
     words, degrees, actions = _cyclic_words(spectrum, bound, n - 2)
     # every action is below the bound and _labels keeps the ids distinct
     chords = tuple(_trusted(
         ChordRecord, len(words), id=_labels("w:", words, "chord id"),
-        degree=degrees, action=actions, front=repeat(None),
+        degree=degrees, _action=actions, front=repeat(None),
         null_homotopic=repeat(True)))
-    [out] = _trusted(ChordSpectrum, 1, n=[n], chords=[chords], bound=[bound])
-    return out
+    return _unchecked(ChordSpectrum, n, chords, bound)
 
 
 def nonsimultaneous_words(s_minus: ChordSpectrum, aux: ChordSpectrum,
@@ -351,18 +373,19 @@ def nonsimultaneous_words(s_minus: ChordSpectrum, aux: ChordSpectrum,
                 "presentation until connectors are positive")
     aux = _positive(aux, zigzag_action)
 
-    bound = s_minus.bound
-    base_action = connector_in.action + connector_out.action
+    (ip, iq), (op, oq) = connector_in._action, connector_out._action
     base_degree = connector_in.degree + connector_out.degree
-    middles, degrees, actions = _walk(aux.chords, bound, base_degree, False,
-                                      base_action)
+    middles, degrees, actions = _walk(aux.chords, s_minus._bound, base_degree,
+                                      False, (ip * oq + op * iq, iq * oq))
     null = connector_in.null_homotopic and connector_out.null_homotopic
     ids = _labels("mix:", [(connector_in.id,) + seq + (connector_out.id,)
                            for seq in middles], "chord id")
-    # a clash with an id of s_minus is raised by the checked spectrum
-    out = s_minus.chords + tuple(map(ChordRecord, ids, degrees, actions,
-                                     repeat(None), repeat(null)))
-    return ChordSpectrum(n, out, bound)
+    # each action is positive and below the bound, and a clash with an id
+    # of s_minus is raised by the checked spectrum
+    out = s_minus.chords + tuple(_trusted(
+        ChordRecord, len(ids), id=ids, degree=degrees, _action=actions,
+        front=repeat(None), null_homotopic=repeat(null)))
+    return ChordSpectrum(n, out, s_minus.bound)
 
 
 def _positive(spectrum, zigzag_action):
@@ -377,42 +400,40 @@ def rescale(x, s):
     """Scale transport: actions and bound multiply by s, degrees unchanged.
     Works on chord and orbit spectra alike; rescale(s) o rescale(t) is
     rescale(s*t) and s = 1 is the identity."""
-    s = Fraction(s)
-    if s <= 0:
-        raise ValueError(f"scale must be positive, got {s}")
+    s = as_rational(s, "scale")
+    if s[0] <= 0:
+        raise ValueError(f"scale must be positive, got {ratio_to_str(s)}")
+    # a positive scale keeps every record valid, so none is checked again
     if isinstance(x, ChordSpectrum):
-        return ChordSpectrum(
-            x.n,
-            tuple(ChordRecord(c.id, c.degree, c.action * s, c.front,
-                              c.null_homotopic) for c in x.chords),
-            x.bound * s)
+        return _unchecked(ChordSpectrum, x.n, tuple(
+            _unchecked(ChordRecord, c.id, c.degree, _times(c._action, s),
+                       c.front, c.null_homotopic) for c in x.chords),
+            _times(x._bound, s))
     if isinstance(x, OrbitSpectrum):
-        return OrbitSpectrum(
-            x.n,
-            tuple(OrbitRecord(r.degree, r.action * s, r.origin, r.contractible)
-                  for r in x.orbits),
-            x.bound * s, x.generic)
+        return _unchecked(OrbitSpectrum, x.n, tuple(
+            _unchecked(OrbitRecord, r.degree, _times(r._action, s),
+                       r.origin, r.contractible) for r in x.orbits),
+            _times(x._bound, s), x.generic)
     raise TypeError(f"cannot rescale {type(x).__name__}")
 
 
 class Stage(Record):
     """One stage of a certificate: a contact form (as a scale relative to
     stage 1), its action bound, and the orbit spectrum below that bound."""
-    __slots__ = ("scale", "bound", "spectrum")
+    __slots__ = ("_scale", "_bound", "spectrum")
+    _rationals = ("scale", "bound")
     _codecs = {"scale": RATIONAL, "bound": RATIONAL,
                "spectrum": record_of(OrbitSpectrum)}
     _schema = False
 
     def __init__(self, scale, bound, spectrum):
-        if type(scale) is not Fraction:
-            scale = Fraction(scale)
-        if type(bound) is not Fraction:
-            bound = Fraction(bound)
-        if scale.numerator <= 0:
+        scale = as_rational(scale, "stage scale")
+        bound = as_rational(bound, "stage bound")
+        if scale[0] <= 0:
             raise ValueError("stage scale must be positive")
-        if bound != spectrum.bound:
-            raise ValueError(
-                f"stage bound {bound} != spectrum bound {spectrum.bound}")
+        if bound != spectrum._bound:
+            raise ValueError(f"stage bound {ratio_to_str(bound)} != spectrum "
+                             f"bound {spectrum.bound}")
         Record.__init__(self, scale, bound, spectrum)
 
 
@@ -444,22 +465,22 @@ def adc_check(cert: ADCCertificate) -> Verdict:
     prev = None
     for idx, st in enumerate(cert.stages, start=1):
         if prev is not None:
-            if st.scale > prev.scale:
+            if _less(prev._scale, st._scale):
                 return Verdict("ADC certificate invalid", False, witness={
                     "stage": idx, "violation": "scale increased",
-                    "scale": frac_to_str(st.scale),
-                    "previous": frac_to_str(prev.scale)})
-            if st.bound <= prev.bound:
+                    "scale": ratio_to_str(st._scale),
+                    "previous": ratio_to_str(prev._scale)})
+            if not _less(prev._bound, st._bound):
                 return Verdict("ADC certificate invalid", False, witness={
                     "stage": idx, "violation": "bound not strictly increasing",
-                    "bound": frac_to_str(st.bound),
-                    "previous": frac_to_str(prev.bound)})
+                    "bound": ratio_to_str(st._bound),
+                    "previous": ratio_to_str(prev._bound)})
         for ridx, r in enumerate(st.spectrum.orbits):
             if r.contractible and r.degree <= 0:
                 return Verdict("ADC certificate invalid", False, witness={
                     "stage": idx, "violation": "nonpositive contractible orbit",
                     "record": ridx, "degree": r.degree,
-                    "action": frac_to_str(r.action), "origin": r.origin})
+                    "action": ratio_to_str(r._action), "origin": r.origin})
         prev = st
     return Verdict("ADC certificate valid", True,
                    witness={"stages": len(cert.stages)})
@@ -479,31 +500,35 @@ def normalize_certificate(cert: ADCCertificate, eps) -> ADCCertificate:
 
     Single-stage certificates are returned unchanged.
     """
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise ValueError(f"need 0 < eps < 1, got {eps}")
+    ep, eq = eps = as_rational(eps, "eps")
+    if not 0 < ep < eq:
+        raise ValueError(f"need 0 < eps < 1, got {ratio_to_str(eps)}")
     _require_adc(cert, ValueError, "input certificate fails")
-    if len(cert.stages) <= 1:
+    stages = cert.stages
+    if len(stages) <= 1:
         return cert
-    chosen = [0]
-    need = cert.stages[0].bound / (eps * eps)
-    for j in range(1, len(cert.stages)):
-        if cert.stages[j].bound >= need:
+    chosen, over_eps2 = [0], (eq * eq, ep * ep)
+    need = _times(stages[0]._bound, over_eps2)
+    for j in range(1, len(stages)):
+        if not _less(stages[j]._bound, need):
             chosen.append(j)
-            need = cert.stages[j].bound / (eps * eps)
+            need = _times(stages[j]._bound, over_eps2)
     if len(chosen) < 2:
         raise ValueError(
             "certificate too short: no later stage has bound >= "
-            f"{need} = D_1 / eps^2")
+            f"{ratio_to_str(need)} = D_1 / eps^2")
     out = []
     for m, j in enumerate(chosen, start=1):
-        st = cert.stages[j]
-        factor = eps ** m
-        out.append(Stage(st.scale * factor, st.bound * factor,
-                         rescale(st.spectrum, factor)))
+        st = stages[j]
+        # eps^m is in lowest terms, as eps is
+        factor = _Pair((ep ** m, eq ** m))
+        out.append(_unchecked(Stage, _times(st._scale, factor),
+                              _times(st._bound, factor),
+                              rescale(st.spectrum, factor)))
     result = ADCCertificate(tuple(out))
     for a, b in zip(result.stages, result.stages[1:]):
-        if b.scale > eps * a.scale or b.bound < a.bound / eps:
+        if (_less(_times(a._scale, eps), b._scale)
+                or _less(b._bound, _times(a._bound, (eq, ep)))):
             raise AssertionError("normalize postcondition failed: stages do "
                                  "not shrink by eps")
     _require_adc(result, AssertionError, "normalize postcondition failed")
@@ -538,9 +563,9 @@ def flexible_surgery_certificate(cert: ADCCertificate, chords, n,
     k = 0
     while True:
         k += 1
-        window = Fraction(k * 4 ** k)
+        window = k * 4 ** k
         while (next_input < len(cert.stages)
-               and cert.stages[next_input].bound <= window):
+               and not _less((window, 1), cert.stages[next_input]._bound)):
             next_input += 1
         if next_input >= len(cert.stages):
             break
@@ -553,26 +578,28 @@ def flexible_surgery_certificate(cert: ADCCertificate, chords, n,
         else:
             if s.n != n:
                 raise ValueError(f"chord spectrum has n = {s.n}, expected {n}")
-            if s.bound < window:
+            if _less(s._bound, (window, 1)):
                 raise ValueError(
                     f"stage {k}: chord data only reaches action {s.bound}, "
                     f"need {window}")
-            s = ChordSpectrum(n, tuple(c for c in s.chords if c.action < window),
+            s = ChordSpectrum(n, tuple(c for c in s.chords
+                                       if _less(c._action, (window, 1))),
                               window)
         s = _positive(s, zigzag_action)
 
         merged = orbits_after_surgery(st.spectrum, s, window)
-        factor = Fraction(1, 4 ** k)
-        out.append(Stage(st.scale * factor, window * factor,
-                         rescale(merged, factor)))
+        factor = _Pair((1, 4 ** k))
+        out.append(_unchecked(Stage, _times(st._scale, factor),
+                              _times((window, 1), factor),
+                              rescale(merged, factor)))
 
     if not out:
         raise ValueError(
             "bound condition unsatisfiable: no stage has bound > k*4^k "
             "for any k >= 1")
     result = ADCCertificate(tuple(out))
-    if [st.bound for st in result.stages] != \
-            [Fraction(i) for i in range(1, len(out) + 1)]:
+    if [st._bound for st in result.stages] != \
+            [(i, 1) for i in range(1, len(out) + 1)]:
         raise AssertionError("pipeline postcondition failed: stage bounds "
                              "are not 1, 2, ...")
     _require_adc(result, AssertionError, "pipeline postcondition failed")

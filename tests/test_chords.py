@@ -193,11 +193,15 @@ def fraction_reader(text):
     ("1e5", "bad rational '1e5': exponent notation is not accepted"),
     ("1.25", Fraction(5, 4))])
 def test_frac_from_str_keeps_every_value_and_message(text, want):
-    # "3_0/4" reads as 15/2 where Fraction takes underscores (3.11 on)
+    # "3_0/4" reads as 15/2 where Fraction takes underscores (3.11 on); the
+    # value comes as (p, q) in lowest terms
     try:
-        got = frac_from_str(text)
+        p, q = frac_from_str(text)
     except SchemaError as exc:
         got = str(exc)
+    else:
+        got = Fraction(p, q)
+        assert (p, q) == (got.numerator, got.denominator)
     assert got == fraction_reader(text)
     assert want is None or got == want
 

@@ -21,6 +21,7 @@ import os
 import shutil
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -65,15 +66,21 @@ from weinkit.handles import (
     handlebody_boundary_homology,
     omega_membership,
 )
-from weinkit.models import middle_rank_family, mixed_sign_spectrum, sample_certificate
+from weinkit.models import middle_rank_family, mixed_sign_spectrum, sample_certificate, two_letter_table
 from weinkit.scaling import CheckResult, bound_ratio, build_g, verify_h_family
 from weinkit.serialize import Record, SchemaError, Verdict, reader
 from weinkit.surgery import (
     ADCCertificate,
+    CyclicWord,
     OrbitRecord,
     OrbitSpectrum,
     Stage,
     add_surgery_chord,
+    belt_sphere_chords,
+    enumerate_words,
+    normalize_certificate,
+    orbits_after_surgery,
+    rescale,
     subcritical_surgery,
 )
 
@@ -837,6 +844,25 @@ _POINT = GradedGroup.free({0: 1})
     (lambda: boundedinfinite_distinguisher(
         LoopHomologyTable({0: 1}, {0: 1}), LoopHomologyTable({0: 1}, {0: 1}),
         {0: 1}, 3.5), "half-dimension n"),
+    (lambda: ChordRecord("a", 1, 0.5), "chord 'a': action"),
+    (lambda: OrbitRecord(1, 0.1), "orbit action"),
+    (lambda: CyclicWord(("a",), 1, 0.5), "word action"),
+    (lambda: ChordSpectrum(3, (), 2.5), "action bound"),
+    (lambda: OrbitSpectrum(3, (), Decimal(4)), "action bound"),
+    (lambda: Stage(0.5, 4, OrbitSpectrum(3, (), 4)), "stage scale"),
+    (lambda: Stage(1, 4.0, OrbitSpectrum(3, (), 4)), "stage bound"),
+    (lambda: rescale(mixed_sign_spectrum(), 0.5), "scale"),
+    (lambda: normalize_certificate(sample_certificate(3, 3), 0.5), "eps"),
+    (lambda: stabilize(mixed_sign_spectrum(), 1, choose_Q(4), 0.25),
+     "zigzag action"),
+    (lambda: add_surgery_chord(mixed_sign_spectrum(), 1, 0.001),
+     "new chord action"),
+    (lambda: subcritical_surgery(OrbitSpectrum(3, (), 4), 3, 1, 2, 0.5),
+     "handle-shrinking parameter"),
+    (lambda: enumerate_words(two_letter_table(), 2.5), "word action bound"),
+    (lambda: orbits_after_surgery(OrbitSpectrum(3, (), 4), two_letter_table(),
+                                  2.5), "requested bound"),
+    (lambda: belt_sphere_chords(two_letter_table(), 2.5), "requested bound"),
 ], ids=["chain-count", "handle-n", "handle-index", "group-rank",
         "torsion-factor", "chord-front", "morse-index", "stabilize-sites",
         "loop-dims", "loop-base", "boundary-dim", "chord-degree",
@@ -845,7 +871,11 @@ _POINT = GradedGroup.free({0: 1})
         "morse-chi", "stabilize-N", "subcritical-iterates", "ambient-k",
         "self-index-N", "cem-copies", "handle-bare-index", "distinguish-n",
         "flexible-support-n", "choose-Q-n", "chord-degree-down", "taut-les-n",
-        "omega-n", "semi-characteristic-n", "adc-support-n", "loops-n"])
+        "omega-n", "semi-characteristic-n", "adc-support-n", "loops-n",
+        "chord-action", "orbit-action", "word-action", "chord-spectrum-bound",
+        "orbit-spectrum-bound", "stage-scale", "stage-bound", "rescale-s",
+        "normalize-eps", "zigzag-action", "ambient-action", "subcritical-eps",
+        "words-bound", "orbits-bound", "belt-bound"])
 def test_api_rejects_non_integer_counts(call, field):
     # each used to be truncated by int() or kept: rank 2, n = 3, a 3-handle,
     # Z + Z/2, the chain (2, 12), front (1, 0, 0), indices (0, 1), one site,
@@ -856,7 +886,10 @@ def test_api_rejects_non_integer_counts(call, field):
     # as the new chord's degree, the index came out -0.0, the obstruction
     # False, and a bare 3.5 failed to unpack; a half-dimension of 3.5 fired
     # the distinguisher, allowed support up to 3.5, was blamed on Q's
-    # dimension 1.5 or passed, and chord_degree(1.5, 0, 0) returned 0.5
+    # dimension 1.5 or passed, and chord_degree(1.5, 0, 0) returned 0.5; an
+    # action, bound, scale or eps of 0.1 became the Fraction
+    # 3602879701896397/36028797018963968, where a rational is now refused
+    # like any float (Decimal(4) was read as 4)
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         call()
 

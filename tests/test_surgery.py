@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weinkit import surgery
-from weinkit.chords import ChordRecord, ChordSpectrum
+from weinkit.chords import ChordRecord, ChordSpectrum, choose_Q, stabilize
+from weinkit.models import sample_certificate
 from weinkit.serialize import SchemaError, dumps_canonical
 from weinkit.surgery import (
     ADCCertificate,
@@ -553,6 +554,140 @@ class TestRescale:
             rescale(AB_TABLE, 0)
         with pytest.raises(TypeError):
             rescale("spectrum", 2)
+
+
+positive_rationals = st.builds(
+    Fraction, st.integers(min_value=1, max_value=10**12),
+    st.integers(min_value=1, max_value=10**6))
+factors = st.integers(min_value=1, max_value=1000)
+
+
+def same_record(built, want):
+    """built holds want's value in every observable way, and holds its
+    action in lowest terms."""
+    assert built == want and hash(built) == hash(want)
+    assert repr(built) == repr(want)
+    if hasattr(want, "to_json"):
+        assert built.to_json() == want.to_json()
+    action = built.action
+    assert type(action) is Fraction and action == want.action
+    assert built._action == (action.numerator, action.denominator)
+
+
+class TestOneRepresentation:
+    """Every path that makes a record with an action makes the record the
+    reduced Fraction makes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(positive_rationals, factors)
+    def test_constructor_spellings_and_json(self, r, k):
+        want = ChordRecord("c", 1, r)
+        spelled = f"{r.numerator * k}/{r.denominator * k}"
+        same_record(ChordRecord("c", 1, spelled), want)
+        same_record(ChordRecord.from_json(
+            {"id": "c", "degree": 1, "action": spelled}), want)
+        if r.denominator == 1:
+            same_record(ChordRecord("c", 1, r.numerator), want)
+        same_record(OrbitRecord(2, spelled), OrbitRecord(2, r))
+        same_record(OrbitRecord.from_json({"degree": 2, "action": spelled}),
+                    OrbitRecord(2, r))
+        same_record(CyclicWord(("a",), 1, spelled), CyclicWord(("a",), 1, r))
+
+    @settings(max_examples=60, deadline=None)
+    @given(positive_rationals, positive_rationals)
+    def test_rescale(self, r, s):
+        chords = ChordSpectrum(3, (ChordRecord("c", 1, r / s),), r / s + 1)
+        out = rescale(chords, s)
+        same_record(out.chords[0], ChordRecord("c", 1, r))
+        assert out.bound == r + s and out._bound == (
+            (r + s).numerator, (r + s).denominator)
+        orbits = OrbitSpectrum(3, (OrbitRecord(2, r / s),), r / s + 1)
+        same_record(rescale(orbits, s).orbits[0], OrbitRecord(2, r))
+
+    @settings(max_examples=60, deadline=None)
+    @given(positive_rationals, positive_rationals, positive_rationals)
+    def test_rescale_composes(self, r, s, t):
+        for x in (ChordSpectrum(3, (ChordRecord("c", 1, r),
+                                    ChordRecord("d", 2, r / 2)), r + 1),
+                  OrbitSpectrum(3, (OrbitRecord(2, r),), r + 1)):
+            assert rescale(rescale(x, s), t) == rescale(x, s * t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(positive_rationals)
+    def test_stabilize_zigzag_chords(self, r):
+        # one site and S^1: four zig-zag chords of action eps * t / 5
+        spectrum = ChordSpectrum(3, (ChordRecord("c", 0, 1),), 5 * r + 1)
+        out = stabilize(spectrum, 1, choose_Q(3), 5 * r)
+        zigzags = [c for c in out.chords if c.id.startswith("zz")]
+        assert [c.id for c in zigzags] == ["zz1", "zz2", "zz3", "zz4"]
+        for t, c in enumerate(zigzags, start=1):
+            ind = 0 if t <= 2 else 1
+            same_record(c, ChordRecord(f"zz{t}", 1 + ind, r * t, (2, 0, ind)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(positive_rationals, st.integers(min_value=1, max_value=40),
+           st.integers(min_value=1, max_value=3))
+    def test_stabilize_zigzag_actions_in_lowest_terms(self, eps, N, sites):
+        # 4 N sites chords of action eps * t / (total + 1): many totals, so
+        # many common denominators and divisors
+        spectrum = ChordSpectrum(3, (ChordRecord("c", 0, 1),), eps + 2)
+        out = stabilize(spectrum, N, choose_Q(3), eps, sites)
+        zigzags = [c for c in out.chords if c.id.startswith("zz")]
+        total = len(zigzags)
+        assert total == 4 * N * sites
+        for t, c in enumerate(zigzags, start=1):
+            want = eps * t / (total + 1)
+            assert c._action == (want.numerator, want.denominator)
+
+    @settings(max_examples=60, deadline=None)
+    @given(positive_rationals)
+    def test_word_records(self, r):
+        chords = ChordSpectrum(3, (ChordRecord("a", 1, r),), 4 * r)
+        bound = Fraction(5, 2) * r
+        words = enumerate_words(chords, bound)
+        assert len(words) == 2
+        for m, w in enumerate(words, start=1):
+            same_record(w, CyclicWord(("a",) * m, m, m * r))
+        old = OrbitSpectrum(3, (), 3 * r)
+        for m, o in enumerate(orbits_after_surgery(old, chords, bound).orbits,
+                              start=1):
+            same_record(o, OrbitRecord(m, m * r, "word:" + ".".join("a" * m)))
+        for m, c in enumerate(belt_sphere_chords(chords, bound).chords,
+                              start=1):
+            same_record(c, ChordRecord("w:" + ".".join("a" * m), m + 1, m * r))
+
+    @settings(max_examples=60, deadline=None)
+    @given(positive_rationals)
+    def test_nonsimultaneous_words(self, r):
+        s_minus = ChordSpectrum(3, (), 3 * r)
+        aux = ChordSpectrum(3, (ChordRecord("a", 1, r),), 3 * r)
+        out = nonsimultaneous_words(s_minus, aux, ChordRecord("x", 1, r / 3),
+                                    ChordRecord("y", 1, r / 6))
+        assert [c.id for c in out.chords] == ["mix:x.y", "mix:x.a.y",
+                                              "mix:x.a.a.y"]
+        for m, c in enumerate(out.chords):
+            same_record(c, ChordRecord(c.id, 2 + m, r / 2 + m * r, None))
+
+    def test_normalize_and_from_json_build_no_fraction(self, monkeypatch):
+        cert = sample_certificate(3, 3)
+        doc, eps = cert.to_json(), Fraction(1, 2)
+        built = []
+        real = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return real(cls, *args, **kwargs)
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        # 3.12 on, arithmetic builds through here instead of __new__
+        if hasattr(Fraction, "_from_coprime_ints"):
+            monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(
+                lambda cls, p, q: built.append((p, q)) or counting(cls, p, q)))
+        out = normalize_certificate(cert, eps)
+        back = ADCCertificate.from_json(doc)
+        assert built == []
+        # the counter counts: reading a scale builds its Fraction
+        assert out.stages[0].scale == Fraction(1, 2) and built
+        assert back == cert
 
 
 def stage(scale, bound, orbits=(), n=3, generic=True):
