@@ -7,7 +7,6 @@ All actions are exact rationals.
 """
 
 from itertools import repeat
-from math import isqrt
 
 from .serialize import (
     BOOL,
@@ -16,6 +15,7 @@ from .serialize import (
     RAW,
     STRING,
     Record,
+    _Pair,
     as_int,
     as_rational,
     lowest_terms,
@@ -83,10 +83,8 @@ class ChordRecord(Record):
             raise ValueError("chord id must not be empty")
         if type(degree) is not int:
             degree = as_int(degree, f"chord {id!r}: degree")
-        try:
-            action = as_rational(action, "action")
-        except ValueError as exc:  # the id is formatted only on failure
-            raise type(exc)(f"chord {id!r}: {exc}") from None
+        if type(action) is not _Pair:
+            action = as_rational(action, f"chord {id!r}: action")
         if action[0] <= 0:
             raise ValueError(f"chord {id!r}: action must be positive")
         if front is not None:
@@ -239,13 +237,12 @@ def stabilize(spectrum: ChordSpectrum, N, q_data: MorseData,
     fronts = [front for ind in q_data.critical_points
               for front in repeat((2, 0, ind), 2 * N)] * sites
     # action t is t e/K, e/K = eps/(total + 1) in lowest terms, so it is
-    # (e t/d, K/d) for d the largest divisor of K that divides t: one slice
-    # per divisor, the largest last, and no gcd per record
+    # (e t/d, K/d) for d = gcd(t, K): one slice per divisor d <= total of
+    # K, ascending so that the largest writes last, and no gcd per record
     e, K = lowest_terms(ep, eq * (total + 1))
     actions = list(zip(range(e, e * total + 1, e), repeat(K)))
-    low = [d for d in range(2, isqrt(K) + 1) if K % d == 0]
-    for d in sorted({K, *low, *(K // d for d in low)}):
-        if d <= total:
+    for d in range(2, min(total, K) + 1):
+        if K % d == 0:
             actions[d - 1::d] = zip(range(e, e * (total // d) + 1, e),
                                     repeat(K // d))
     out += _trusted(

@@ -95,16 +95,15 @@ def _ratio(text, what):
     SchemaError "<what> '<text>': <reason>".  Exponent notation is refused
     before Fraction can build a huge integer from it."""
     try:
-        # the common "p/q" and "p" in ASCII digits skip both regexes; a zero
-        # q or a too-long p raises what Fraction(text) would
+        # the common "p/q" and "p" in ASCII digits skip both regexes; a
+        # too-long p raises what Fraction(text) would, and a zero q is left
+        # to Fraction(text) to refuse
         num, slash, den = text.partition("/")
         if text.isascii() and (den.isdigit() or not slash) and (
                 num.isdigit() or num[:1] in ("+", "-") and num[1:].isdigit()):
-            p, q = int(num), int(den) if slash else 1
-            if q == 0:
-                raise ZeroDivisionError(f"Fraction({p}, 0)")
-            g = gcd(p, q)
-            return _Pair((p // g, q // g))
+            q = int(den) if slash else 1
+            if q:
+                return _Pair(lowest_terms(int(num), q))
         if _EXPONENT.search(text):
             raise ValueError("exponent notation is not accepted")
         x = Fraction(text)
@@ -347,6 +346,7 @@ class Record:
             setattr(cls, name, property(
                 lambda self, slot=f"_{name}": Fraction(*getattr(self, slot))))
         cls._fields = fields
+        # the hash is that of the public values, Fractions and all
         cls._values = property(_tuple_getter(fields))
         # a rational's pair is in lowest terms, so equal pairs are equal values
         cls._stored = property(_tuple_getter(stored))

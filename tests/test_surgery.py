@@ -639,6 +639,22 @@ class TestOneRepresentation:
             want = eps * t / (total + 1)
             assert c._action == (want.numerator, want.denominator)
 
+    @pytest.mark.parametrize("eps", [Fraction(1, 10 ** 14),
+                                     Fraction(1, 10 ** 30),
+                                     Fraction(3, 2 ** 89 - 1)])
+    @pytest.mark.parametrize("N, sites", [(1, 0), (1, 1), (3, 2)])
+    def test_stabilize_with_a_huge_eps_denominator(self, eps, N, sites):
+        # the zig-zag actions cost a step per chord at most, however many
+        # divisors the denominator of eps has or however large it is
+        spectrum = ChordSpectrum(3, (ChordRecord("c", 0, 1),), 2)
+        with Budget(f"stabilize at eps = {eps}", 0.5):
+            out = stabilize(spectrum, N, choose_Q(3), eps, sites)
+        zigzags = out.chords[1:]
+        assert len(zigzags) == 4 * N * sites
+        for t, c in enumerate(zigzags, start=1):
+            want = eps * t / (len(zigzags) + 1)
+            assert c._action == (want.numerator, want.denominator)
+
     @settings(max_examples=60, deadline=None)
     @given(positive_rationals)
     def test_word_records(self, r):
