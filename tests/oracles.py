@@ -13,7 +13,9 @@ from itertools import product
 
 import numpy as np
 import sympy
+from sympy import ZZ
 from sympy.matrices.normalforms import smith_normal_form as _sympy_snf
+from sympy.polys.matrices import DomainMatrix
 
 from weinkit.handles import boundary_homology
 
@@ -64,6 +66,56 @@ def sympy_invariant_factors(rows):
         if v >= 2:
             factors.append(v)
     return sorted(factors)
+
+
+def modular_invariant_factors(rows):
+    """Nontrivial invariant factors (>= 2) of a nonsingular square integer
+    matrix, by elimination modulo D = |det| (sympy's DomainMatrix).
+
+    Third route for torsion, for sizes where sympy's Smith form is slow:
+    the column lattice L of A contains D Z^n, so row and column operations
+    may reduce entries modulo D.  A diagonal d_k leaves Z/gcd(d_k, D), and
+    gcd/lcm exchanges turn those orders into a chain.
+    """
+    n = len(rows)
+    det = DomainMatrix([[ZZ(x) for x in r] for r in rows], (n, n), ZZ).det()
+    big = abs(int(det))
+    if big == 0:
+        raise ValueError("singular matrix")
+    m = [[x % big for x in r] for r in rows]
+    orders = []
+    for k in range(n):
+        pos = next(((i, j) for i in range(k, n) for j in range(k, n)
+                    if m[i][j]), None)
+        if pos is None:
+            orders += [big] * (n - k)
+            break
+        m[k], m[pos[0]] = m[pos[0]], m[k]
+        for r in m:
+            r[k], r[pos[1]] = r[pos[1]], r[k]
+        # a divisible entry is cleared by subtraction, never by a gcd step
+        # that could move it into the pivot, so the pivot only shrinks
+        while True:
+            for i in range(k + 1, n):
+                p, e = m[k][k], m[i][k]
+                x, y, g = (1, 0, p) if e % p == 0 else ZZ.gcdex(p, e)
+                pairs = list(zip(m[k], m[i]))
+                m[k] = [(x * a + y * b) % big for a, b in pairs]
+                m[i] = [(p // g * b - e // g * a) % big for a, b in pairs]
+            for j in range(k + 1, n):
+                p, e = m[k][k], m[k][j]
+                x, y, g = (1, 0, p) if e % p == 0 else ZZ.gcdex(p, e)
+                for r in m:
+                    r[k], r[j] = ((x * r[k] + y * r[j]) % big,
+                                  (p // g * r[j] - e // g * r[k]) % big)
+            if not any(m[i][k] for i in range(k + 1, n)):
+                break
+        orders.append(math.gcd(m[k][k], big))
+    for i in range(n):
+        for j in range(i + 1, n):
+            g = math.gcd(orders[i], orders[j])
+            orders[i], orders[j] = g, orders[i] * orders[j] // g
+    return [d for d in orders if d >= 2]
 
 
 def homology_ranks_by_row_reduction(dims, boundaries):

@@ -23,6 +23,7 @@ from weinkit.snf import (
 )
 
 from oracles import conjugated_matrix, rational_rank, sympy_invariant_factors
+from test_acceptance import Budget
 
 
 def test_identity_is_fixed():
@@ -193,6 +194,9 @@ def test_integer_arrays_accepted():
               np.array([[2, 4], [6, 8]], dtype=object)):
         assert smith_normal_form(a) == want
     assert bareiss_determinant(np.array([[1, 2], [3, 4]])) == -2
+    # zero rows keep the column count: V is 3 x 3
+    res = smith_normal_form(np.zeros((0, 3), dtype=int))
+    assert (res.d, res.u, res.v, res.rank) == ([], [], identity_matrix(3), 0)
 
 
 def test_ragged_rejected():
@@ -235,8 +239,8 @@ def test_certificate_survives_optimized_mode():
     assert "not unimodular" in out.stdout
 
 
-# invariant_factors: the same elimination as smith_normal_form, without U
-# and V, so it must agree with it on rank and factors
+# invariant_factors: its own elimination, without U and V, which must
+# agree with smith_normal_form on rank and factors
 
 
 def _edge_and_conjugated_matrices():
@@ -272,9 +276,9 @@ def test_invariant_factors_match_oracles(m):
     _check_invariant_factors(m)
 
 
-# Each case corrupts the core's output after a correct elimination: the
-# input, the diagonal entries to overwrite, the rank to report instead
-# (None: the true one), and the check that must fail.
+# Each case corrupts the elimination's output after a correct run: the
+# input, the factors to overwrite, the number of factors to keep (None:
+# all), and the check that must fail.
 CORRUPTIONS = {
     # (1, 6) -> (1, 3): still a chain, 3 divides det = 6 but is not |det|
     "wrong-factor": ([[1, 0], [0, 6]], {1: 3}, None, "!= [|]det[|]"),
@@ -285,27 +289,28 @@ CORRUPTIONS = {
                      "divisibility chain"),
     "nonpositive-factor": ([[2, 0], [0, 4]], {0: -2}, None,
                            "nonpositive factor"),
-    # a consistent diagonal of rank 1: only the Bareiss rank can tell
-    "wrong-rank": ([[1, 2], [3, 4], [5, 6]], {1: 0}, 1, "rank differs"),
+    # (1, 2) -> (1,): a consistent chain of rank 1, only the Bareiss rank
+    # can tell
+    "wrong-rank": ([[1, 2], [3, 4], [5, 6]], {}, 1, "rank differs"),
 }
 
 
-def _corrupted_core(diagonal, rank):
-    core = snf._diagonalize
+def _corrupted_core(edits, keep):
+    core = snf._sparse_factors
 
-    def corrupted(m, u=None, v=None):
-        true_rank = core(m, u, v)
-        for i, x in diagonal.items():
-            m[i][i] = x
-        return true_rank if rank is None else rank
+    def corrupted(rows):
+        factors = list(core(rows))
+        for i, x in edits.items():
+            factors[i] = x
+        return tuple(factors[:keep])
     return corrupted
 
 
 @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
 def test_invariant_factors_postconditions_catch_a_corrupted_core(
         case, monkeypatch):
-    m, diagonal, rank, message = CORRUPTIONS[case]
-    monkeypatch.setattr(snf, "_diagonalize", _corrupted_core(diagonal, rank))
+    m, edits, keep, message = CORRUPTIONS[case]
+    monkeypatch.setattr(snf, "_sparse_factors", _corrupted_core(edits, keep))
     with pytest.raises(AssertionError, match=message):
         invariant_factors(m)
 
@@ -314,16 +319,16 @@ def test_invariant_factors_postconditions_survive_optimized_mode():
     script = (
         "import re, weinkit.snf as snf\n"
         "from test_snf import CORRUPTIONS, _corrupted_core\n"
-        "core = snf._diagonalize\n"
-        "for case, (m, diagonal, rank, message) in sorted(CORRUPTIONS.items()):\n"
-        "    snf._diagonalize = _corrupted_core(diagonal, rank)\n"
+        "core = snf._sparse_factors\n"
+        "for case, (m, edits, keep, message) in sorted(CORRUPTIONS.items()):\n"
+        "    snf._sparse_factors = _corrupted_core(edits, keep)\n"
         "    try:\n"
         "        snf.invariant_factors(m)\n"
         "    except AssertionError as e:\n"
         "        print(case, bool(re.search(message, str(e))))\n"
         "    else:\n"
         "        print(case, 'passed')\n"
-        "    snf._diagonalize = core\n")
+        "    snf._sparse_factors = core\n")
     here = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(here.parent / "src"), str(here)]))
@@ -332,6 +337,20 @@ def test_invariant_factors_postconditions_survive_optimized_mode():
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == [
         word for case in sorted(CORRUPTIONS) for word in (case, "True")]
+
+
+def test_invariant_factors_of_unimodular_conjugates_in_time():
+    # conjugates of a diagonal chain by 2n (20 x 20) and 3n (16 x 16)
+    # elementary +-1 operations, on which the dense elimination took up to
+    # a minute; the budget is about 3.5x the median of 0.55 s on 2 vCPU
+    rng = random.Random("unimodular-conjugates")
+    cases = ([conjugated_matrix(rng, 20, 20, 20, 0.3, 2) for _ in range(30)]
+             + [conjugated_matrix(rng, 16, 16, rng.randint(14, 16), 0.3, 3)
+                for _ in range(200)])
+    with Budget("invariant factors of 230 unimodular conjugates", 2.0):
+        results = [invariant_factors(m) for m, _ in cases]
+    for (m, factors), (rank, got) in zip(cases, results):
+        assert (rank, got) == (len(factors), tuple(factors))
 
 
 @pytest.mark.parametrize("module", ["graded.py", "handles.py"])
