@@ -1,15 +1,19 @@
 """Smith normal form over the integers, with verified postconditions.
 
-All arithmetic is exact (Python big integers).  Two entry points, each
-with its own elimination, check their result on every call by explicit
+All arithmetic is exact (Python big integers).  One elimination,
+`_sparse_factors`, serves two entry points.  It works on sparse rows with
+pivots of least |value| and least remainders (Havas-Holt-Rees), so entries
+stay near the size of the pivots, and it emits the invariant factors in
+chain order.  Each entry point checks its result on every call by explicit
 raises that survive `python -O`, among them that the factors are positive
 and form a divisibility chain.
 
-`smith_normal_form(a)` reduces a dense copy of the input with 2x2
-extended-gcd transforms (`_diagonalize`, whose pivots the tests pin; its
-entries can grow on dense input with large torsion) and builds the
-transforms U (m x m) and V (n x n), so a result object is itself a
-certificate.  Beyond the elimination, it costs:
+`smith_normal_form(a)` passes identity matrices, to which the elimination
+applies its row and column operations, so it returns the transforms U
+(m x m) and V (n x n) and a result object is itself a certificate (a
+dense 48 x 48 map of +-20 entries takes about 0.3 s).  D is built from
+the factors, so it is diagonal with rank nonzero entries by construction.
+Beyond the elimination, it costs:
 
 - U*A*V = D: two products that skip zero entries, one multiply-add per
   pair of nonzeros u_ik, a_kj, then per pair (UA)_ik, v_kj;
@@ -17,14 +21,11 @@ certificate.  Beyond the elimination, it costs:
   +-1 pivot a row changes only if it is nonzero in the pivot column, and
   only on the support of the pivot row, so a sparse unit transform costs
   about n^2 / 2 comparisons plus its fill-in, not n^3 / 3 big-integer
-  multiply-and-divide steps;
-- zero off-diagonal entries and the rank: one pass over D.
+  multiply-and-divide steps.
 
 `invariant_factors(a)` returns only (rank, invariant factors), which is
-all that homology reads.  `_sparse_factors` eliminates on sparse rows
-with pivots of least |value| and least remainders (Havas-Holt-Rees), so
-entries stay near the size of the pivots (a dense 48 x 48 map of +-20
-entries takes about 0.1 s).  Its checks need no U or V:
+all that homology reads.  It builds no transforms (the dense 48 x 48 map
+takes about 0.1 s), so its checks need no U or V:
 
 - the rank equals that of one Bareiss elimination of the input (row swaps,
   column skipping), whose entries are minors of A and so stay bounded;
@@ -42,11 +43,21 @@ from .serialize import Record
 def _as_rows(a):
     """Copy a matrix (nested sequences, numpy integer or object arrays) to
     lists of Python ints.  An entry that is not an integer (a float, a
-    string) is an error, never truncated."""
+    string) is an error, never truncated, and so is a row that is not a
+    sequence."""
     try:
         rows = [[index(x) for x in row] for row in a]
     except TypeError:
+        try:
+            a = list(a)
+        except TypeError:
+            raise ValueError(f"matrix {a!r} is not a sequence of rows") from None
         for i, row in enumerate(a):
+            try:
+                row = list(row)
+            except TypeError:
+                raise ValueError(f"matrix row {i} = {row!r} is not a "
+                                 "sequence") from None
             for j, x in enumerate(row):
                 try:
                     index(x)
@@ -175,135 +186,7 @@ class SNFResult(Record):
         return tuple(f for f in self.invariant_factors if f >= 2)
 
 
-def _pivot_position(m, s, nrows):
-    """Smallest nonzero |entry| in the block starting at (s, s), else None."""
-    best = None
-    best_val = 0
-    for i in range(s, nrows):
-        tail = m[i][s:]
-        if not any(tail):
-            continue
-        val = min(map(abs, filter(None, tail)))
-        if best is None or val < best_val:
-            j = min(tail.index(x) for x in (val, -val) if x in tail)
-            best, best_val = (i, s + j), val
-            if val == 1:
-                return best
-    return best
-
-
-def _xgcd(a, b):
-    """(g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
-def _diagonalize(m, u, v):
-    """Reduce the list of rows m, in place, to its Smith form diagonal,
-    applying every row operation to u and every column operation to v.
-    Returns the rank.
-
-    Entries are cleared with 2x2 extended-gcd transforms (determinant 1),
-    which reach gcd(pivot, entry) in one step and avoid the coefficient
-    blow-up of repeated subtract-and-swap rounds.
-    """
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    row_mats = (m, u)
-    col_mats = (m, v)
-
-    def combine_rows(s, i):
-        """Unimodular transform making m[s][s] = gcd, m[i][s] = 0."""
-        p, e = m[s][s], m[i][s]
-        q, r = divmod(e, p)
-        if r == 0:
-            for mat in row_mats:
-                ri = mat[i]
-                for t, x in enumerate(mat[s]):
-                    if x:
-                        ri[t] -= q * x
-            return
-        g, x, y = _xgcd(p, e)
-        pa, eb = p // g, e // g
-        for mat in row_mats:
-            rs, ri = mat[s], mat[i]
-            for t in range(len(rs)):
-                a_, b_ = rs[t], ri[t]
-                rs[t] = x * a_ + y * b_
-                ri[t] = pa * b_ - eb * a_
-
-    def combine_cols(s, j):
-        p, e = m[s][s], m[s][j]
-        q, r = divmod(e, p)
-        if r == 0:
-            for mat in col_mats:
-                for row in mat:
-                    if row[s]:
-                        row[j] -= q * row[s]
-            return
-        g, x, y = _xgcd(p, e)
-        pa, eb = p // g, e // g
-        for mat in col_mats:
-            for row in mat:
-                a_, b_ = row[s], row[j]
-                row[s] = x * a_ + y * b_
-                row[j] = pa * b_ - eb * a_
-
-    s = 0
-    limit = min(nrows, ncols)
-    while s < limit:
-        pos = _pivot_position(m, s, nrows)
-        if pos is None:
-            break
-        i0, j0 = pos
-        if i0 != s:
-            for mat in row_mats:
-                mat[s], mat[i0] = mat[i0], mat[s]
-        if j0 != s:
-            for mat in col_mats:
-                for row in mat:
-                    row[s], row[j0] = row[j0], row[s]
-
-        # column ops can dirty the pivot column and vice versa; loop until
-        # both are clear (pivot |value| only ever shrinks, so this halts).
-        # A step on row i changes only rows s and i, so the rows to clear
-        # can be listed up front; likewise for columns.
-        while True:
-            for i in [i for i in range(s + 1, nrows) if m[i][s]]:
-                combine_rows(s, i)
-            for j in [j for j in range(s + 1, ncols) if m[s][j]]:
-                combine_cols(s, j)
-            if not any(row[s] for row in m[s + 1:]):
-                break
-
-        # pivot must divide every remaining entry; absorb a witness row if
-        # not (a +-1 pivot divides everything)
-        p = m[s][s]
-        if p not in (1, -1):
-            offender = next((i for i in range(s + 1, nrows)
-                             if any(x % p for x in m[i][s + 1:] if x)), None)
-            if offender is not None:
-                for mat in row_mats:
-                    mat[s] = [x + y for x, y in zip(mat[s], mat[offender])]
-                continue  # redo this pivot with the enlarged row
-
-        if p < 0:
-            for mat in row_mats:
-                mat[s] = [-x for x in mat[s]]
-        s += 1
-    return s
-
-
-def _sparse_factors(rows):
+def _sparse_factors(rows, u=None, v=None):
     """The invariant factors of a list of rows, in chain order.
 
     Rows are dicts column -> nonzero; the pivot is an entry of least
@@ -312,10 +195,18 @@ def _sparse_factors(rows):
     nonzero one is the next, smaller pivot, and so is one left by adding an
     offending row when the pivot does not divide the rest.  Otherwise the
     pivot is emitted, so each factor divides the next.
+
+    Given identity matrices u (m x m) and v (n x n), every row operation
+    is applied to u and every column operation to v, each emitted pivot
+    row is made positive, and both are reordered, pivots first in emission
+    order, so that u*rows*v is the Smith form diagonal.  An emitted row
+    and column stay fixed: no remaining row has an entry in its column.
     """
     m = [r for r in ({j: x for j, x in enumerate(row) if x} for row in rows)
          if r]
-    factors = []
+    if u is not None:  # m[i] is rows[at[i]], reduced
+        at = [k for k, row in enumerate(rows) if any(row)]
+    factors, pivot_rows, pivot_cols = [], [], []
     while m:
         i, p = 0, None
         for k, r in enumerate(m):
@@ -341,11 +232,21 @@ def _sparse_factors(rows):
                             r[j] = y
                         else:
                             del r[j]
+                    if u is not None:
+                        u[at[k]] = [x - q * y
+                                    for x, y in zip(u[at[k]], u[at[i]])]
                 if c in r and (least is None or abs(r[c]) < abs(m[least][c])):
                     least = k
             if least is not None:
                 i = least
                 continue
+            if v is not None:
+                steps = [(j, q) for j, x in pr.items()
+                         if j != c and (q := (2 * x + p) // (2 * p))]
+                for row in v:
+                    if x := row[c]:
+                        for j, q in steps:
+                            row[j] -= q * x
             rest = {j: y for j, x in pr.items()
                     if j != c and (y := x - (2 * x + p) // (2 * p) * p)}
             m[i] = pr = {c: p, **rest}
@@ -353,15 +254,33 @@ def _sparse_factors(rows):
                 c = min(rest, key=lambda j: abs(rest[j]))
                 continue
             if p not in (1, -1):
-                offender = next((r for r in m if r is not pr
-                                 and any(x % p for x in r.values())), None)
-                if offender is not None:
-                    pr.update(offender)
+                k = next((k for k, r in enumerate(m) if k != i
+                          and any(x % p for x in r.values())), None)
+                if k is not None:
+                    pr.update(m[k])
+                    if u is not None:
+                        u[at[i]] = [x + y for x, y in zip(u[at[i]], u[at[k]])]
                     continue
             factors.append(abs(p))
+            if u is not None:
+                if p < 0:
+                    u[at[i]] = [-x for x in u[at[i]]]
+                pivot_rows.append(at[i])
+                pivot_cols.append(c)
+                at = [a for a, r in zip(at, m) if r and r is not pr]
             m = [r for r in m if r and r is not pr]
             break
+    if u is not None:
+        u[:] = [u[k] for k in _pivots_first(pivot_rows, len(u))]
+        cols = _pivots_first(pivot_cols, len(v))
+        v[:] = [[row[j] for j in cols] for row in v]
     return tuple(factors)
+
+
+def _pivots_first(pivots, n):
+    """The indices in pivots, then the rest of range(n) in order."""
+    done = set(pivots)
+    return pivots + [k for k in range(n) if k not in done]
 
 
 def _check_chain(factors):
@@ -372,47 +291,36 @@ def _check_chain(factors):
         raise AssertionError("SNF postcondition failed: divisibility chain")
 
 
-def _diagonal_factors(m, rank):
-    """The factors m[i][i], i < rank, once m is checked to be diagonal with
-    exactly `rank` nonzero entries, all positive, in a divisibility chain."""
-    ncols = len(m[0]) if m else 0
-    factors = tuple(m[i][i] for i in range(rank))
-    _check_chain(factors)
-    for i, row in enumerate(m):
-        if any(row[:i]) or any(row[i + 1:]):
-            raise AssertionError("SNF postcondition failed: off-diagonal entry")
-        if rank <= i < ncols and row[i] != 0:
-            raise AssertionError("SNF postcondition failed: rank miscount")
-    return factors
-
-
 def smith_normal_form(a):
     """Diagonalize an integer matrix by unimodular row/column operations.
 
     Returns SNFResult(d, u, v, rank, invariant_factors) with u*a*v = d,
-    checked on every call together with det u, det v = +-1.
+    checked on every call together with the chain and det u, det v = +-1.
     Total function: any shape, including empty, is accepted.
     """
     rows = _as_rows(a)
-    m = [r[:] for r in rows]
-    u = identity_matrix(len(m))
+    u = identity_matrix(len(rows))
     # a numpy array of zero rows still has a column count
-    v = identity_matrix(len(m[0]) if m else getattr(a, "shape", (0,))[-1])
-    rank = _diagonalize(m, u, v)
+    v = identity_matrix(len(rows[0]) if rows else getattr(a, "shape", (0,))[-1])
+    factors = _sparse_factors(rows, u, v)
+    d = [[0] * len(v) for _ in rows]
+    for k, f in enumerate(factors):
+        d[k][k] = f
 
-    # postconditions, every call
-    if mat_mul(mat_mul(u, rows), v) != m:
+    # postconditions, every call; d is diagonal by construction, so
+    # u*a*v = d also checks the rank
+    _check_chain(factors)
+    if mat_mul(mat_mul(u, rows), v) != d:
         raise AssertionError("SNF postcondition failed: U*A*V != D")
     if (_det([r[:] for r in u]) not in (1, -1)
             or _det([r[:] for r in v]) not in (1, -1)):
         raise AssertionError("SNF postcondition failed: transform not unimodular")
-    factors = _diagonal_factors(m, rank)
-    return SNFResult(m, u, v, rank, factors)
+    return SNFResult(d, u, v, len(factors), factors)
 
 
 def invariant_factors(a):
     """(rank, invariant factors) of an integer matrix: the nonzero diagonal
-    of its Smith form, by `_sparse_factors`, which builds no transforms.
+    of its Smith form, by `_sparse_factors` given no transforms.
 
     Checked on every call without U or V: the factors are positive and
     form a divisibility chain; the rank equals that of an independent

@@ -211,13 +211,13 @@ class OrbitRecord(Record):
             if not origin.startswith("belt:"):
                 raise ValueError(f"bad origin {origin!r}: use 'old', "
                                  "'word:<ids>', 'belt:<j>'")
-            try:
-                j = int(origin[5:])
-            except ValueError:
-                j = 0
-            if j < 1:
+            # as subcritical_surgery writes it: ASCII digits, no sign,
+            # no leading zero, so each iterate has one spelling
+            j = origin[5:]
+            if not (j.isascii() and j.isdigit() and j[0] != "0"):
                 raise ValueError(
-                    f"belt origin needs iterate >= 1, got {origin!r}")
+                    f"belt origin needs iterate >= 1 in decimal digits "
+                    f"without a leading zero, got {origin!r}")
         Record.__init__(self, degree, action, origin, contractible)
 
 

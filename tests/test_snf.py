@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weinkit.snf as snf
+from weinkit.graded import ChainComplex
+from weinkit.handles import HandlePresentation
 from weinkit.snf import (
     bareiss_determinant,
     identity_matrix,
@@ -22,7 +24,12 @@ from weinkit.snf import (
     smith_normal_form,
 )
 
-from oracles import conjugated_matrix, rational_rank, sympy_invariant_factors
+from oracles import (
+    conjugated_matrix,
+    modular_invariant_factors,
+    rational_rank,
+    sympy_invariant_factors,
+)
 from test_acceptance import Budget
 
 
@@ -149,13 +156,14 @@ def _pinned_shape(rng, cls):
 
 
 # sha256 of the repr of (d, u, v, rank, invariant_factors) over 50 seeded
-# matrices per class.  Any change to the pivot order, the 2x2 transforms
-# or the sign normalization changes U and V, and so these digests.
+# matrices per class.  Any change to the pivot rule, the least-remainder
+# steps, the sign normalization or the pivots-first order of
+# `_sparse_factors` changes U and V, and so these digests.
 PINNED_SNF = {
-    "sparse-unit": "e2636aac3c2cabe257e4fb08e1528473f622ce84765fad56f8f0dc4d309d8cbd",
-    "full-rank": "85756bc85cbfb6f191e14d3102e31f323cf51220455abc4f26b4b431db9424ce",
-    "dense-torsion": "8b56502902e6383d190da6b2cafdd14f56d2367a6eed8c65791d6f3102dc49a8",
-    "rectangular": "3eeff0733f6449a67715f6335101fa2217f2b08322180057243c1d02a97c3887",
+    "sparse-unit": "17107654249c12a0d4f6db0e3d293d5a0e6abe31262b06c389797d4cbeac31f5",
+    "full-rank": "0f75d900b0c4b5d56e97aac20a684b00099e618b05bf47121b2e329ac7dfd613",
+    "dense-torsion": "a69c650deaadb8007abf81adacc47ba2fff8242241ed2cfc811da7be202f23d9",
+    "rectangular": "d72b5420a11f505dd052998ed67c5eaa1721400ff78dfc974a7b75733879dea3",
 }
 
 
@@ -172,18 +180,39 @@ def test_results_are_pinned(cls):
     assert digest.hexdigest() == PINNED_SNF[cls]
 
 
-@pytest.mark.parametrize("call", [
-    pytest.param(lambda: smith_normal_form([[2.7, 0], [0, 3.9]]), id="snf"),
-    pytest.param(lambda: bareiss_determinant([[1.5, 0], [0, 1]]), id="det"),
-    pytest.param(lambda: is_unimodular([[1, 0], [0, 1.0]]), id="unimodular"),
+NOT_AN_INTEGER = "not an integer"
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: smith_normal_form([[2.7, 0], [0, 3.9]]),
+                 NOT_AN_INTEGER, id="snf"),
+    pytest.param(lambda: bareiss_determinant([[1.5, 0], [0, 1]]),
+                 NOT_AN_INTEGER, id="det"),
+    pytest.param(lambda: is_unimodular([[1, 0], [0, 1.0]]),
+                 NOT_AN_INTEGER, id="unimodular"),
     pytest.param(lambda: smith_normal_form(np.array([[1, 0], [0, 0.5]])),
-                 id="float-array"),
-    pytest.param(lambda: smith_normal_form([[1, "2"]]), id="string"),
+                 NOT_AN_INTEGER, id="float-array"),
+    pytest.param(lambda: smith_normal_form([[1, "2"]]),
+                 NOT_AN_INTEGER, id="string"),
     pytest.param(lambda: invariant_factors([[1, 0.5]]),
-                 id="invariant-factors"),
+                 NOT_AN_INTEGER, id="invariant-factors"),
+    # a row that is not a sequence, under each caller's prefix
+    pytest.param(lambda: smith_normal_form([1, 2, 3]),
+                 "^matrix row 0 = 1 is not a sequence$", id="flat-list"),
+    pytest.param(lambda: smith_normal_form(np.array([1, 2, 3])),
+                 "^matrix row 0 = .+ is not a sequence$", id="flat-array"),
+    pytest.param(lambda: ChainComplex({0: 1, 1: 1}, {1: [2]}),
+                 "^boundary d_1: matrix row 0 = 2 is not a sequence$",
+                 id="boundary-row"),
+    pytest.param(lambda: HandlePresentation(2, [0, 2], intersection_form=[5]),
+                 "^intersection form: matrix row 0 = 5 is not a sequence$",
+                 id="intersection-form-row"),
+    pytest.param(lambda: ChainComplex({0: 1, 1: 1}, {1: 2}),
+                 "^boundary d_1: matrix 2 is not a sequence of rows$",
+                 id="boundary-scalar"),
 ])
-def test_non_integer_entries_rejected(call):
-    with pytest.raises(ValueError, match="not an integer"):
+def test_non_integer_entries_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
         call()
 
 
@@ -204,17 +233,20 @@ def test_ragged_rejected():
         smith_normal_form([[1, 2], [3]])
 
 
-def _doubled_xgcd(xgcd):
-    def doubled(a, b):
-        g, x, y = xgcd(a, b)
-        return g, 2 * x, 2 * y
+def _doubled_kernel_column(core):
+    """The core, then the last column of V doubled: for [[2, 3]] that is a
+    kernel column, so U*A*V = D still holds and only det V = +-1 can tell."""
+    def doubled(rows, u=None, v=None):
+        factors = core(rows, u, v)
+        for row in v:
+            row[-1] *= 2
+        return factors
     return doubled
 
 
 def test_certificate_catches_a_non_unimodular_step(monkeypatch):
-    # the doubled Bezout pair gives a 2x2 column step of determinant 2;
-    # U*A*V = D still holds, so only det V = +-1 can catch it
-    monkeypatch.setattr(snf, "_xgcd", _doubled_xgcd(snf._xgcd))
+    monkeypatch.setattr(snf, "_sparse_factors",
+                        _doubled_kernel_column(snf._sparse_factors))
     with pytest.raises(AssertionError, match="not unimodular"):
         smith_normal_form([[2, 3]])
 
@@ -222,25 +254,23 @@ def test_certificate_catches_a_non_unimodular_step(monkeypatch):
 def test_certificate_survives_optimized_mode():
     script = (
         "import weinkit.snf as snf\n"
-        "xgcd = snf._xgcd\n"
-        "def doubled(a, b):\n"
-        "    g, x, y = xgcd(a, b)\n"
-        "    return g, 2 * x, 2 * y\n"
-        "snf._xgcd = doubled\n"
+        "from test_snf import _doubled_kernel_column\n"
+        "snf._sparse_factors = _doubled_kernel_column(snf._sparse_factors)\n"
         "try:\n"
         "    snf.smith_normal_form([[2, 3]])\n"
         "except AssertionError as e:\n"
         "    print(e)\n")
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(here.parent / "src"), str(here)]))
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert "not unimodular" in out.stdout
 
 
-# invariant_factors: its own elimination, without U and V, which must
-# agree with smith_normal_form on rank and factors
+# invariant_factors: the same elimination without U and V, and its own
+# checks, which must agree with smith_normal_form on rank and factors
 
 
 def _edge_and_conjugated_matrices():
@@ -339,18 +369,39 @@ def test_invariant_factors_postconditions_survive_optimized_mode():
         word for case in sorted(CORRUPTIONS) for word in (case, "True")]
 
 
-def test_invariant_factors_of_unimodular_conjugates_in_time():
+@pytest.mark.parametrize("entry, budget", [
+    pytest.param(invariant_factors, 2.0, id="invariant_factors"),
+    pytest.param(smith_normal_form, 5.0, id="smith_normal_form"),
+])
+def test_unimodular_conjugates_in_time(entry, budget):
     # conjugates of a diagonal chain by 2n (20 x 20) and 3n (16 x 16)
-    # elementary +-1 operations, on which the dense elimination took up to
-    # a minute; the budget is about 3.5x the median of 0.55 s on 2 vCPU
+    # elementary +-1 operations, on which the dense gcd elimination took
+    # up to a minute.  Medians on 2 vCPU: 0.55 s for invariant_factors,
+    # 1.0-1.6 s for smith_normal_form, which also builds and checks U, V
     rng = random.Random("unimodular-conjugates")
     cases = ([conjugated_matrix(rng, 20, 20, 20, 0.3, 2) for _ in range(30)]
              + [conjugated_matrix(rng, 16, 16, rng.randint(14, 16), 0.3, 3)
                 for _ in range(200)])
-    with Budget("invariant factors of 230 unimodular conjugates", 2.0):
-        results = [invariant_factors(m) for m, _ in cases]
-    for (m, factors), (rank, got) in zip(cases, results):
-        assert (rank, got) == (len(factors), tuple(factors))
+    with Budget(f"{entry.__name__} of 230 unimodular conjugates", budget):
+        results = [entry(m) for m, _ in cases]
+    for (m, factors), got in zip(cases, results):
+        if entry is smith_normal_form:
+            got = got.rank, got.invariant_factors
+        assert got == (len(factors), tuple(factors))
+
+
+@pytest.mark.parametrize("n", [32, 40, 48])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_smith_normal_form_of_dense_maps_in_time(n, seed):
+    # a dense +-20 map: the dense gcd elimination ran past 30 s at n = 32
+    # (seed 2); the sparse one with U and V takes about 0.3 s at n = 48
+    rng = random.Random(seed)
+    a = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
+    with Budget(f"smith_normal_form of a dense {n}x{n} map, seed {seed}",
+                1.0):
+        res = smith_normal_form(a)
+    assert res.rank == n
+    assert list(res.torsion_factors) == modular_invariant_factors(a)
 
 
 @pytest.mark.parametrize("module", ["graded.py", "handles.py"])

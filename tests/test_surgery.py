@@ -272,7 +272,9 @@ class TestOrbitRecords:
         orbit(2, 1, "old")
         orbit(2, 1, "word:a.b")
         orbit(2, 1, "belt:3")
-        for bad in ("", "word:", "belt:0", "belt:x", "new"):
+        orbit(2, 1, "belt:10")
+        for bad in ("", "word:", "belt:0", "belt:x", "new", "belt:",
+                    "belt: 1", "belt:+1", "belt:01", "belt:1_0", "belt:\u0663"):
             with pytest.raises(ValueError):
                 orbit(2, 1, bad)
 
