@@ -16,9 +16,11 @@ from .serialize import (
     STRING,
     Record,
     _Pair,
+    _less,
+    _spectrum_fields,
+    _times,
     as_int,
     as_rational,
-    lowest_terms,
     optional,
     ratio_to_str,
     records_of,
@@ -36,28 +38,6 @@ def chord_degree(down, up, ind):
         raise ValueError(
             f"cusp counts and Morse index must be >= 0, got ({down}, {up}, {ind})")
     return down - up + ind - 1
-
-
-def _trusted(cls, count, **columns):
-    """`count` instances of the record class `cls` built without its
-    __init__ from slot values the caller has already shown valid:
-    each keyword names a slot and gives an iterable with a value for every
-    instance; a rational field f is its slot _f, a pair (p, q)."""
-    records = list(map(object.__new__, repeat(cls, count)))
-    for name, values in columns.items():
-        # a C-level map over the slot setter, one column at a time, costs
-        # about half of setting the fields record by record in Python; the
-        # setter returns None, so any() runs the map to its end
-        any(map(getattr(cls, name).__set__, records, values))
-    return records
-
-
-def _unchecked(cls, *values):
-    """One instance of the record class `cls` holding VALUES, one per field
-    (a rational as its pair), which the caller has already shown valid."""
-    record = object.__new__(cls)
-    Record.__init__(record, *values)
-    return record
 
 
 class ChordRecord(Record):
@@ -111,23 +91,17 @@ class ChordSpectrum(Record):
     _codecs = {"n": INT, "bound": RATIONAL, "chords": records_of(ChordRecord)}
 
     def __init__(self, n, chords, bound):
-        n = as_int(n, "half-dimension")
-        if n < 1:
-            raise ValueError(f"half-dimension must be >= 1, got {n}")
-        chords = tuple(chords)
-        bp, bq = bound = as_rational(bound, "action bound")
-        if bp <= 0:
-            raise ValueError("action bound must be positive")
+        n, chords, bound, over = _spectrum_fields(n, chords, bound)
+        # the first fault in chord order, a repeated id before an action
         seen = set()
-        # cross-multiplied int compare; this validation sees every record
-        for c in chords:
+        for c in chords[:over + 1]:
             if c.id in seen:
                 raise ValueError(f"duplicate chord id {c.id!r}")
             seen.add(c.id)
-            p, q = c._action
-            if p * bq >= bp * q:
-                raise ValueError(f"chord {c.id!r}: action {c.action} >= "
-                                 f"bound {ratio_to_str(bound)}")
+        if over < len(chords):
+            c = chords[over]
+            raise ValueError(f"chord {c.id!r}: action {c.action} >= "
+                             f"bound {ratio_to_str(bound)}")
         Record.__init__(self, n, chords, bound)
 
     def min_degree(self):
@@ -195,16 +169,16 @@ def stabilize(spectrum: ChordSpectrum, N, q_data: MorseData,
         raise ValueError(f"N must be >= 0, got {N}")
     if N == 0:
         return spectrum
-    bp, bq = spectrum._bound
+    bound = spectrum._bound
     # by default half of min(1, bound)
-    ep, eq = (as_rational(zigzag_action, "zigzag action")
-              if zigzag_action is not None
-              else lowest_terms(min(bp, bq), 2 * bq))
-    if ep <= 0:
+    eps = (as_rational(zigzag_action, "zigzag action")
+           if zigzag_action is not None
+           else _times(bound if _less(bound, (1, 1)) else (1, 1), (1, 2)))
+    if eps[0] <= 0:
         raise ValueError("zigzag action scale must be positive")
-    if ep * bq >= bp * eq:
+    if not _less(eps, bound):
         raise ValueError(
-            f"zigzag action {ratio_to_str((ep, eq))} >= spectrum bound "
+            f"zigzag action {ratio_to_str(eps)} >= spectrum bound "
             f"{spectrum.bound}: new chords would break the bound")
     if sites is None:
         sites = sum(1 for c in spectrum.chords if c.degree <= 0)
@@ -214,9 +188,10 @@ def stabilize(spectrum: ChordSpectrum, N, q_data: MorseData,
 
     # every old chord's front gains 2N down-cusps, so its degree still
     # matches; a front is None or a (D, U, ind) triple
-    out = [_unchecked(ChordRecord, c.id, c.degree + 2 * N, c._action,
-                      c.front and (c.front[0] + 2 * N, *c.front[1:]),
-                      c.null_homotopic) for c in spectrum.chords]
+    out = [ChordRecord._unchecked(
+        c.id, c.degree + 2 * N, c._action,
+        c.front and (c.front[0] + 2 * N, *c.front[1:]), c.null_homotopic)
+        for c in spectrum.chords]
     # The zig-zag records below are valid by construction, so none is
     # re-validated: each has front (2, 0, ind), degree 1 + ind, action
     # eps * t / (total + 1) in (0, eps) and an id kept apart from the old
@@ -239,16 +214,15 @@ def stabilize(spectrum: ChordSpectrum, N, q_data: MorseData,
     # action t is t e/K, e/K = eps/(total + 1) in lowest terms, so it is
     # (e t/d, K/d) for d = gcd(t, K): one slice per divisor d <= total of
     # K, ascending so that the largest writes last, and no gcd per record
-    e, K = lowest_terms(ep, eq * (total + 1))
+    e, K = _times(eps, (1, total + 1))
     actions = list(zip(range(e, e * total + 1, e), repeat(K)))
     for d in range(2, min(total, K) + 1):
         if K % d == 0:
             actions[d - 1::d] = zip(range(e, e * (total // d) + 1, e),
                                     repeat(K // d))
-    out += _trusted(
-        ChordRecord, total, id=ids, degree=degrees, _action=actions,
-        front=fronts, null_homotopic=repeat(True))
-    return _unchecked(ChordSpectrum, spectrum.n, tuple(out), spectrum._bound)
+    out += ChordRecord._unchecked_columns(total, ids, degrees, actions,
+                                          fronts, repeat(True))
+    return ChordSpectrum._unchecked(spectrum.n, tuple(out), bound)
 
 
 class SelfIntersectionIndex(Record):

@@ -153,12 +153,11 @@ def connect_sum_growth(**_):
     tower = [t_star_sphere(3)]
     for _ in range(3):
         tower.append(boundary_connect_sum(tower[-1], t_star_sphere(3)))
-    ranks = [p.cohomology().rank(3) for p in tower]
-    profiles = [sh_plus_from_vanishing(p.cohomology(), 3) for p in tower]
-    separated = all(
-        distinguish_flexible_fillings(
-            tower[i].cohomology(), tower[j].cohomology(), 3).fired
-        for i in range(4) for j in range(4) if i != j)
+    groups = [p.cohomology() for p in tower]
+    ranks = [h.rank(3) for h in groups]
+    profiles = [sh_plus_from_vanishing(h, 3) for h in groups]
+    separated = all(distinguish_flexible_fillings(g, h, 3).fired
+                    for g in groups for h in groups if g is not h)
     return _report("connect-sum-growth",
                    "rank H^n adds under boundary connect sum; profiles with "
                    "different rank are distinguished",

@@ -265,23 +265,16 @@ def homology(complex_: ChainComplex) -> GradedGroup:
     factors >= 2 of d_{k+1}.  Each boundary map's rank and factors come from
     `invariant_factors`, which builds no transforms.
     """
-    cache = {}
-
-    def factors_of(k):
-        """(rank, invariant factors) of d_k; (0, ()) where d_k is zero."""
-        if k not in cache:
-            m = complex_.boundary(k)
-            cache[k] = invariant_factors(m) if m is not None else (0, ())
-        return cache[k]
-
+    # (rank, invariant factors) of each nonzero d_k; a zero d_k is (0, ())
+    factors = {k: invariant_factors(m)
+               for k, m in complex_.boundaries.items()}
     groups = {}
     for k in complex_.degrees:
-        r_k = factors_of(k)[0]
-        r_k1, factors = factors_of(k + 1)
-        rank = complex_.dim(k) - r_k - r_k1
+        r_k1, torsion = factors.get(k + 1, (0, ()))
+        rank = complex_.dim(k) - factors.get(k, (0,))[0] - r_k1
         if rank < 0:
             raise AssertionError("negative Betti number: broken SNF rank")
-        groups[k] = (rank, tuple(f for f in factors if f >= 2))
+        groups[k] = (rank, tuple(f for f in torsion if f >= 2))
     return GradedGroup.from_dict(groups)
 
 

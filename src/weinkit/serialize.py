@@ -28,7 +28,11 @@ value made of named fields:
   field order (a rational as its pair), and raises TypeError on a wrong
   count.  A subclass that checks, normalizes or defaults its arguments
   does so in its own `__init__`, which ends in one call to
-  `Record.__init__`.
+  `Record.__init__`.  Only the trusted builds skip the subclass's checks,
+  for values already shown valid: `cls._unchecked(*values)` and, from one
+  column per field, `cls._unchecked_columns(count, *columns)`.
+- Pair arithmetic on rationals held as (p, q): `lowest_terms`, `_less`,
+  `_times`, and `_spectrum_fields`, the one check of every spectrum.
 - JSON: a subclass whose document maps field to field declares
   `_codecs = {field: codec}` in the document's key order (which `--table`
   output shows), and `_schema = False` when its document is nested and
@@ -60,6 +64,7 @@ import json
 import re
 from fractions import Fraction
 from functools import partial, wraps
+from itertools import repeat
 from math import gcd
 from operator import attrgetter, index
 
@@ -82,6 +87,16 @@ def lowest_terms(p, q):
     """(p, q) over their gcd, for q > 0."""
     g = gcd(p, q)
     return p // g, q // g
+
+
+def _less(a, b):
+    """a < b for rationals held as (p, q) with q > 0."""
+    return a[0] * b[1] < b[0] * a[1]
+
+
+def _times(a, b):
+    """a * b for rationals held as (p, q), q > 0, in lowest terms."""
+    return lowest_terms(a[0] * b[0], a[1] * b[1])
 
 
 class _Pair(tuple):
@@ -159,6 +174,24 @@ def as_int(value, what) -> int:
         return index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _spectrum_fields(n, records, bound):
+    """N (>= 1), RECORDS as a tuple and BOUND as a positive pair, as both
+    spectra take them, and the index of the first record whose action is not
+    below the bound, else their count (a hot loop, so `_less` is inlined)."""
+    n = as_int(n, "half-dimension")
+    if n < 1:
+        raise ValueError(f"half-dimension must be >= 1, got {n}")
+    records = tuple(records)
+    bp, bq = bound = as_rational(bound, "action bound")
+    if bp <= 0:
+        raise ValueError("action bound must be positive")
+    for i, r in enumerate(records):
+        p, q = r._action
+        if p * bq >= bp * q:
+            return n, records, bound, i
+    return n, records, bound, len(records)
 
 
 def str_from_json(value, what) -> str:
@@ -328,6 +361,11 @@ def _tuple_getter(names):
     return get if len(names) > 1 else lambda record: (get(record),)
 
 
+def _count_error(cls, got):
+    return TypeError(f"{cls.__name__} takes {len(cls._setters)} field "
+                     f"values, got {got}")
+
+
 class Record:
     """Base of the record types: storage, JSON from declared codecs,
     equality, hash, repr and immutability as the module docstring sets
@@ -385,10 +423,29 @@ class Record:
     def __init__(self, *values):
         setters = self._setters
         if len(values) != len(setters):
-            raise TypeError(f"{self.__class__.__name__} takes "
-                            f"{len(setters)} field values, got {len(values)}")
+            raise _count_error(self.__class__, len(values))
         for store, value in zip(setters, values):
             store(self, value)
+
+    @classmethod
+    def _unchecked(cls, *values):
+        """One record of VALUES, stored without the class's `__init__`."""
+        record = object.__new__(cls)
+        Record.__init__(record, *values)
+        return record
+
+    @classmethod
+    def _unchecked_columns(cls, count, *columns):
+        """COUNT records as `_unchecked` builds one, from one iterable per
+        field holding the field's value for every record."""
+        if len(columns) != len(cls._setters):
+            raise _count_error(cls, len(columns))
+        records = list(map(object.__new__, repeat(cls, count)))
+        for store, column in zip(cls._setters, columns):
+            # a C-level map over each slot's setter costs about half of
+            # storing record by record; any() runs it to its end
+            any(map(store, records, column))
+        return records
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

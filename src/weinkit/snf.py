@@ -40,13 +40,19 @@ from operator import index
 from .serialize import Record
 
 
+_NOT_ROWS = (dict, set, frozenset)  # they iterate keys, in no row order
+
+
 def _as_rows(a):
     """Copy a matrix (nested sequences, numpy integer or object arrays) to
     lists of Python ints.  An entry that is not an integer (a float, a
     string) is an error, never truncated, and so is a row that is not a
-    sequence."""
+    sequence (a dict or set among them)."""
     try:
-        rows = [[index(x) for x in row] for row in a]
+        # one type test per row; a refused row becomes None, which is not
+        # iterable, so the TypeError leads to the report below
+        rows = [[index(x) for x in (None if isinstance(row, _NOT_ROWS)
+                                    else row)] for row in a]
     except TypeError:
         try:
             a = list(a)
@@ -54,7 +60,7 @@ def _as_rows(a):
             raise ValueError(f"matrix {a!r} is not a sequence of rows") from None
         for i, row in enumerate(a):
             try:
-                row = list(row)
+                row = list(None if isinstance(row, _NOT_ROWS) else row)
             except TypeError:
                 raise ValueError(f"matrix row {i} = {row!r} is not a "
                                  "sequence") from None

@@ -14,9 +14,10 @@ Words come from one level-order walk, _walk, cyclic or linear.  Its
 invariant: each level (word length) is in letter order, so words come out
 in (length, letters) order with no sort, each cyclic word below the bound
 once, as its least rotation.  enumerate_words, orbits_after_surgery and
-belt_sphere_chords build their records from its columns without the
-per-record checks of the public constructors; CyclicWord(...) built by a
-caller still canonicalizes its letters.  A name spelled from letters
+belt_sphere_chords build their records from its columns, and the other
+transformations theirs, without the per-record checks, through Record's
+trusted builds; CyclicWord(...) built by a caller still canonicalizes its
+letters.  A name spelled from letters
 (orbit origin "word:a.b", belt chord "w:a.b", mixed chord "mix:x.a.b.y")
 is built by _labels, and two words with one name are an error; a
 generated name ("zz<t>" in stabilize, "surg" in add_surgery_chord) takes
@@ -27,7 +28,7 @@ from collections import Counter
 from itertools import compress, repeat
 from math import lcm
 
-from .chords import ChordRecord, ChordSpectrum, _fresh_id, _trusted, _unchecked, choose_Q, min_positive_N, stabilize
+from .chords import ChordRecord, ChordSpectrum, _fresh_id, choose_Q, min_positive_N, stabilize
 from .serialize import (
     BOOL,
     INT,
@@ -36,6 +37,9 @@ from .serialize import (
     Record,
     Verdict,
     _Pair,
+    _less,
+    _spectrum_fields,
+    _times,
     as_int,
     as_rational,
     lowest_terms,
@@ -85,8 +89,8 @@ def enumerate_words(spectrum: ChordSpectrum, bound,
     letters, degrees, actions = _cyclic_words(
         spectrum, as_rational(bound, "word action bound"), 0,
         skip_non_null_homotopic)
-    return tuple(_trusted(CyclicWord, len(letters), letters=letters,
-                          degree=degrees, _action=actions))
+    return tuple(CyclicWord._unchecked_columns(len(letters), letters,
+                                               degrees, actions))
 
 
 def _cyclic_words(spectrum, bound, shift, skip_non_null_homotopic=False):
@@ -176,16 +180,6 @@ def _lattice(chords, *actions):
     return letters, [num(a) for a in actions], den
 
 
-def _less(a, b):
-    """a < b for rationals held as (p, q) with q > 0."""
-    return a[0] * b[1] < b[0] * a[1]
-
-
-def _times(a, b):
-    """a * b for rationals held as (p, q), q > 0, in lowest terms."""
-    return lowest_terms(a[0] * b[0], a[1] * b[1])
-
-
 class OrbitRecord(Record):
     """One closed orbit: degree, positive rational action, provenance
     (pre-existing, a chord word, or a belt-sphere iterate), and whether it
@@ -201,7 +195,8 @@ class OrbitRecord(Record):
     def __init__(self, degree, action, origin="old", contractible=True):
         if type(degree) is not int:
             degree = as_int(degree, "orbit degree")
-        action = as_rational(action, "orbit action")
+        if type(action) is not _Pair:
+            action = as_rational(action, "orbit action")
         if action[0] <= 0:
             raise ValueError("orbit action must be positive")
         if not isinstance(origin, str):
@@ -230,19 +225,20 @@ class OrbitSpectrum(Record):
                "orbits": records_of(OrbitRecord)}
 
     def __init__(self, n, orbits, bound, generic=True):
-        n = as_int(n, "half-dimension")
-        if n < 1:
-            raise ValueError(f"half-dimension must be >= 1, got {n}")
-        orbits = tuple(orbits)
-        bp, bq = bound = as_rational(bound, "action bound")
-        if bp <= 0:
-            raise ValueError("action bound must be positive")
-        for r in orbits:
-            p, q = r._action
-            if p * bq >= bp * q:
-                raise ValueError(f"orbit action {r.action} >= bound "
-                                 f"{ratio_to_str(bound)}")
+        n, orbits, bound, over = _spectrum_fields(n, orbits, bound)
+        if over < len(orbits):
+            raise ValueError(f"orbit action {orbits[over].action} >= bound "
+                             f"{ratio_to_str(bound)}")
         Record.__init__(self, n, orbits, bound, generic)
+
+
+def _requested(spectrum, bound, what):
+    """The requested BOUND as a pair, checked to lie in SPECTRUM's window."""
+    bound = as_rational(bound, "requested bound")
+    if _less(spectrum._bound, bound):
+        raise ValueError(f"requested bound {ratio_to_str(bound)} exceeds the "
+                         f"known {what} window {spectrum.bound}")
+    return bound
 
 
 def orbits_after_surgery(old: OrbitSpectrum, chords: ChordSpectrum,
@@ -255,18 +251,15 @@ def orbits_after_surgery(old: OrbitSpectrum, chords: ChordSpectrum,
         raise ValueError(f"need n >= 2, got {n}")
     if chords.n != n:
         raise ValueError(f"half-dimensions differ: {chords.n} != {n}")
-    bound = as_rational(bound, "requested bound")
-    if _less(old._bound, bound):
-        raise ValueError(f"requested bound {ratio_to_str(bound)} exceeds the "
-                         f"known orbit window {old.bound}")
+    bound = _requested(old, bound, "orbit")
     kept = [r for r in old.orbits if _less(r._action, bound)]
     words, degrees, actions = _cyclic_words(chords, bound, n - 3)
     # every action is below the bound, so neither the records nor the
     # spectrum are checked again
-    kept += _trusted(OrbitRecord, len(words), degree=degrees, _action=actions,
-                     origin=_labels("word:", words, "orbit origin"),
-                     contractible=repeat(True))
-    return _unchecked(OrbitSpectrum, n, tuple(kept), bound, old.generic)
+    kept += OrbitRecord._unchecked_columns(
+        len(words), degrees, actions, _labels("word:", words, "orbit origin"),
+        repeat(True))
+    return OrbitSpectrum._unchecked(n, tuple(kept), bound, old.generic)
 
 
 def subcritical_surgery(spectrum: OrbitSpectrum, n, k, iterates, eps,
@@ -301,11 +294,11 @@ def subcritical_surgery(spectrum: OrbitSpectrum, n, k, iterates, eps,
             f"eps * iterates = {ratio_to_str(top)} >= bound {spectrum.bound}; "
             "shrink the handle further")
     # every action eps * j is at most eps * iterates, below the bound
-    new = [_unchecked(OrbitRecord, 2 * n - k - 4 + 2 * j, _times(eps, (j, 1)),
-                      f"belt:{j}", True)
+    new = [OrbitRecord._unchecked(2 * n - k - 4 + 2 * j, _times(eps, (j, 1)),
+                                  f"belt:{j}", True)
            for j in range(1, iterates + 1)]
-    return _unchecked(OrbitSpectrum, spectrum.n, spectrum.orbits + tuple(new),
-                      spectrum._bound, spectrum.generic)
+    return OrbitSpectrum._unchecked(spectrum.n, spectrum.orbits + tuple(new),
+                                    spectrum._bound, spectrum.generic)
 
 
 def add_surgery_chord(spectrum: ChordSpectrum, k,
@@ -327,8 +320,8 @@ def add_surgery_chord(spectrum: ChordSpectrum, k,
     if not 0 < action[0] or not _less(action, bound):
         raise ValueError(f"new chord action must lie in (0, {spectrum.bound})")
     cid = _fresh_id("surg", {c.id for c in spectrum.chords})
-    new = _unchecked(ChordRecord, cid, n - k - 1, action, None, True)
-    return _unchecked(ChordSpectrum, n, spectrum.chords + (new,), bound)
+    new = ChordRecord._unchecked(cid, n - k - 1, action, None, True)
+    return ChordSpectrum._unchecked(n, spectrum.chords + (new,), bound)
 
 
 def belt_sphere_chords(spectrum: ChordSpectrum, bound=None) -> ChordSpectrum:
@@ -338,18 +331,13 @@ def belt_sphere_chords(spectrum: ChordSpectrum, bound=None) -> ChordSpectrum:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     bound = spectrum._bound if bound is None \
-        else as_rational(bound, "requested bound")
-    if _less(spectrum._bound, bound):
-        raise ValueError(
-            f"requested bound {ratio_to_str(bound)} exceeds the known chord "
-            f"window {spectrum.bound}")
+        else _requested(spectrum, bound, "chord")
     words, degrees, actions = _cyclic_words(spectrum, bound, n - 2)
     # every action is below the bound and _labels keeps the ids distinct
-    chords = tuple(_trusted(
-        ChordRecord, len(words), id=_labels("w:", words, "chord id"),
-        degree=degrees, _action=actions, front=repeat(None),
-        null_homotopic=repeat(True)))
-    return _unchecked(ChordSpectrum, n, chords, bound)
+    chords = tuple(ChordRecord._unchecked_columns(
+        len(words), _labels("w:", words, "chord id"), degrees, actions,
+        repeat(None), repeat(True)))
+    return ChordSpectrum._unchecked(n, chords, bound)
 
 
 def nonsimultaneous_words(s_minus: ChordSpectrum, aux: ChordSpectrum,
@@ -382,9 +370,8 @@ def nonsimultaneous_words(s_minus: ChordSpectrum, aux: ChordSpectrum,
                            for seq in middles], "chord id")
     # each action is positive and below the bound, and a clash with an id
     # of s_minus is raised by the checked spectrum
-    out = s_minus.chords + tuple(_trusted(
-        ChordRecord, len(ids), id=ids, degree=degrees, _action=actions,
-        front=repeat(None), null_homotopic=repeat(null)))
+    out = s_minus.chords + tuple(ChordRecord._unchecked_columns(
+        len(ids), ids, degrees, actions, repeat(None), repeat(null)))
     return ChordSpectrum(n, out, s_minus.bound)
 
 
@@ -405,14 +392,14 @@ def rescale(x, s):
         raise ValueError(f"scale must be positive, got {ratio_to_str(s)}")
     # a positive scale keeps every record valid, so none is checked again
     if isinstance(x, ChordSpectrum):
-        return _unchecked(ChordSpectrum, x.n, tuple(
-            _unchecked(ChordRecord, c.id, c.degree, _times(c._action, s),
-                       c.front, c.null_homotopic) for c in x.chords),
-            _times(x._bound, s))
+        return ChordSpectrum._unchecked(x.n, tuple(
+            ChordRecord._unchecked(c.id, c.degree, _times(c._action, s),
+                                   c.front, c.null_homotopic)
+            for c in x.chords), _times(x._bound, s))
     if isinstance(x, OrbitSpectrum):
-        return _unchecked(OrbitSpectrum, x.n, tuple(
-            _unchecked(OrbitRecord, r.degree, _times(r._action, s),
-                       r.origin, r.contractible) for r in x.orbits),
+        return OrbitSpectrum._unchecked(x.n, tuple(
+            OrbitRecord._unchecked(r.degree, _times(r._action, s), r.origin,
+                                   r.contractible) for r in x.orbits),
             _times(x._bound, s), x.generic)
     raise TypeError(f"cannot rescale {type(x).__name__}")
 
@@ -507,7 +494,7 @@ def normalize_certificate(cert: ADCCertificate, eps) -> ADCCertificate:
     stages = cert.stages
     if len(stages) <= 1:
         return cert
-    chosen, over_eps2 = [0], (eq * eq, ep * ep)
+    chosen, over_eps2 = [0], _times((eq, ep), (eq, ep))
     need = _times(stages[0]._bound, over_eps2)
     for j in range(1, len(stages)):
         if not _less(stages[j]._bound, need):
@@ -522,9 +509,9 @@ def normalize_certificate(cert: ADCCertificate, eps) -> ADCCertificate:
         st = stages[j]
         # eps^m is in lowest terms, as eps is
         factor = _Pair((ep ** m, eq ** m))
-        out.append(_unchecked(Stage, _times(st._scale, factor),
-                              _times(st._bound, factor),
-                              rescale(st.spectrum, factor)))
+        out.append(Stage._unchecked(_times(st._scale, factor),
+                                    _times(st._bound, factor),
+                                    rescale(st.spectrum, factor)))
     result = ADCCertificate(tuple(out))
     for a, b in zip(result.stages, result.stages[1:]):
         if (_less(_times(a._scale, eps), b._scale)
@@ -589,9 +576,9 @@ def flexible_surgery_certificate(cert: ADCCertificate, chords, n,
 
         merged = orbits_after_surgery(st.spectrum, s, window)
         factor = _Pair((1, 4 ** k))
-        out.append(_unchecked(Stage, _times(st._scale, factor),
-                              _times((window, 1), factor),
-                              rescale(merged, factor)))
+        out.append(Stage._unchecked(_times(st._scale, factor),
+                                    _times((window, 1), factor),
+                                    rescale(merged, factor)))
 
     if not out:
         raise ValueError(

@@ -757,6 +757,14 @@ def test_record_semantics(make, same, other, fields):
         assert type(record)(*values) == twin
     with pytest.raises(TypeError):
         type(record)(*values, None)
+    # the trusted builds store the same values without the constructor,
+    # and count their values or columns as Record.__init__ does
+    cls, stored = type(record), twin._stored
+    assert cls._unchecked(*stored) == twin
+    assert cls._unchecked_columns(2, *([v, v] for v in stored)) == [twin, twin]
+    for columns in (stored[:-1], (*stored, None)):
+        with pytest.raises(TypeError, match=f"^{cls.__name__} takes "):
+            cls._unchecked_columns(1, *([v] for v in columns))
     for name in (*fields, "extra"):
         with pytest.raises(AttributeError):
             setattr(record, name, None)

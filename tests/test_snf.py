@@ -210,6 +210,16 @@ NOT_AN_INTEGER = "not an integer"
     pytest.param(lambda: ChainComplex({0: 1, 1: 1}, {1: 2}),
                  "^boundary d_1: matrix 2 is not a sequence of rows$",
                  id="boundary-scalar"),
+    # a dict or set row used to be read as its keys
+    pytest.param(lambda: ChainComplex({0: 1, 1: 1}, {1: [{7: 1}]}),
+                 r"^boundary d_1: matrix row 0 = \{7: 1\} is not a sequence$",
+                 id="boundary-dict-row"),
+    pytest.param(lambda: smith_normal_form([{3: "x"}, {5: 1}]),
+                 r"^matrix row 0 = \{3: 'x'\} is not a sequence$",
+                 id="dict-rows"),
+    pytest.param(lambda: invariant_factors([{1, 2}]),
+                 r"^matrix row 0 = \{1, 2\} is not a sequence$",
+                 id="set-row"),
 ])
 def test_non_integer_entries_rejected(call, message):
     with pytest.raises(ValueError, match=message):
