@@ -3,7 +3,9 @@ and the self-intersection index of the induced regular homotopy.
 
 Fronts are abstracted to (down-cusps, up-cusps, Morse index) triples; that
 is exactly what the degree formula consumes, and no more geometry is kept.
-All actions are exact rationals.
+All actions are exact rationals.  stabilize builds its zig-zag chords from
+columns through Record's trusted build, without the per-record checks, and
+is a bulk build, run with the cyclic collector off.
 """
 
 from itertools import repeat
@@ -21,6 +23,7 @@ from .serialize import (
     _times,
     as_int,
     as_rational,
+    bulk,
     optional,
     ratio_to_str,
     records_of,
@@ -153,6 +156,7 @@ def min_positive_N(spectrum: ChordSpectrum):
     return 1 - m
 
 
+@bulk
 def stabilize(spectrum: ChordSpectrum, N, q_data: MorseData,
               zigzag_action=None, sites=None) -> ChordSpectrum:
     """Zig-zag stabilization: every existing chord's degree rises by 2N

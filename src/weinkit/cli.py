@@ -34,7 +34,15 @@ from . import graded as graded_mod
 from . import handles as handles_mod
 from . import scaling as scaling_mod
 from . import surgery as surgery_mod
-from .serialize import INT, SchemaError, degree_map, dumps_canonical, parse_rational
+from .serialize import (
+    INT,
+    SchemaError,
+    bulk,
+    degree_map,
+    dumps_canonical,
+    parse_rational,
+    ratio_to_str,
+)
 
 
 def _load(path, loader):
@@ -106,6 +114,7 @@ def command(name, formula, *params, holds=None):
     return register
 
 
+@bulk
 def _run(command, table, **params):
     """Run COMMAND's body, print its report, return the exit code."""
     body, formula, holds, _ = COMMANDS[command]
@@ -352,7 +361,7 @@ def words(spectrum, bound):
     s = _load(spectrum, chords_mod.ChordSpectrum.from_json)
     window = _frac(bound, "--bound")
     rows = [{"word": w.label(), "length": len(w), "degree": w.degree,
-             "action": str(w.action)}
+             "action": ratio_to_str(w._action)}
             for w in surgery_mod.enumerate_words(s, window)]
     return dict(bound=str(window), count=len(rows), result=rows)
 

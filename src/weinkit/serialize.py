@@ -31,6 +31,16 @@ value made of named fields:
   `Record.__init__`.  Only the trusted builds skip the subclass's checks,
   for values already shown valid: `cls._unchecked(*values)` and, from one
   column per field, `cls._unchecked_columns(count, *columns)`.
+- Bulk builds: a function decorated `@bulk` runs with the cyclic garbage
+  collector disabled and enables it again on return or raise.  A build of
+  thousands of records allocates one tracked object per record, enough to
+  start full collections that walk every object of the process, yet
+  records hold only strings, ints, pairs and tuples and so form no
+  cycles.  The collector's state is process-wide: another thread sees it
+  off while a bulk build runs, and a bulk call made while it is already
+  off (a nested build, or a caller that disabled it) leaves it off.  No
+  collection is forced; the young-generation pass the build deferred runs
+  at the next allocation after it.
 - Pair arithmetic on rationals held as (p, q): `lowest_terms`, `_less`,
   `_times`, and `_spectrum_fields`, the one check of every spectrum.
 - JSON: a subclass whose document maps field to field declares
@@ -60,6 +70,7 @@ value made of named fields:
 - Immutability: assigning or deleting any attribute raises AttributeError.
 """
 
+import gc
 import json
 import re
 from fractions import Fraction
@@ -465,6 +476,21 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def bulk(build):
+    """BUILD run with the cyclic collector off, as a bulk build (see the
+    module docstring); left as it is when the collector is already off."""
+    @wraps(build)
+    def run(*args, **kwargs):
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+    return run
 
 
 class Verdict(Record):

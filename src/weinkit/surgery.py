@@ -17,7 +17,9 @@ once, as its least rotation.  enumerate_words, orbits_after_surgery and
 belt_sphere_chords build their records from its columns, and the other
 transformations theirs, without the per-record checks, through Record's
 trusted builds; CyclicWord(...) built by a caller still canonicalizes its
-letters.  A name spelled from letters
+letters.  The four word builders (those three and nonsimultaneous_words)
+are bulk builds: they run with the cyclic collector off, since thousands
+of records need no cycle search.  A name spelled from letters
 (orbit origin "word:a.b", belt chord "w:a.b", mixed chord "mix:x.a.b.y")
 is built by _labels, and two words with one name are an error; a
 generated name ("zz<t>" in stabilize, "surg" in add_surgery_chord) takes
@@ -42,6 +44,7 @@ from .serialize import (
     _times,
     as_int,
     as_rational,
+    bulk,
     lowest_terms,
     optional,
     ratio_to_str,
@@ -77,6 +80,7 @@ class CyclicWord(Record):
         return ".".join(self.letters)
 
 
+@bulk
 def enumerate_words(spectrum: ChordSpectrum, bound,
                     skip_non_null_homotopic=False):
     """All cyclic words over the chord alphabet with total action < bound,
@@ -241,6 +245,7 @@ def _requested(spectrum, bound, what):
     return bound
 
 
+@bulk
 def orbits_after_surgery(old: OrbitSpectrum, chords: ChordSpectrum,
                          bound) -> OrbitSpectrum:
     """Orbit spectrum after attaching the handle along the chords' Legendrian:
@@ -324,6 +329,7 @@ def add_surgery_chord(spectrum: ChordSpectrum, k,
     return ChordSpectrum._unchecked(n, spectrum.chords + (new,), bound)
 
 
+@bulk
 def belt_sphere_chords(spectrum: ChordSpectrum, bound=None) -> ChordSpectrum:
     """Chords of the belt sphere after critical surgery along the alphabet's
     Legendrian: one chord per cyclic word w, graded |w| + n - 2."""
@@ -340,6 +346,7 @@ def belt_sphere_chords(spectrum: ChordSpectrum, bound=None) -> ChordSpectrum:
     return ChordSpectrum._unchecked(n, chords, bound)
 
 
+@bulk
 def nonsimultaneous_words(s_minus: ChordSpectrum, aux: ChordSpectrum,
                           connector_in: ChordRecord, connector_out: ChordRecord,
                           zigzag_action=None) -> ChordSpectrum:

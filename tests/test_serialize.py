@@ -2,8 +2,11 @@
 `dumps_canonical` writes what json.dumps(sort_keys=True,
 separators=(",", ": "), indent=1) writes, on drawn trees, on every golden
 report and on a large stabilize document; `as_rational` reads every
-action-valued argument of the Python API."""
+action-valued argument of the Python API; `bulk` keeps the cyclic
+collector out of the big record builds."""
 
+import gc
+import inspect
 import json
 import math
 import time
@@ -14,9 +17,17 @@ from hypothesis import given, settings, strategies as st
 
 from cli_invoke import invoke
 from test_cli_golden import RUNS, write_fixtures
+from weinkit import cli
 from weinkit.chords import ChordRecord, ChordSpectrum, choose_Q, stabilize
-from weinkit.serialize import SchemaError, as_rational, dumps_canonical
-from weinkit.surgery import OrbitRecord, OrbitSpectrum
+from weinkit.serialize import SchemaError, as_rational, bulk, dumps_canonical
+from weinkit.surgery import (
+    OrbitRecord,
+    OrbitSpectrum,
+    belt_sphere_chords,
+    enumerate_words,
+    nonsimultaneous_words,
+    orbits_after_surgery,
+)
 
 
 def json_dumps(doc):
@@ -138,3 +149,87 @@ def test_api_refuses_exponent_notation_quickly(call, field):
             f"{field} '[^']*': exponent notation is not accepted")):
         call()
     assert time.perf_counter() - start < 0.5
+
+
+ABC = ChordSpectrum(3, (ChordRecord("a", 1, 1), ChordRecord("b", 2, "3/2"),
+                        ChordRecord("c", 3, 2)), 40)
+
+
+def test_bulk_turns_the_collector_off_and_back_on():
+    assert gc.isenabled()
+    assert bulk(gc.isenabled)() is False
+    assert gc.isenabled()
+    with pytest.raises(ValueError, match="bound must be positive"):
+        enumerate_words(ABC, 0)
+    assert gc.isenabled()
+
+
+def test_bulk_leaves_a_disabled_collector_disabled():
+    gc.disable()
+    try:
+        assert len(enumerate_words(ABC, 5)) > 0
+        assert not gc.isenabled()
+        with pytest.raises(ValueError, match="bound must be positive"):
+            enumerate_words(ABC, 0)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("build, params", [
+    (enumerate_words, ["spectrum", "bound", "skip_non_null_homotopic"]),
+    (orbits_after_surgery, ["old", "chords", "bound"]),
+    (belt_sphere_chords, ["spectrum", "bound"]),
+    (nonsimultaneous_words, ["s_minus", "aux", "connector_in",
+                             "connector_out", "zigzag_action"]),
+    (stabilize, ["spectrum", "N", "q_data", "zigzag_action", "sites"]),
+    (cli._run, ["command", "table", "params"]),
+])
+def test_bulk_keeps_name_doc_and_signature(build, params):
+    raw = build.__wrapped__
+    assert build.__name__ == raw.__name__ != "run"
+    assert build.__doc__ == raw.__doc__ and build.__doc__
+    assert list(inspect.signature(build).parameters) == params
+
+
+def _zigzag_input():
+    return (ChordSpectrum(3, (ChordRecord("a", -1, 1), ChordRecord("b", 0, 2),
+                              ChordRecord("c", 2, 3)), 10),
+            400, choose_Q(3), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("build, arguments, size", [
+    (enumerate_words, lambda: (ABC, 14), len),
+    (orbits_after_surgery, lambda: (OrbitSpectrum(3, (), 40), ABC, 14),
+     lambda out: len(out.orbits)),
+    (belt_sphere_chords, lambda: (ABC, 14), lambda out: len(out.chords)),
+    (nonsimultaneous_words, lambda: (
+        ChordSpectrum(3, (ChordRecord("p", 1, 1),), 12), ABC,
+        ChordRecord("in", 1, "1/2"), ChordRecord("out", 2, "1/2")),
+     lambda out: len(out.chords)),
+    (stabilize, _zigzag_input, lambda out: len(out.chords)),
+], ids=["words", "orbits", "belt", "nonsimultaneous", "stabilize"])
+def test_bulk_builds_start_no_collection(build, arguments, size):
+    args = arguments()
+    gc.disable()
+    try:
+        want = build(*args)
+    finally:
+        gc.enable()
+    assert size(want) >= 3000
+    # count only the collections that start while the build runs: the one
+    # it deferred starts at the first allocation after it
+    starts, running = [], [False]
+
+    def count(phase, info):
+        if phase == "start" and running[0]:
+            starts.append(info["generation"])
+    gc.callbacks.append(count)
+    try:
+        running[0] = True
+        got = build(*args)
+        running[0] = False
+    finally:
+        gc.callbacks.remove(count)
+    assert starts == []
+    assert got == want
