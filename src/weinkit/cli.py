@@ -37,7 +37,6 @@ from . import surgery as surgery_mod
 from .serialize import (
     INT,
     SchemaError,
-    bulk,
     degree_map,
     dumps_canonical,
     parse_rational,
@@ -114,7 +113,6 @@ def command(name, formula, *params, holds=None):
     return register
 
 
-@bulk
 def _run(command, table, **params):
     """Run COMMAND's body, print its report, return the exit code."""
     body, formula, holds, _ = COMMANDS[command]

@@ -36,11 +36,14 @@ value made of named fields:
   thousands of records allocates one tracked object per record, enough to
   start full collections that walk every object of the process, yet
   records hold only strings, ints, pairs and tuples and so form no
-  cycles.  The collector's state is process-wide: another thread sees it
-  off while a bulk build runs, and a bulk call made while it is already
-  off (a nested build, or a caller that disabled it) leaves it off.  No
-  collection is forced; the young-generation pass the build deferred runs
-  at the next allocation after it.
+  cycles.  The collector's state is process-wide and the last writer
+  wins: another thread sees it off while a bulk build runs, the build
+  enables it on return even if someone else disabled it meanwhile, and a
+  bulk call made while it is already off (a nested build, or a caller
+  that disabled it) leaves it off and is shielded only as long as the
+  outer caller keeps it off.  weinkit starts no threads.  No collection is
+  forced; the young-generation pass the build deferred runs at the next
+  allocation after it.
 - Pair arithmetic on rationals held as (p, q): `lowest_terms`, `_less`,
   `_times`, and `_spectrum_fields`, the one check of every spectrum.
 - JSON: a subclass whose document maps field to field declares

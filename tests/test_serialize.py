@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from cli_invoke import invoke
 from test_cli_golden import RUNS, write_fixtures
-from weinkit import cli
 from weinkit.chords import ChordRecord, ChordSpectrum, choose_Q, stabilize
 from weinkit.serialize import SchemaError, as_rational, bulk, dumps_canonical
 from weinkit.surgery import (
@@ -183,7 +182,6 @@ def test_bulk_leaves_a_disabled_collector_disabled():
     (nonsimultaneous_words, ["s_minus", "aux", "connector_in",
                              "connector_out", "zigzag_action"]),
     (stabilize, ["spectrum", "N", "q_data", "zigzag_action", "sites"]),
-    (cli._run, ["command", "table", "params"]),
 ])
 def test_bulk_keeps_name_doc_and_signature(build, params):
     raw = build.__wrapped__
