@@ -1,9 +1,10 @@
 """Graded finitely generated abelian groups and chain-complex homology.
 
 A GradedGroup stores, per degree, a free rank and the torsion invariant
-factors d_1 | d_2 | ... .  Construction canonicalizes arbitrary factor
-lists by gcd/lcm exchange, so descriptor equality is isomorphism.  No
-integer is ever factored into primes.
+factors d_1 | d_2 | ... .  GradedGroup.from_dict canonicalizes arbitrary
+factor lists by gcd/lcm exchange, and the constructor refuses parts that
+are not canonical, so descriptor equality is isomorphism.  No integer is
+ever factored into primes.
 """
 
 import re
@@ -75,9 +76,44 @@ def _elementary_divisors(factors, base):
 _write_groups, _read_groups, _ = degree_map(GROUP_ENTRY)
 
 
+def _canonical_part(part, after):
+    """Whether PART is a (degree, rank, chain) triple of GradedGroup.parts
+    whose degree follows AFTER (None for the first part)."""
+    if type(part) is not tuple or len(part) != 3:
+        return False
+    deg, rank, chain = part
+    return (type(deg) is int and (after is None or deg > after)
+            and type(rank) is int and rank >= 0 and type(chain) is tuple
+            and all(type(f) is int and f >= 2 for f in chain)
+            and all(b % a == 0 for a, b in zip(chain, chain[1:]))
+            and bool(rank or chain))
+
+
 class GradedGroup(Record):
     """Canonical descriptor: sorted ((degree, rank, factors), ...)."""
     __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        """PARTS as canonical as from_dict makes them: a tuple of int
+        triples (degree, rank >= 0, d_1 | d_2 | ... all >= 2), degrees
+        strictly increasing, no part of rank 0 without torsion."""
+        if type(parts) is not tuple:
+            raise ValueError(
+                f"GradedGroup parts must be a tuple, got {parts!r}; "
+                "GradedGroup.from_dict builds them from {degree: (rank, "
+                "factors)}")
+        after = None
+        for part in parts:
+            if not _canonical_part(part, after):
+                where = (f"at degree {part[0]!r}"
+                         if type(part) is tuple and len(part) == 3
+                         else repr(part))
+                raise ValueError(
+                    f"GradedGroup part {where} is not canonical; "
+                    "GradedGroup.from_dict builds canonical parts from "
+                    "{degree: (rank, factors)}")
+            after = part[0]
+        Record.__init__(self, parts)
 
     @staticmethod
     def from_dict(groups):
@@ -91,11 +127,11 @@ class GradedGroup(Record):
             if rank or chain:
                 parts.append((as_int(deg, "degree"), rank, chain))
         parts.sort()
-        return GradedGroup(tuple(parts))
+        return GradedGroup._unchecked(tuple(parts))
 
     @staticmethod
     def zero():
-        return GradedGroup(())
+        return GradedGroup._unchecked(())
 
     @staticmethod
     def free(ranks):
@@ -121,7 +157,7 @@ class GradedGroup(Record):
         if sign not in (1, -1):
             raise ValueError(f"reindex sign must be +1 or -1, got {sign!r}")
         shift = as_int(shift, "degree shift")
-        return GradedGroup(tuple(sorted(
+        return GradedGroup._unchecked(tuple(sorted(
             (shift + sign * deg, rank, chain) for deg, rank, chain in self.parts)))
 
     def first_difference(self, other):

@@ -487,10 +487,17 @@ def _require_adc(cert, error, prefix):
         raise error(f"{prefix}: {verdict.witness}")
 
 
+def _scaled_stage(scale, bound, spectrum, factor):
+    """The stage of SCALE, BOUND and SPECTRUM, each multiplied by the
+    positive FACTOR."""
+    return Stage._unchecked(_times(scale, factor), _times(bound, factor),
+                            rescale(spectrum, factor))
+
+
 def normalize_certificate(cert: ADCCertificate, eps) -> ADCCertificate:
     """Sharpen a valid certificate so consecutive scales drop by a factor
     eps and consecutive bounds grow by 1/eps: greedily take a subsequence
-    with D_{next} >= D_current / eps^2, then multiply stage m by eps^m.
+    with D_{next} >= D_current / eps^2, then multiply stage k by eps^k.
 
     Single-stage certificates are returned unchanged.
     """
@@ -501,24 +508,20 @@ def normalize_certificate(cert: ADCCertificate, eps) -> ADCCertificate:
     stages = cert.stages
     if len(stages) <= 1:
         return cert
-    chosen, over_eps2 = [0], _times((eq, ep), (eq, ep))
-    need = _times(stages[0]._bound, over_eps2)
-    for j in range(1, len(stages)):
-        if not _less(stages[j]._bound, need):
-            chosen.append(j)
-            need = _times(stages[j]._bound, over_eps2)
-    if len(chosen) < 2:
+    over_eps2 = _times((eq, ep), (eq, ep))
+    out = []
+    for st in stages:
+        if out and _less(st._bound, need):
+            continue
+        k = len(out) + 1
+        # eps^k is in lowest terms, as eps is
+        out.append(_scaled_stage(st._scale, st._bound, st.spectrum,
+                                 _Pair((ep ** k, eq ** k))))
+        need = _times(st._bound, over_eps2)
+    if len(out) < 2:
         raise ValueError(
             "certificate too short: no later stage has bound >= "
             f"{ratio_to_str(need)} = D_1 / eps^2")
-    out = []
-    for m, j in enumerate(chosen, start=1):
-        st = stages[j]
-        # eps^m is in lowest terms, as eps is
-        factor = _Pair((ep ** m, eq ** m))
-        out.append(Stage._unchecked(_times(st._scale, factor),
-                                    _times(st._bound, factor),
-                                    rescale(st.spectrum, factor)))
     result = ADCCertificate(tuple(out))
     for a, b in zip(result.stages, result.stages[1:]):
         if (_less(_times(a._scale, eps), b._scale)
@@ -553,20 +556,11 @@ def flexible_surgery_certificate(cert: ADCCertificate, chords, n,
             f"got {len(chords)}")
 
     out = []
-    next_input = 0
-    k = 0
-    while True:
-        k += 1
+    for st, s in zip(cert.stages, chords):
+        k = len(out) + 1
         window = k * 4 ** k
-        while (next_input < len(cert.stages)
-               and not _less((window, 1), cert.stages[next_input]._bound)):
-            next_input += 1
-        if next_input >= len(cert.stages):
-            break
-        st = cert.stages[next_input]
-        s = chords[next_input]
-        next_input += 1
-
+        if not _less((window, 1), st._bound):
+            continue
         if s is None:
             s = ChordSpectrum(n, (), window)
         else:
@@ -580,12 +574,9 @@ def flexible_surgery_certificate(cert: ADCCertificate, chords, n,
                                        if _less(c._action, (window, 1))),
                               window)
         s = _positive(s, zigzag_action)
-
-        merged = orbits_after_surgery(st.spectrum, s, window)
-        factor = _Pair((1, 4 ** k))
-        out.append(Stage._unchecked(_times(st._scale, factor),
-                                    _times((window, 1), factor),
-                                    rescale(merged, factor)))
+        out.append(_scaled_stage(st._scale, (window, 1),
+                                 orbits_after_surgery(st.spectrum, s, window),
+                                 _Pair((1, 4 ** k))))
 
     if not out:
         raise ValueError(

@@ -3,13 +3,17 @@
 Each oracle is written with a different algorithm (and, where possible, a
 different library) than the code under test, so agreement between the two
 routes is evidence rather than restatement.  Nothing in src/ may import
-this module.
+this module, and it imports nothing from weinkit.  The stdlib generators
+of known answers and the Burnside count of cyclic words come from the
+benchmark's perfbench/oracle.py, so both check weinkit against one copy.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import sympy
@@ -17,7 +21,18 @@ from sympy import ZZ
 from sympy.matrices.normalforms import smith_normal_form as _sympy_snf
 from sympy.polys.matrices import DomainMatrix
 
-from weinkit.handles import boundary_homology
+# appended, so it shadows nothing; some names are only for the tests
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+from oracle import (  # noqa: E402, F401
+    conjugate,
+    factor_chain,
+    graded_parts,
+    least_rotation,
+    mat_mul,
+    necklace_counts,
+    standard_complex,
+    unimodular_pair,
+)
 
 
 def rational_rank(rows):
@@ -132,96 +147,25 @@ def homology_ranks_by_row_reduction(dims, boundaries):
     return ranks
 
 
-def _mat_mul(a, b):
-    """Schoolbook integer product (the SNF module's own product is not used
-    to build the inputs it is tested on)."""
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols]
-            for row in a]
-
-
-def unimodular_pair(rng, n, steps, coeffs=(-1, 1)):
-    """(P, P^-1): a random signed permutation times `steps` elementary
-    operations row_i += c * row_j, c drawn from `coeffs`.  The inverse is
-    built alongside, so det P = +-1 and P P^-1 = I hold by construction."""
-    perm = list(range(n))
-    rng.shuffle(perm)
-    signs = [rng.choice((1, -1)) for _ in range(n)]
-    p = [[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)]
-    q = [list(col) for col in zip(*p)]  # a signed permutation's inverse
-    for _ in range(steps if n > 1 else 0):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice(coeffs)
-        # P <- (I + c e_ij) P;  P^-1 <- P^-1 (I - c e_ij)
-        p[i] = [x + c * y for x, y in zip(p[i], p[j])]
-        for row in q:
-            row[j] -= c * row[i]
-    return p, q
-
-
-def divisibility_chain(rng, length, unit_share):
-    """d_1 | d_2 | ... of `length` factors, each step 1 with probability
-    `unit_share`, else times 2, 3, 5 or 6."""
-    out, current = [], 1
-    for _ in range(length):
-        if rng.random() > unit_share:
-            current *= rng.choice((2, 2, 3, 5, 6))
-        out.append(current)
-    return out
-
-
 def conjugated_matrix(rng, rows, cols, rank, unit_share, steps, coeffs=(-1, 1)):
     """(P D Q^-1, factors): D is rows x cols with a divisibility chain of
     `rank` factors on its diagonal, P and Q random unimodular with
     `steps` elementary operations per dimension.  The invariant factors
     of the result are those of D by construction."""
-    factors = divisibility_chain(rng, rank, unit_share)
+    factors = factor_chain(rng, rank, unit_share)
     d = [[factors[i] if i == j < rank else 0 for j in range(cols)]
          for i in range(rows)]
     p, _ = unimodular_pair(rng, rows, steps * rows, coeffs)
     _, q_inv = unimodular_pair(rng, cols, steps * cols, coeffs)
-    return _mat_mul(_mat_mul(p, d), q_inv), factors
+    return mat_mul(mat_mul(p, d), q_inv), factors
 
 
 def conjugated_complex(rng, betti, ranks, unit_share, steps, coeffs=(-1, 1)):
-    """(dims, boundaries, homology parts) of a chain complex built in
-    standard form and conjugated degree by degree.
-
-    betti: {k: b_k}; ranks: {k: rank d_k} for k >= 1.  In degree k the
-    basis is [images of d_{k+1} | homology | mapped by d_k]; d_k sends the
-    i-th mapped generator to f_i times the i-th image generator, with
-    (f_i) a divisibility chain.  Then d'_k = P_{k-1} d_k P_k^-1, so
-    d' d' = 0 and each d'_k keeps its invariant factors.  The parts are
-    sorted (degree, b_k, torsion chain of d_{k+1}), as in GradedGroup.
-    """
-    degrees = sorted(set(betti) | set(ranks) | {k - 1 for k in ranks})
-    dims = {k: ranks.get(k + 1, 0) + betti.get(k, 0) + ranks.get(k, 0)
-            for k in degrees}
-    factors = {k: divisibility_chain(rng, r, unit_share)
-               for k, r in ranks.items()}
-    pairs = {k: unimodular_pair(rng, n, steps * n, coeffs)
-             for k, n in dims.items() if n}
-    boundaries = {}
-    for k, r in ranks.items():
-        if r == 0:
-            continue
-        first_mapped = ranks.get(k + 1, 0) + betti.get(k, 0)
-        d = [[0] * dims[k] for _ in range(dims[k - 1])]
-        for i, f in enumerate(factors[k]):
-            d[i][first_mapped + i] = f
-        boundaries[k] = _mat_mul(_mat_mul(pairs[k - 1][0], d), pairs[k][1])
-    parts = []
-    for k in degrees:
-        torsion = tuple(f for f in factors.get(k + 1, ()) if f >= 2)
-        if betti.get(k, 0) or torsion:
-            parts.append((k, betti.get(k, 0), torsion))
-    return dims, boundaries, tuple(parts)
-
-
-def canonical_rotation(letters):
-    """Lexicographically least rotation of a tuple, by trying all rotations."""
-    w = tuple(letters)
-    return min(w[i:] + w[:i] for i in range(len(w)))
+    """(dims, boundaries, canonical homology parts) of oracle.standard_complex
+    for betti {k: b_k} and ranks {k: rank d_k}, conjugated by
+    oracle.conjugate."""
+    dims, maps, _, parts = standard_complex(rng, betti, ranks, unit_share)
+    return dims, conjugate(rng, dims, maps, steps, coeffs), parts
 
 
 def brute_force_words(actions, bound):
@@ -242,7 +186,7 @@ def brute_force_words(actions, bound):
     for length in range(1, maxlen + 1):
         for seq in product(letters, repeat=length):
             if sum(actions[c] for c in seq) < bound:
-                classes.add(canonical_rotation(seq))
+                classes.add(least_rotation(seq))
     return sorted(classes)
 
 
@@ -321,20 +265,6 @@ def loop_gap_dense(lm, ln, hy_dims, n):
         if gap > bound:
             return {"degree": k, "gap": gap, "bound": bound}
     return None
-
-
-def intersection_form_rank_by_boundary(p):
-    """rank = dim H^n(W;Q) + dim H^{n-1}(W;Q) - dim H^n(Y;Q), read off the
-    whole boundary report and a second homology of the chain complex."""
-    if p.n < 2:
-        raise ValueError(f"intersection form rank needs n >= 2, got n = {p.n}")
-    hn_y = boundary_homology(p).dim(p.n)
-    if hn_y is None:
-        raise ValueError(
-            "dim H^n(Y;Q) undetermined without middle framing data; "
-            "set intersection_form on the presentation")
-    hstar = p.cohomology()
-    return hstar.rank(p.n) + hstar.rank(p.n - 1) - hn_y
 
 
 def rank_mod2(rows):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from oracles import brute_force_words, homology_ranks_by_row_reduction
+from oracles import brute_force_words, homology_ranks_by_row_reduction, mat_mul
 
 from weinkit.chords import (
     ChordRecord,
@@ -236,11 +236,6 @@ def test_criterion_08_scaling_bounds():
             assert max(abs(a - b) for a, b in zip(fd, g_abs)) <= 1e-4
 
 
-def _mat_mul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
-            for row in a]
-
-
 def _random_invariant_chain(rng):
     factors = []
     current = rng.choice([2, 2, 3])
@@ -261,7 +256,7 @@ def test_criterion_09_snf_and_cancellation():
             res = smith_normal_form(a)
             assert is_unimodular(res.u) and is_unimodular(res.v)
             assert abs(bareiss_determinant(res.u)) == 1
-            d = _mat_mul(_mat_mul(res.u, a), res.v)
+            d = mat_mul(mat_mul(res.u, a), res.v)
             assert d == res.d
             diag = [d[i][i] for i in range(min(rows, cols))]
             for x, y in zip(diag, diag[1:]):

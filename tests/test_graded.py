@@ -23,6 +23,7 @@ from weinkit.serialize import SchemaError
 from oracles import (
     conjugated_complex,
     first_difference_by_scan,
+    graded_parts,
     homology_ranks_by_row_reduction,
     modular_invariant_factors,
     rational_rank,
@@ -57,6 +58,57 @@ class TestCanonicalForm:
             gg({0: (-1, [])})
         with pytest.raises(ValueError):
             invariant_factor_chain([0])
+
+    @pytest.mark.parametrize("parts, degree", [
+        (((0, 1, (4, 2)),), 0),               # chain out of order
+        (((0, 1, (2, 3)),), 0),               # 2 does not divide 3
+        (((1, 0, (1, 2)),), 1),               # a factor of 1
+        (((2, 0, (-2,)),), 2),                # a negative factor
+        (((2, -1, ()),), 2),                  # negative rank
+        (((3, 0, ()),), 3),                   # an empty part
+        (((0, 1, ()), (0, 2, ())), 0),        # a repeated degree
+        (((1, 1, ()), (0, 1, ())), 0),        # unsorted degrees
+        (((0, 1, ()), (2, 1, [2])), 2),       # a chain that is no tuple
+        (((0, 1.0, ()),), 0),                 # a rank that is no int
+    ])
+    def test_constructor_refuses_parts_that_are_not_canonical(self, parts,
+                                                              degree):
+        with pytest.raises(ValueError, match=rf"at degree {degree} is not "
+                           r"canonical; GradedGroup\.from_dict"):
+            GradedGroup(parts)
+
+    @pytest.mark.parametrize("parts", [[(0, 1, ())], ((0, 1),), (None,)])
+    def test_constructor_refuses_parts_of_another_shape(self, parts):
+        with pytest.raises(ValueError, match=r"GradedGroup\.from_dict"):
+            GradedGroup(parts)
+
+    def test_constructor_takes_canonical_parts(self):
+        # what from_dict builds, and the groups the benchmark builds
+        # directly: oracle.graded_parts and ((0, 1, ()), (n, i, ()))
+        rng = random.Random(32)
+        for _ in range(300):
+            spec = {k: (rng.randint(0, 3),
+                        [rng.choice((1, 2, 3, 4, 6, 9, 10, 12, 25))
+                         for _ in range(rng.randint(0, 3))])
+                    for k in range(rng.randint(-2, 0), rng.randint(0, 4))}
+            g = gg(spec)
+            assert GradedGroup(g.parts) == g
+            assert GradedGroup(graded_parts(spec)) == g
+        for n in range(3, 7):
+            for i in range(1, 7):
+                parts = ((0, 1, ()), (n, i, ()))
+                assert GradedGroup(parts).parts == parts
+        assert GradedGroup(()) == GradedGroup.zero()
+
+    def test_algebra_builds_without_the_check(self, monkeypatch):
+        def check(part, after):
+            raise AssertionError("canonical parts checked again")
+
+        monkeypatch.setattr("weinkit.graded._canonical_part", check)
+        g = gg({0: (1, [4, 2]), 2: (0, [3])})
+        assert g.reindex(1, -1).parts == ((-1, 0, (3,)), (1, 1, (2, 4)))
+        assert g.direct_sum(g).torsion(0) == (2, 2, 4, 4)
+        assert GradedGroup.zero().parts == ()
 
 
 class TestHomology:

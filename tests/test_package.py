@@ -510,10 +510,10 @@ def test_every_golden_run_passes_with_dataclasses_blocked(tmp_path):
     _golden_runs_with_blocked("dataclasses", tmp_path)
 
 
-def _imports_in_src(package):
-    """`file:line` of every import of PACKAGE in a module under src/."""
+def _imports_in(package, paths):
+    """`file:line` of every import of PACKAGE in the modules at PATHS."""
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(paths):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
                 roots = [alias.name for alias in node.names]
@@ -526,13 +526,21 @@ def _imports_in_src(package):
     return found
 
 
+def test_oracles_import_nothing_from_weinkit():
+    # an oracle that ran weinkit's own code would restate it, not check it
+    repo = Path(__file__).resolve().parent.parent
+    found = _imports_in("weinkit", [repo / "tests" / "oracles.py",
+                                    repo / "perfbench" / "oracle.py"])
+    assert not found, f"weinkit imported at {found}"
+
+
 def test_no_module_in_src_imports_numpy():
-    found = _imports_in_src("numpy")
+    found = _imports_in("numpy", SRC.glob("*.py"))
     assert not found, f"numpy imported at {found}"
 
 
 def test_no_module_in_src_imports_dataclasses():
-    found = _imports_in_src("dataclasses")
+    found = _imports_in("dataclasses", SRC.glob("*.py"))
     assert not found, f"dataclasses imported at {found}"
 
 

@@ -267,6 +267,44 @@ class TestEnumerateWords:
             "334b263ea704e677d8e1a37d5dc44bd2383ca3ff855a7c09c5fcede451068567")
 
 
+class TestBurnsideCount:
+    """enumerate_words counted by degree against oracles.necklace_counts,
+    a Burnside sum over the rotations that lists no word."""
+    ACTIONS = (Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2),
+               Fraction(2), Fraction(5, 2))
+
+    @staticmethod
+    def histogram(letters, bound):
+        """{degree: words} of enumerate_words over letters {id: (degree,
+        action)} below bound."""
+        top = max(action for _, action in letters.values()) + 1
+        spectrum = ChordSpectrum(3, tuple(
+            ChordRecord(cid, deg, action)
+            for cid, (deg, action) in letters.items()), top)
+        hist = {}
+        for w in enumerate_words(spectrum, bound):
+            hist[w.degree] = hist.get(w.degree, 0) + 1
+        return hist
+
+    def test_degree_histograms_match(self):
+        rng = random.Random(32)
+        for case in range(300):
+            letters = {cid: (rng.randint(-3, 4), rng.choice(self.ACTIONS))
+                       for cid in "abcd"[:rng.randint(1, 4)]}
+            least = min(action for _, action in letters.values())
+            bound = least * Fraction(rng.randint(2, 12), 2)
+            assert self.histogram(letters, bound) == oracles.necklace_counts(
+                letters, bound), (case, letters, bound)
+
+    def test_a_count_past_brute_force(self):
+        # words of up to 15 letters: 4^15 sequences for a brute-force list
+        letters = {"a": (1, Fraction(1, 2)), "b": (-2, Fraction(2, 3)),
+                   "c": (3, Fraction(3, 2)), "d": (0, Fraction(5, 2))}
+        hist = self.histogram(letters, 8)
+        assert sum(hist.values()) >= 3000
+        assert hist == oracles.necklace_counts(letters, 8)
+
+
 class TestOrbitRecords:
     def test_origin_vocabulary(self):
         orbit(2, 1, "old")
