@@ -318,6 +318,12 @@ class TestConnectSum:
         c = HandlePresentation(2, [0, 1], {1: [[0]]})  # no 2-handles at all
         assert boundary_connect_sum(a, c).intersection_form == [[2]]
 
+    def test_no_middle_handles_on_either_side_give_the_empty_form(self):
+        a = HandlePresentation(3, [0, 1, 2])
+        s = boundary_connect_sum(a, ball(3))
+        assert s.intersection_form == []
+        assert s.handle_counts() == {0: 1, 1: 1, 2: 1}
+
 
 class TestC1Propagation:
     def test_no_two_handles(self):

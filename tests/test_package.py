@@ -7,7 +7,7 @@ blocked, every record type has the storage, equality, hash, repr
 and immutability of `serialize.Record`, `import weinkit` executes no
 submodule and each command executes only the modules it uses, the public
 names are those of the eager package, the Python API rejects non-integer
-counts instead of truncating them, every JSON reader goes through
+counts instead of truncating them and names each invalid input, every JSON reader goes through
 `serialize.reader` and raises only SchemaError, every sample document
 and record survives its reader's round trip, every reader of a degree map
 rejects a degree spelled twice, equal complexes and presentations compare
@@ -18,6 +18,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -42,6 +43,7 @@ from weinkit.chords import (
 from weinkit.graded import (
     ChainComplex,
     GradedGroup,
+    _coprime_base,
     homology,
     invariant_factor_chain,
     semi_characteristic,
@@ -68,7 +70,8 @@ from weinkit.handles import (
 )
 from weinkit.models import middle_rank_family, mixed_sign_spectrum, sample_certificate, two_letter_table
 from weinkit.scaling import CheckResult, bound_ratio, build_g, verify_h_family
-from weinkit.serialize import Record, SchemaError, Verdict, reader
+from weinkit.serialize import Record, SchemaError, Verdict, _spectrum_fields, matrix_from_json, reader
+from weinkit.snf import bareiss_determinant, mat_mul
 from weinkit.surgery import (
     ADCCertificate,
     CyclicWord,
@@ -78,6 +81,7 @@ from weinkit.surgery import (
     add_surgery_chord,
     belt_sphere_chords,
     enumerate_words,
+    flexible_surgery_certificate,
     normalize_certificate,
     orbits_after_surgery,
     rescale,
@@ -909,6 +913,68 @@ def test_api_rejects_non_integer_counts(call, field):
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         call()
 
+
+
+def _one_chord(n=3):
+    return ChordSpectrum(n, (ChordRecord("a", 0, 1),), 4)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ChainComplex({0: -1}), "negative generator count at degree 0"),
+    (lambda: ChainComplex({-1: 1}), "negative degrees are not supported"),
+    (lambda: HandlePresentation(0, [0]),
+     "half-dimension n must be >= 1, got 0"),
+    (lambda: handlebody_boundary_homology(ChainComplex({0: 1}), 1),
+     "total dimension must be >= 2, got 1"),
+    (lambda: handlebody_boundary_homology(
+        ChainComplex({0: 1, 3: 2, 4: 2}), 7, {3: 1, 4: 2}),
+     "conflicting pairing ranks at degree 4"),
+    (lambda: handlebody_boundary_homology(
+        ChainComplex({0: 1, 3: 1}), 6).semi_characteristic(),
+     "degree 2 undetermined"),
+    (lambda: matrix_from_json(3), "matrix must be a list of rows"),
+    (lambda: matrix_from_json([[1], [1, 2]]), "ragged matrix"),
+    (lambda: _spectrum_fields(3, (), 0), "action bound must be positive"),
+    (lambda: ChordRecord("a", 0, 1, (1, 0)),
+     "chord 'a': front must be (D, U, ind)"),
+    (lambda: MorseData("x", -1, 0, True, ()), "dimension must be >= 0"),
+    (lambda: stabilize(_one_chord(), -1, choose_Q(3)), "N must be >= 0, got -1"),
+    (lambda: stabilize(_one_chord(), 1, choose_Q(3), 0),
+     "zigzag action scale must be positive"),
+    (lambda: stabilize(_one_chord(), 1, choose_Q(3), sites=-1),
+     "sites must be >= 0"),
+    (lambda: subcritical_surgery(OrbitSpectrum(3, (), 4), 3, 1, -1, 1),
+     "iterate horizon must be >= 0"),
+    (lambda: subcritical_surgery(OrbitSpectrum(3, (), 4), 3, 1, 1, 0),
+     "handle-shrinking parameter must be positive"),
+    (lambda: add_surgery_chord(ChordSpectrum(4, (), 4), 1, 4),
+     "new chord action must lie in (0, 4)"),
+    (lambda: belt_sphere_chords(ChordSpectrum(1, (), 4)), "need n >= 2, got 1"),
+    (lambda: Stage(0, 4, OrbitSpectrum(3, (), 4)),
+     "stage scale must be positive"),
+    (lambda: flexible_surgery_certificate(sample_certificate(3, 3), None, 4),
+     "certificate has n = 3, expected 4"),
+    (lambda: flexible_surgery_certificate(
+        sample_certificate(3, 3), ChordSpectrum(4, (), 100), 3),
+     "chord spectrum has n = 4, expected 3"),
+    (lambda: mat_mul([[1, 2]], [[1]]), "shape mismatch"),
+    (lambda: bareiss_determinant([[1, 2]]),
+     "determinant needs a square matrix"),
+    (lambda: semi_characteristic(_POINT, -1), "n must be >= 1, got -1"),
+    (lambda: _coprime_base([0, 2]),
+     "torsion factors must be >= 1, got [0, 2]"),
+], ids=["chain-count", "chain-degree", "handle-n", "boundary-dim",
+        "boundary-conflicting-ranks", "boundary-semi-undetermined",
+        "matrix-not-list", "matrix-ragged", "spectrum-bound", "chord-front",
+        "morse-dimension", "stabilize-N", "stabilize-eps", "stabilize-sites",
+        "subcritical-iterates", "subcritical-eps", "ambient-action",
+        "belt-n", "stage-scale", "flexible-certificate-n", "flexible-chords-n",
+        "mat-mul-shape", "determinant-square", "semi-characteristic-n",
+        "coprime-base-zero"])
+def test_api_validation_messages(call, message):
+    # each raise is reachable from the API, and no other test runs it
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 def test_api_reads_a_bare_handle_index_as_an_integer():
     # np.int64(3) used to fail to unpack and True became the label "hTrue.2"
