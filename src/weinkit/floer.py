@@ -84,10 +84,15 @@ def taut_les_bounds(known_dims, hstar_dims, n):
     [max(0, s - B_k), s + B_k].  Both directions use the same window.
     """
     n = as_int(n, "half-dimension n")
+    tables = []
     for table, name in ((known_dims, "known_dims"), (hstar_dims, "hstar_dims")):
+        tables.append({})
         for k, v in table.items():
+            k = as_int(k, f"{name} degree")
+            v = tables[-1][k] = as_int(v, f"{name}[{k}]")
             if v < 0:
                 raise ValueError(f"{name}[{k}] = {v} is negative")
+    known_dims, hstar_dims = tables
     degrees = set(known_dims)
     degrees.update(n - j for j in hstar_dims)
     degrees.update(n - j + 1 for j in hstar_dims)

@@ -12,6 +12,15 @@ r_j is forced to 0 whenever either side has rank 0; the remaining ranks
 cannot be read off the chain complex (they encode attaching framings), so
 they are caller data, and degrees depending on missing ranks are reported
 as undetermined rather than guessed.
+
+The engine reads the sequence once, one pass per degree k < d.  Pass k
+carries r_k from pass k - 1 (r_0 = 0, as H_d(W) = 0) and works out r_{k+1}:
+it gives dim H^k(Y) when both are known, else marks k undetermined and
+names min(j, d - j) for each unknown r_j.  It also gives the integral
+H_{d-1-k}(Y) = H^k(Y) where the segment H^k(W, Y) -> H^k(W) -> H^k(Y) ->
+H^{k+1}(W, Y) -> H^{k+1}(W) forces it: H^k(W) when both relative groups
+vanish, H^{k+1}(W, Y) when both absolute ones do, and their sum when
+H^k(W, Y) = H^{k+1}(W) = 0 and H^{k+1}(W, Y) is free.
 """
 
 from .graded import (
@@ -210,7 +219,6 @@ def handlebody_boundary_homology(chain: ChainComplex, total_dim,
     hstar = cohomology_from_homology(h)
 
     ranks = {}
-    notes = []
     for j, r in (pairing_ranks or {}).items():
         j = as_int(j, "pairing degree")
         r = _checked_rank(h, d, j, as_int(r, "pairing rank"))
@@ -219,49 +227,37 @@ def handlebody_boundary_homology(chain: ChainComplex, total_dim,
                 raise ValueError(f"conflicting pairing ranks at degree {jj}")
             ranks[jj] = r
 
-    def pairing_rank(j):
-        """Known rank of H_{d-j} x H_j pairing, or None."""
-        if h.rank(j) == 0 or h.rank(d - j) == 0:
-            return 0
-        return ranks.get(j)
-
-    q_dims = {}
-    undetermined = []
+    q_dims, integral, undetermined, missing = {}, {}, [], set()
+    zero = (0, ())
+    r_k = 0
     for k in range(d):
-        rk = pairing_rank(k)
-        rk1 = pairing_rank(k + 1)
-        if rk is None or rk1 is None:
+        r_k1 = ranks.get(k + 1) if h.rank(k + 1) and h.rank(d - k - 1) else 0
+        if r_k1 is None:
+            missing.add(min(k + 1, d - k - 1))
+        if r_k is None or r_k1 is None:
             undetermined.append(k)
-            continue
-        q_dims[k] = (h.rank(k) - rk) + (h.rank(d - k - 1) - rk1)
-    if undetermined:
-        notes.append(
-            "intersection-pairing ranks missing in degrees "
-            + ", ".join(str(k) for k in sorted({min(j, d - j) for j in (
-                set(undetermined) | {u + 1 for u in undetermined})
-                if pairing_rank(j) is None}))
-            + "; affected boundary degrees reported undetermined")
+        else:
+            q_dims[k] = (h.rank(k) - r_k) + (h.rank(d - k - 1) - r_k1)
+        r_k = r_k1
+        rel_k = h.at(d - k)          # H^k(W,Y) = H_{d-k}(W)
+        rel_k1 = h.at(d - k - 1)     # H^{k+1}(W,Y) = H_{d-k-1}(W)
+        coh_k, coh_k1 = hstar.at(k), hstar.at(k + 1)
+        if rel_k == rel_k1 == zero:
+            integral[d - 1 - k] = coh_k
+        elif coh_k == coh_k1 == zero:
+            integral[d - 1 - k] = rel_k1
+        elif rel_k == coh_k1 == zero and not rel_k1[1]:
+            integral[d - 1 - k] = (coh_k[0] + rel_k1[0], coh_k[1])
+    notes = () if not missing else (
+        "intersection-pairing ranks missing in degrees "
+        + ", ".join(map(str, sorted(missing)))
+        + "; affected boundary degrees reported undetermined",)
 
     # Q-Poincare duality of Y, degreewise, on the determined part
     for k, v in q_dims.items():
         dual = d - 1 - k
         if dual in q_dims and q_dims[dual] != v:
             raise AssertionError("boundary duality violated: engine bug")
-
-    # forced integral cohomology H^k(Y;Z), then H_j(Y;Z) = H^{d-1-j}(Y;Z)
-    forced_coh = {}
-    zero = (0, ())
-    for k in range(d):
-        rel_k = h.at(d - k)          # H^k(W,Y) = H_{d-k}(W)
-        rel_k1 = h.at(d - k - 1)     # H^{k+1}(W,Y) = H_{d-k-1}(W)
-        coh_k, coh_k1 = hstar.at(k), hstar.at(k + 1)
-        if rel_k == rel_k1 == zero:
-            forced_coh[k] = coh_k
-        elif coh_k == coh_k1 == zero:
-            forced_coh[k] = rel_k1
-        elif rel_k == coh_k1 == zero and not rel_k1[1]:
-            forced_coh[k] = (coh_k[0] + rel_k1[0], coh_k[1])
-    integral = {d - 1 - k: v for k, v in forced_coh.items()}
 
     euler = (1 + (-1) ** (d - 1)) * chain.euler_characteristic()
     if d % 2 == 0:
@@ -273,14 +269,8 @@ def handlebody_boundary_homology(chain: ChainComplex, total_dim,
             raise AssertionError("boundary Euler characteristic disagrees "
                                  "with the rational dimensions: engine bug")
 
-    return BoundaryHomologyReport(
-        boundary_dim=d - 1,
-        q_dims=q_dims,
-        undetermined=tuple(sorted(undetermined)),
-        integral_homology=integral,
-        euler=euler,
-        notes=tuple(notes),
-    )
+    return BoundaryHomologyReport(d - 1, q_dims, tuple(undetermined),
+                                  integral, euler, notes)
 
 
 def boundary_homology(p: HandlePresentation) -> BoundaryHomologyReport:
@@ -364,17 +354,11 @@ def boundary_connect_sum(p: HandlePresentation,
     # merging the two 0-handles changes only d_1, which is zero on each side
     boundaries = p.chain.direct_sum(q.chain).boundaries
 
-    form = None
+    # the sum's form is unknown only when a summand with n-handles has none
     pn, qn = p.chain.dim(p.n), q.chain.dim(q.n)
-    if pn == 0 and qn == 0:
-        form = []
-    elif qn == 0:
-        form = p.intersection_form
-    elif pn == 0:
-        form = q.intersection_form
-    elif p.intersection_form is not None and q.intersection_form is not None:
-        form = block_sum(p.intersection_form, q.intersection_form,
-                         (pn, pn), (qn, qn))
+    pf, qf = p.intersection_form, q.intersection_form
+    form = None if (pn and pf is None) or (qn and qf is None) else block_sum(
+        pf or [], qf or [], (pn, pn), (qn, qn))
     return HandlePresentation(p.n, handles, boundaries, form)
 
 

@@ -49,14 +49,14 @@ def _as_rows(a):
     string) is an error, never truncated, and so is a row that is not a
     sequence (a dict or set among them)."""
     try:
-        # one type test per row; a refused row becomes None, which is not
-        # iterable, so the TypeError leads to the report below
+        # the outer iterable is read once, so the report below sees the same
+        # rows; one type test per row, and a refused row becomes None, which
+        # is not iterable, so the TypeError leads to the report
+        a = a if isinstance(a, list) else list(a)
         rows = [[index(x) for x in (None if isinstance(row, _NOT_ROWS)
                                     else row)] for row in a]
     except TypeError:
-        try:
-            a = list(a)
-        except TypeError:
+        if not isinstance(a, list):
             raise ValueError(f"matrix {a!r} is not a sequence of rows") from None
         for i, row in enumerate(a):
             try:

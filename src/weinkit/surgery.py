@@ -543,6 +543,7 @@ def flexible_surgery_certificate(cert: ADCCertificate, chords, n,
     chords: one ChordSpectrum per input stage, a single spectrum used for
     every stage, or None for no chords at all.
     """
+    n = as_int(n, "half-dimension n")
     if n < 3:
         raise ValueError(f"flexibility needs n >= 3, got n = {n}")
     if cert.stages and cert.n != n:

@@ -1,6 +1,7 @@
 """Presentations, boundary homology, omega membership, connect sums."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,6 +163,14 @@ class TestBoundaryEngine:
         assert r.integral_homology[1] == (0, (2,))
         assert r.integral_homology[0] == (1, ())
         assert r.integral_homology[6] == (1, ())
+
+    def test_split_segment_sums_its_ends(self):
+        # Y = boundary of S^k x D^{k+1} is S^k x S^k; in degree k the segment
+        # 0 -> H^k(W) -> H^k(Y) -> H^{k+1}(W, Y) -> 0 splits, so H_k(Y) = Z^2
+        for k in range(1, 5):
+            chain = ChainComplex({0: 1, k: 1})
+            r = handlebody_boundary_homology(chain, 2 * k + 1)
+            assert r.integral_homology[k] == (2, ())
 
 
 def intersection_form_rank_by_boundary(p):
@@ -454,3 +463,54 @@ class TestBoundaryProperties:
         r = handlebody_boundary_homology(chain, 2 * n, {n: 0})
         for k, (rank, _) in r.integral_homology.items():
             assert r.dim(k) == rank
+
+
+def small_presentations():
+    """Every presentation of the small scope: n in {2, 3, 4}, one 0-handle,
+    at most two (n-1)- and two n-handles, d_n entries in [-1, 1], and
+    (-1)^n-symmetric forms with entries in [-2, 2]."""
+    for n in (2, 3, 4):
+        sign = (-1) ** n
+        for a, b in product(range(3), repeat=2):
+            free = [(i, j) for i in range(b) for j in range(i, b)
+                    if i < j or sign == 1]
+            for entries in product(range(-1, 2), repeat=a * b):
+                d_n = {n: [list(entries[i * b:(i + 1) * b])
+                           for i in range(a)]} if a * b else None
+                for values in product(range(-2, 3), repeat=len(free)):
+                    form = [[0] * b for _ in range(b)]
+                    for (i, j), x in zip(free, values):
+                        form[i][j], form[j][i] = x, sign * x
+                    yield HandlePresentation(
+                        n, [0] + [n - 1] * a + [n] * b, d_n, form)
+
+
+class TestExhaustiveBoundaryIdentities:
+    """Bounded-exhaustive checking (Runciman, Naylor and Lindblad,
+    "SmallCheck and Lazy SmallCheck", 2008): every input of the scope, not
+    a sample, against identities of the boundary Y^{2n-1} that the engine
+    does not use."""
+
+    def test_forced_groups_against_q_dims_and_linking_torsion(self):
+        inputs = reports = 0
+        failures = []
+        for p in small_presentations():
+            inputs += 1
+            try:
+                r = boundary_homology(p)
+            except ValueError as e:
+                # a form whose rank exceeds b_n belongs to no domain
+                assert "exceeds" in str(e), e
+                continue
+            reports += 1
+            forced = r.integral_homology
+            for j, (rank, torsion) in forced.items():
+                # rank H_j(Y;Z) = dim_Q H^j(Y), as Y is a closed manifold
+                if r.dim(j) is not None and rank != r.dim(j):
+                    failures.append((p, j, "rank"))
+                # the linking pairing: Tors H_j = Tors H_{2n-2-j}
+                dual = forced.get(2 * p.n - 2 - j)
+                if dual is not None and dual[1] != torsion:
+                    failures.append((p, j, "torsion"))
+        assert failures == [], (len(failures), failures[:3])
+        assert (inputs, reports) == (23357, 2381)

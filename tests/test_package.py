@@ -883,6 +883,14 @@ _POINT = GradedGroup.free({0: 1})
     (lambda: orbits_after_surgery(OrbitSpectrum(3, (), 4), two_letter_table(),
                                   2.5), "requested bound"),
     (lambda: belt_sphere_chords(two_letter_table(), 2.5), "requested bound"),
+    (lambda: flexible_surgery_certificate(sample_certificate(3, 3), None, "3"),
+     "half-dimension n"),
+    (lambda: taut_les_bounds({0: "1"}, {}, 3), r"known_dims\[0\]"),
+    (lambda: taut_les_bounds({0: 1.5}, {}, 3), r"known_dims\[0\]"),
+    (lambda: taut_les_bounds({}, {"2": 1}, 3), "hstar_dims degree"),
+    (lambda: boundedinfinite_distinguisher(
+        LoopHomologyTable({0: 1}, {0: 1}), LoopHomologyTable({0: 1}, {0: 1}),
+        {0: 1.5}, 3), r"hstar_dims\[0\]"),
 ], ids=["chain-count", "handle-n", "handle-index", "group-rank",
         "torsion-factor", "chord-front", "morse-index", "stabilize-sites",
         "loop-dims", "loop-base", "boundary-dim", "chord-degree",
@@ -895,7 +903,9 @@ _POINT = GradedGroup.free({0: 1})
         "chord-action", "orbit-action", "word-action", "chord-spectrum-bound",
         "orbit-spectrum-bound", "stage-scale", "stage-bound", "rescale-s",
         "normalize-eps", "zigzag-action", "ambient-action", "subcritical-eps",
-        "words-bound", "orbits-bound", "belt-bound"])
+        "words-bound", "orbits-bound", "belt-bound", "flexible-n",
+        "taut-les-string-dim", "taut-les-float-dim", "taut-les-degree",
+        "loops-hy-dims"])
 def test_api_rejects_non_integer_counts(call, field):
     # each used to be truncated by int() or kept: rank 2, n = 3, a 3-handle,
     # Z + Z/2, the chain (2, 12), front (1, 0, 0), indices (0, 1), one site,
@@ -909,7 +919,9 @@ def test_api_rejects_non_integer_counts(call, field):
     # dimension 1.5 or passed, and chord_degree(1.5, 0, 0) returned 0.5; an
     # action, bound, scale or eps of 0.1 became the Fraction
     # 3602879701896397/36028797018963968, where a rational is now refused
-    # like any float (Decimal(4) was read as 4)
+    # like any float (Decimal(4) was read as 4); the flexible pipeline's
+    # n = "3" and a dimension "1" in taut_les_bounds ended in a TypeError,
+    # and its dimension 1.5 came out as float windows
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         call()
 

@@ -220,6 +220,18 @@ NOT_AN_INTEGER = "not an integer"
     pytest.param(lambda: invariant_factors([{1, 2}]),
                  r"^matrix row 0 = \{1, 2\} is not a sequence$",
                  id="set-row"),
+    # a one-shot iterator of rows used to be used up by the fast pass, so
+    # the report found nothing and a bare TypeError escaped
+    pytest.param(lambda: invariant_factors(iter([[1, "x"]])),
+                 r"^matrix entry \(0, 1\) = 'x' is not an integer$",
+                 id="iterator-invariant-factors"),
+    pytest.param(lambda: smith_normal_form(r for r in [[1, 0], [0, 2.5]]),
+                 r"^matrix entry \(1, 1\) = 2.5 is not an integer$",
+                 id="generator-snf"),
+    pytest.param(lambda: ChainComplex({0: 1, 1: 2},
+                                      {1: (r for r in [[1, "x"]])}),
+                 r"^boundary d_1: matrix entry \(0, 1\) = 'x' is not an "
+                 "integer$", id="generator-boundary"),
 ])
 def test_non_integer_entries_rejected(call, message):
     with pytest.raises(ValueError, match=message):
@@ -232,6 +244,7 @@ def test_integer_arrays_accepted():
               np.array([[2, 4], [6, 8]], dtype=np.int8),
               np.array([[2, 4], [6, 8]], dtype=object)):
         assert smith_normal_form(a) == want
+    assert smith_normal_form(r for r in [[2, 4], [6, 8]]) == want
     assert bareiss_determinant(np.array([[1, 2], [3, 4]])) == -2
     # zero rows keep the column count: V is 3 x 3
     res = smith_normal_form(np.zeros((0, 3), dtype=int))
