@@ -23,10 +23,12 @@ from .serialize import (
     _times,
     as_int,
     as_rational,
+    bool_from_json,
     bulk,
     optional,
     ratio_to_str,
     records_of,
+    str_from_json,
     tuple_of,
 )
 
@@ -83,6 +85,8 @@ class ChordRecord(Record):
                 raise ValueError(
                     f"chord {id!r}: degree {degree} does not match "
                     f"front value {expect}")
+        if type(null_homotopic) is not bool:
+            bool_from_json(null_homotopic, "null_homotopic")
         Record.__init__(self, id, degree, action, front, null_homotopic)
 
 
@@ -121,8 +125,10 @@ class MorseData(Record):
                "critical_points": tuple_of(INT, "critical index")}
 
     def __init__(self, name, dimension, chi, orientable, critical_points):
+        str_from_json(name, "name")
         dimension = as_int(dimension, "dimension")
         chi = as_int(chi, "chi")
+        bool_from_json(orientable, "orientable")
         critical_points = tuple(
             as_int(i, "critical index") for i in critical_points)
         if dimension < 0:

@@ -8,14 +8,16 @@ fails or stdout is closed early, 2 on invalid input (unreadable files,
 schema and hypothesis violations, usage errors).
 
 Each command is declared once, as `command(name, formula, *params,
-holds=None)` over its body.  The body loads its inputs (`_load`, `_frac`),
-computes, and returns the report fields in display order.  One runner,
-`_run`, prints one JSON report, {"schema": 1, "command": name, "formula":
-formula, **fields} in canonical key order (with formula None the body
-returns the whole report), or aligned text under --table.  It exits 1 when
-`holds` names a false report entry ("result.fired", "ok"), else 0.  It
-alone turns a SchemaError or ValueError from the body into the JSON error
-report {"schema", "command", "error", "ok": false}, with exit 2.
+holds=None)` over its body.  One runner, `_run`, first reads each input by
+its argument name, in declaration order: a file named in `_RECORDS` as its
+record, an option named in `_RATIONALS` as a Fraction.  The body computes
+from them and returns the report fields in display order.  `_run` prints
+one JSON report, {"schema": 1, "command": name, "formula": formula,
+**fields} in canonical key order (with formula None the body returns the
+whole report), or aligned text under --table.  It exits 1 when `holds`
+names a false report entry ("result.fired", "ok"), else 0.  It alone
+turns a SchemaError or ValueError from a read or the body into the JSON
+error report {"schema", "command", "error", "ok": false}, with exit 2.
 """
 
 import argparse
@@ -44,7 +46,8 @@ from .serialize import (
 )
 
 
-def _load(path, loader):
+def _load(path, module, record):
+    read = getattr(module, record).from_json
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -53,16 +56,24 @@ def _load(path, loader):
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise SchemaError(f"{path} is not JSON: {exc}") from None
     try:
-        return loader(doc)
-    except (ValueError, TypeError, KeyError) as exc:
+        return read(doc)
+    except ValueError as exc:  # every from_json raises SchemaError
         raise SchemaError(f"{path}: {exc}") from None
 
 
-def _frac(text, option):
-    """The rational an option spells, or None when it was not given."""
-    if text is None:
-        return None
-    return parse_rational(text, f"{option} wants a rational like 3/2, got")
+# file argument -> (lazy module, class) of its record, looked up when a
+# command runs, so a process executes only the modules it reads
+_RECORDS = {
+    "presentation": (handles_mod, "HandlePresentation"),
+    "orbits": (surgery_mod, "OrbitSpectrum"),
+    "certificate": (surgery_mod, "ADCCertificate"),
+    **dict.fromkeys(("spectrum", "chords"), (chords_mod, "ChordSpectrum")),
+    **dict.fromkeys(("table_m", "table_n"), (floer_mod, "LoopHomologyTable")),
+    **dict.fromkeys(("group", "group_a", "group_b", "group_l", "group_m",
+                     "boundary_group"), (graded_mod, "GradedGroup")),
+}
+# the options --NAME read as a rational
+_RATIONALS = ("eps", "bound", "zigzag", "action", "tol")
 
 
 def _rows_to_table(rows):
@@ -118,6 +129,12 @@ def _run(command, table, **params):
     body, formula, holds, _ = COMMANDS[command]
     head = {"schema": 1, "command": command}
     try:
+        for name, value in params.items():  # in declaration order
+            if value is not None and name in _RECORDS:
+                params[name] = _load(value, *_RECORDS[name])
+            elif value is not None and name in _RATIONALS:
+                params[name] = parse_rational(
+                    value, f"--{name} wants a rational like 3/2, got")
         report = body(**params)
     except ValueError as exc:  # SchemaError is a ValueError
         table, code = False, 2
@@ -214,13 +231,12 @@ def main(args=None, prog_name="weinkit"):
          _arg("--coeff", choices=("Z", "Q", "F2"), default="Z"))
 def homology(presentation, coeff):
     """Homology of a handle presentation, over Z, Q, or F2."""
-    p = _load(presentation, handles_mod.HandlePresentation.from_json)
-    h = p.homology()
+    h = presentation.homology()
     result = (h.to_json()["graded_group"] if coeff == "Z" else
               degree_map(INT)[0]({k: h.dim(k, coeff) for k in h.field_support
                                   if h.dim(k, coeff)}))
-    return dict(coefficients=coeff, n=p.n, result=result,
-                euler_characteristic=p.euler_characteristic(),
+    return dict(coefficients=coeff, n=presentation.n, result=result,
+                euler_characteristic=presentation.euler_characteristic(),
                 describe=h.describe())
 
 
@@ -228,16 +244,15 @@ def homology(presentation, coeff):
          "presentation")
 def boundary(presentation):
     """Rational homology of the boundary of a handle presentation."""
-    p = _load(presentation, handles_mod.HandlePresentation.from_json)
-    return dict(result=handles_mod.boundary_homology(p).to_json())
+    return dict(result=handles_mod.boundary_homology(presentation).to_json())
 
 
 @command("rank-form", "rank over Q of the middle-degree intersection form",
          "presentation")
 def rank_form(presentation):
     """Rank of the middle intersection form over Q."""
-    p = _load(presentation, handles_mod.HandlePresentation.from_json)
-    return dict(n=p.n, result=handles_mod.intersection_form_rank(p))
+    return dict(n=presentation.n,
+                result=handles_mod.intersection_form_rank(presentation))
 
 
 @command("omega-check", "closed + simply connected + stably parallelizable "
@@ -247,9 +262,8 @@ def rank_form(presentation):
          holds="result.member")
 def omega_check(group, n, closed, simply_connected, stably_parallelizable):
     """Membership in the surgery-ready class of n-manifolds."""
-    g = _load(group, graded_mod.GradedGroup.from_json)
     verdict = handles_mod.omega_membership(
-        g, n, closed, simply_connected, stably_parallelizable)
+        group, n, closed, simply_connected, stably_parallelizable)
     return dict(n=n, result={"member": verdict.member,
                              "reason": verdict.reason})
 
@@ -259,25 +273,22 @@ def omega_check(group, n, closed, simply_connected, stably_parallelizable):
 def sh_plus(group, n, weinstein):
     """Positive symplectic homology from filling cohomology, once the
     full invariant vanishes."""
-    g = _load(group, graded_mod.GradedGroup.from_json)
-    profile = floer_mod.sh_plus_from_vanishing(g, n, weinstein)
+    profile = floer_mod.sh_plus_from_vanishing(group, n, weinstein)
     return dict(n=n, result=profile.to_json())
 
 
 @command("wh-plus", "WH+_k = H^{n-k-1}(L)", "group", _N)
 def wh_plus(group, n):
     """Positive wrapped homology of an exact Lagrangian filling."""
-    g = _load(group, graded_mod.GradedGroup.from_json)
-    return dict(n=n, result=floer_mod.wh_plus_from_vanishing(g, n).to_json())
+    return dict(n=n,
+                result=floer_mod.wh_plus_from_vanishing(group, n).to_json())
 
 
 @command("distinguish", "flexible fillings transport H^*(W) to a contact "
          "invariant", "group_a", "group_b", _N, holds="result.fired")
 def distinguish(group_a, group_b, n):
     """Contact-distinguish boundaries of two flexible domains."""
-    a = _load(group_a, graded_mod.GradedGroup.from_json)
-    b = _load(group_b, graded_mod.GradedGroup.from_json)
-    verdict = floer_mod.distinguish_flexible_fillings(a, b, n)
+    verdict = floer_mod.distinguish_flexible_fillings(group_a, group_b, n)
     return dict(n=n, result=verdict.to_json())
 
 
@@ -295,11 +306,8 @@ def cem_bound(k, dim):
          "table_m", "table_n", "boundary_group", _N, holds="result.fired")
 def loops_distinguish(table_m, table_n, boundary_group, n):
     """Separate two contact boundaries by free-loop-space homology."""
-    lm = _load(table_m, floer_mod.LoopHomologyTable.from_json)
-    ln = _load(table_n, floer_mod.LoopHomologyTable.from_json)
-    hy = _load(boundary_group, graded_mod.GradedGroup.from_json)
-    hy_dims = {k: hy.dim(k, "Q") for k in hy.support}
-    verdict = floer_mod.boundedinfinite_distinguisher(lm, ln, hy_dims, n)
+    hy = {k: boundary_group.dim(k, "Q") for k in boundary_group.support}
+    verdict = floer_mod.boundedinfinite_distinguisher(table_m, table_n, hy, n)
     return dict(n=n, result=verdict.to_json())
 
 
@@ -309,9 +317,7 @@ def loops_distinguish(table_m, table_n, boundary_group, n):
          holds="result.fired")
 def nearby(group_l, group_m, degree_pm1):
     """Isomorphism verdict for the projection of an exact Lagrangian."""
-    hl = _load(group_l, graded_mod.GradedGroup.from_json)
-    hm = _load(group_m, graded_mod.GradedGroup.from_json)
-    verdict = floer_mod.nearby_conclusion(hl, hm, degree_pm1)
+    verdict = floer_mod.nearby_conclusion(group_l, group_m, degree_pm1)
     return dict(result=verdict.to_json())
 
 
@@ -332,11 +338,9 @@ def chord_degree_cmd(down, up, ind):
          _arg("--sites", type=int))
 def stabilize(spectrum, big_n, eps, sites):
     """Zig-zag stabilize a chord spectrum until all degrees are positive."""
-    s = _load(spectrum, chords_mod.ChordSpectrum.from_json)
-    n_stab = chords_mod.min_positive_N(s) if big_n is None else big_n
-    budget = _frac(eps, "--eps")
-    q_data = chords_mod.choose_Q(s.n)
-    out = chords_mod.stabilize(s, n_stab, q_data, budget, sites=sites)
+    n_stab = chords_mod.min_positive_N(spectrum) if big_n is None else big_n
+    q_data = chords_mod.choose_Q(spectrum.n)
+    out = chords_mod.stabilize(spectrum, n_stab, q_data, eps, sites=sites)
     return dict(N=n_stab, Q=q_data.name, result=out.to_json())
 
 
@@ -356,12 +360,10 @@ def self_index(n, big_n):
          _arg("--bound", required=True, help="Action window, as a rational."))
 def words(spectrum, bound):
     """Cyclic words in the chord alphabet below an action bound."""
-    s = _load(spectrum, chords_mod.ChordSpectrum.from_json)
-    window = _frac(bound, "--bound")
     rows = [{"word": w.label(), "length": len(w), "degree": w.degree,
              "action": ratio_to_str(w._action)}
-            for w in surgery_mod.enumerate_words(s, window)]
-    return dict(bound=str(window), count=len(rows), result=rows)
+            for w in surgery_mod.enumerate_words(spectrum, bound)]
+    return dict(bound=str(bound), count=len(rows), result=rows)
 
 
 @command("surgery subcritical",
@@ -372,12 +374,10 @@ def words(spectrum, bound):
               help="Caller asserts pi_1 hypotheses for k = 2."))
 def surgery_subcritical(orbits, n, k, iterates, eps, assert_hypotheses):
     """Belt-sphere orbit iterates created by a subcritical handle."""
-    s = _load(orbits, surgery_mod.OrbitSpectrum.from_json)
-    budget = _frac(eps, "--eps")
-    if budget is None:
-        budget = s.bound / (2 * iterates) if iterates > 0 else Fraction(1)
+    if eps is None:
+        eps = orbits.bound / (2 * iterates) if iterates > 0 else Fraction(1)
     out = surgery_mod.subcritical_surgery(
-        s, n, k, iterates, budget, hypotheses_asserted=assert_hypotheses)
+        orbits, n, k, iterates, eps, hypotheses_asserted=assert_hypotheses)
     return dict(n=n, k=k, iterates=iterates, result=out.to_json())
 
 
@@ -386,11 +386,8 @@ def surgery_subcritical(orbits, n, k, iterates, eps, assert_hypotheses):
          _arg("--zigzag", help="Zig-zag action budget used when stabilizing."))
 def surgery_flexible(certificate, chords, n, zigzag):
     """Run a convexity certificate through the critical-surgery pipeline."""
-    cert = _load(certificate, surgery_mod.ADCCertificate.from_json)
-    chord_data = (None if chords is None
-                  else _load(chords, chords_mod.ChordSpectrum.from_json))
     out = surgery_mod.flexible_surgery_certificate(
-        cert, chord_data, n, zigzag_action=_frac(zigzag, "--zigzag"))
+        certificate, chords, n, zigzag_action=zigzag)
     return dict(n=n, result=out.to_json())
 
 
@@ -399,8 +396,7 @@ def surgery_flexible(certificate, chords, n, zigzag):
          _arg("--bound", help="Chord window, as a rational."))
 def surgery_belt(spectrum, bound):
     """Belt-sphere chords after critical surgery: one per cyclic word."""
-    s = _load(spectrum, chords_mod.ChordSpectrum.from_json)
-    out = surgery_mod.belt_sphere_chords(s, _frac(bound, "--bound"))
+    out = surgery_mod.belt_sphere_chords(spectrum, bound)
     return dict(result=out.to_json())
 
 
@@ -409,8 +405,7 @@ def surgery_belt(spectrum, bound):
          _K, _arg("--action", help="Action of the new chord."))
 def surgery_ambient(spectrum, k, action):
     """Chord created by an ambient subcritical handle."""
-    s = _load(spectrum, chords_mod.ChordSpectrum.from_json)
-    out = surgery_mod.add_surgery_chord(s, k, _frac(action, "--action"))
+    out = surgery_mod.add_surgery_chord(spectrum, k, action)
     return dict(k=k, result=out.to_json())
 
 
@@ -419,8 +414,7 @@ def surgery_ambient(spectrum, k, action):
          holds="result.fired")
 def adc_check_cmd(certificate):
     """Check a staged convexity certificate record by record."""
-    cert = _load(certificate, surgery_mod.ADCCertificate.from_json)
-    return dict(result=surgery_mod.adc_check(cert).to_json())
+    return dict(result=surgery_mod.adc_check(certificate).to_json())
 
 
 @command("normalize-cert", "stage m is rescaled by eps^m; scales contract "
@@ -428,10 +422,8 @@ def adc_check_cmd(certificate):
          _arg("--eps", required=True, help="Shrink factor in (0, 1)."))
 def normalize_cert(certificate, eps):
     """Extract a geometric subsequence with scale ratio <= eps."""
-    cert = _load(certificate, surgery_mod.ADCCertificate.from_json)
-    factor = _frac(eps, "--eps")
-    out = surgery_mod.normalize_certificate(cert, factor)
-    return dict(eps=str(factor), result=out.to_json())
+    out = surgery_mod.normalize_certificate(certificate, eps)
+    return dict(eps=str(eps), result=out.to_json())
 
 
 @command("scaling-verify", "g/(t g + 1) <= cap, integral of g vanishes, "
@@ -448,9 +440,8 @@ def normalize_cert(certificate, eps):
          holds="result.ok")
 def scaling_verify(grid, t_max, height, tol, csv_path):
     """Verify the scaling-profile bounds on a grid."""
-    tolerance = _frac(tol, "--tol")
     profile = scaling_mod.build_g(height=height, nodes=grid)
-    ratio = scaling_mod.bound_ratio(profile, t_max=t_max, tolerance=tolerance)
+    ratio = scaling_mod.bound_ratio(profile, t_max=t_max, tolerance=tol)
     conf = scaling_mod.conformal_bound(height)
     family = scaling_mod.verify_h_family(profile, t_max=t_max)
     if csv_path is not None:

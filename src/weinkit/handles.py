@@ -58,6 +58,9 @@ class HandlePresentation(Record):
         norm = []
         for i, h in enumerate(handles):
             if isinstance(h, (tuple, list)):
+                if len(h) != 2:
+                    raise ValueError(f"handle {i} must be an index or an "
+                                     f"(index, label) pair, got {h!r}")
                 k, label = h
                 norm.append((as_int(k, f"handle {label!r} index"), str(label)))
             else:

@@ -40,40 +40,40 @@ from operator import index
 from .serialize import Record
 
 
-_NOT_ROWS = (dict, set, frozenset)  # they iterate keys, in no row order
+_NOT_ROWS = (dict, set, frozenset)  # keys in no row order: read as None
 
 
 def _as_rows(a):
     """Copy a matrix (nested sequences, numpy integer or object arrays) to
-    lists of Python ints.  An entry that is not an integer (a float, a
-    string) is an error, never truncated, and so is a row that is not a
-    sequence (a dict or set among them)."""
+    lists of Python ints, reading it and each row once: a row that is not a
+    list or tuple is listed first.  An entry that is not an integer (a
+    float, a string) is an error, never truncated, and so is a row that is
+    not a sequence (a dict or set among them)."""
     try:
-        # the outer iterable is read once, so the report below sees the same
-        # rows; one type test per row, and a refused row becomes None, which
-        # is not iterable, so the TypeError leads to the report
         a = a if isinstance(a, list) else list(a)
-        rows = [[index(x) for x in (None if isinstance(row, _NOT_ROWS)
-                                    else row)] for row in a]
     except TypeError:
-        if not isinstance(a, list):
-            raise ValueError(f"matrix {a!r} is not a sequence of rows") from None
-        for i, row in enumerate(a):
-            try:
-                row = list(None if isinstance(row, _NOT_ROWS) else row)
-            except TypeError:
-                raise ValueError(f"matrix row {i} = {row!r} is not a "
-                                 "sequence") from None
-            for j, x in enumerate(row):
-                try:
-                    index(x)
-                except TypeError:
-                    raise ValueError(f"matrix entry ({i}, {j}) = {x!r} is "
-                                     "not an integer") from None
-        raise
+        raise ValueError(f"matrix {a!r} is not a sequence of rows") from None
+    rows = [_int_row(i, row) for i, row in enumerate(a)]
     if len({len(r) for r in rows}) > 1:
         raise ValueError("ragged matrix")
     return rows
+
+
+def _int_row(i, row):
+    try:
+        if not isinstance(row, (list, tuple)):
+            row = list(None if isinstance(row, _NOT_ROWS) else row)
+    except TypeError:
+        raise ValueError(f"matrix row {i} = {row!r} is not a sequence") from None
+    try:
+        return [index(x) for x in row]
+    except TypeError:
+        for j, x in enumerate(row):
+            try:
+                index(x)
+            except TypeError:
+                raise ValueError(f"matrix entry ({i}, {j}) = {x!r} is not "
+                                 "an integer") from None
 
 
 def identity_matrix(n):

@@ -44,6 +44,7 @@ from .serialize import (
     _times,
     as_int,
     as_rational,
+    bool_from_json,
     bulk,
     lowest_terms,
     optional,
@@ -217,6 +218,8 @@ class OrbitRecord(Record):
                 raise ValueError(
                     f"belt origin needs iterate >= 1 in decimal digits "
                     f"without a leading zero, got {origin!r}")
+        if type(contractible) is not bool:
+            bool_from_json(contractible, "contractible")
         Record.__init__(self, degree, action, origin, contractible)
 
 
@@ -233,6 +236,7 @@ class OrbitSpectrum(Record):
         if over < len(orbits):
             raise ValueError(f"orbit action {orbits[over].action} >= bound "
                              f"{ratio_to_str(bound)}")
+        bool_from_json(generic, "generic")
         Record.__init__(self, n, orbits, bound, generic)
 
 

@@ -29,6 +29,7 @@ from weinkit.models import (
 from weinkit.surgery import OrbitSpectrum
 import oracles
 from cli_invoke import invoke
+from test_cli_golden import DATA, RUNS, write_fixtures
 from test_package import _python
 
 
@@ -217,6 +218,81 @@ class TestMalformedInput:
         result = invoke(args + [path] + extra)
         assert result.exit_code == 2
         assert report_of(result)["error"] == f"{path}: {message}"
+
+
+def _text_arguments():
+    """(command, dest, first name) of every declared argument whose value
+    reaches the runner as text: no type, action or choices."""
+    for command, (_, _, _, params) in cli.COMMANDS.items():
+        for param in params:
+            names, keywords = ((param,), {}) if isinstance(param, str) else param
+            if not keywords.keys() & {"type", "action", "choices"}:
+                dest = keywords.get("dest",
+                                    names[0].lstrip("-").replace("-", "_"))
+                yield command, dest, names[0]
+
+
+def _missing_file_runs():
+    """(command, file argument) -> the first golden run of the command that
+    gives the argument and does not exit 2, with that file made missing."""
+    with open(DATA) as fh:
+        golden = json.load(fh)
+    runs = {}
+    for run in RUNS:
+        if golden[" ".join(run)]["exit_code"] == 2:
+            continue
+        words = 2 if run[0] == "surgery" else 1
+        command = " ".join(run[:words])
+        # the files come first, in declaration order, and --chords names one
+        files = [p for p in cli.COMMANDS[command][3] if isinstance(p, str)]
+        slots = {dest: words + i for i, dest in enumerate(files)}
+        if "--chords" in run:
+            slots["chords"] = run.index("--chords") + 1
+        for dest, i in slots.items():
+            runs.setdefault((command, dest),
+                            run[:i] + ["missing.json"] + run[i + 1:])
+    return runs
+
+
+MISSING_FILE_RUNS = _missing_file_runs()
+
+
+class TestRunnerReads:
+    """`cli._run` reads every file and rational by its argument name, in
+    declaration order, before the body runs."""
+
+    def test_every_text_argument_is_read_by_name(self):
+        # a file or rational left out of the tables would reach its body as
+        # a string; the entry name and the CSV path are no inputs
+        read = set()
+        for command, dest, name in _text_arguments():
+            if (command, dest) in {("examples", "name"),
+                                   ("scaling-verify", "csv_path")}:
+                continue
+            table = (cli._RECORDS if not name.startswith("-")
+                     or name == "--chords" else cli._RATIONALS)
+            assert dest in table, (command, name)
+            read.add(dest)
+        assert read == {*cli._RECORDS, *cli._RATIONALS}
+
+    def test_every_file_argument_has_a_missing_file_run(self):
+        assert set(MISSING_FILE_RUNS) == {
+            (command, dest) for command, dest, _ in _text_arguments()
+            if dest in cli._RECORDS}
+
+    @pytest.mark.parametrize("args, error", [
+        *(pytest.param(run, "cannot read missing.json: ", id=" ".join(run))
+          for run in MISSING_FILE_RUNS.values()),
+        pytest.param(["surgery", "subcritical", "orbits.json", "--n", "3",
+                      "--k", "1", "--iterates", "1", "--eps", "x"],
+                     "--eps wants a rational like 3/2, got 'x': ",
+                     id="surgery subcritical --eps x")])
+    def test_each_input_is_read(self, args, error, tmp_path, monkeypatch):
+        write_fixtures(str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        result = invoke(args)
+        assert result.exit_code == 2
+        assert report_of(result)["error"].startswith(error)
 
 
 class TestDetectors:

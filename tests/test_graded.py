@@ -465,6 +465,7 @@ class TestCharacteristics:
         assert h.field_support == (0, 1, 2)
         assert gg({3: (1, []), 5: (0, [3])}).field_support == (3, 4, 5, 6)
         assert GradedGroup.zero().field_support == ()
+        assert GradedGroup.zero().describe() == "0"
 
 
 def test_json_roundtrips():

@@ -263,10 +263,12 @@ class TestOmegaMembership:
     def test_even_sphere(self):
         v = omega_membership({0: 1, 6: 1}, 6, **self.FLAGS)
         assert v.member and "chi = 2" in v.reason
+        assert bool(v) is True
 
     def test_even_torus_like_fails(self):
         v = omega_membership({0: 1, 1: 2, 2: 1}, 2, **self.FLAGS)
         assert not v.member
+        assert bool(v) is False
 
     def test_odd_sphere(self):
         assert omega_membership({0: 1, 3: 1}, 3, **self.FLAGS).member

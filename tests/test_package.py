@@ -68,7 +68,14 @@ from weinkit.handles import (
     handlebody_boundary_homology,
     omega_membership,
 )
-from weinkit.models import middle_rank_family, mixed_sign_spectrum, sample_certificate, two_letter_table
+from weinkit.models import (
+    middle_rank_family,
+    mixed_sign_spectrum,
+    sample_certificate,
+    two_letter_table,
+    wedge_spheres_boundary,
+    wedge_thickening,
+)
 from weinkit.scaling import CheckResult, bound_ratio, build_g, verify_h_family
 from weinkit.serialize import Record, SchemaError, Verdict, _spectrum_fields, matrix_from_json, reader
 from weinkit.snf import bareiss_determinant, mat_mul
@@ -857,6 +864,8 @@ _POINT = GradedGroup.free({0: 1})
     (lambda: flexible_support_test({4}, 2.5), "half-dimension n"),
     (lambda: choose_Q(3.5), "half-dimension n"),
     (lambda: chord_degree(1.5, 0, 0), "down-cusp count"),
+    (lambda: chord_degree(1, "x", 0), "up-cusp count"),
+    (lambda: chord_degree(1, 0, 1.5), "Morse index"),
     (lambda: taut_les_bounds({}, {0: 1}, 3.5), "half-dimension n"),
     (lambda: omega_membership(_POINT, 3.5, True, True, True), "dimension n"),
     (lambda: semi_characteristic(_POINT, 3.5), "dimension n"),
@@ -898,7 +907,8 @@ _POINT = GradedGroup.free({0: 1})
         "chord-spectrum-n", "orbit-spectrum-n", "morse-dimension",
         "morse-chi", "stabilize-N", "subcritical-iterates", "ambient-k",
         "self-index-N", "cem-copies", "handle-bare-index", "distinguish-n",
-        "flexible-support-n", "choose-Q-n", "chord-degree-down", "taut-les-n",
+        "flexible-support-n", "choose-Q-n", "chord-degree-down",
+        "chord-degree-up", "chord-degree-ind", "taut-les-n",
         "omega-n", "semi-characteristic-n", "adc-support-n", "loops-n",
         "chord-action", "orbit-action", "word-action", "chord-spectrum-bound",
         "orbit-spectrum-bound", "stage-scale", "stage-bound", "rescale-s",
@@ -975,6 +985,22 @@ def _one_chord(n=3):
     (lambda: semi_characteristic(_POINT, -1), "n must be >= 1, got -1"),
     (lambda: _coprime_base([0, 2]),
      "torsion factors must be >= 1, got [0, 2]"),
+    (lambda: ChordRecord("a", 0, 1, null_homotopic="no"),
+     "null_homotopic must be true or false, got 'no'"),
+    (lambda: OrbitRecord(1, 1, contractible=0),
+     "contractible must be true or false, got 0"),
+    (lambda: OrbitSpectrum(3, (), 4, generic=None),
+     "generic must be true or false, got None"),
+    (lambda: MorseData(5, 1, 0, True, (0, 1)), "name must be a string, got 5"),
+    (lambda: MorseData("x", 1, 0, "yes", (0, 1)),
+     "orientable must be true or false, got 'yes'"),
+    (lambda: HandlePresentation(3, [(0,)]),
+     "handle 0 must be an index or an (index, label) pair, got (0,)"),
+    (lambda: CheckResult.from_json({"value": "1", "tolerance": 0, "ok": True}),
+     "CheckResult: value must be a number, got '1'"),
+    (lambda: wedge_thickening(0), "need at least one wedge summand"),
+    (lambda: wedge_spheres_boundary(0), "need at least one wedge summand"),
+    (lambda: sample_certificate(3, 0), "need at least one stage"),
 ], ids=["chain-count", "chain-degree", "handle-n", "boundary-dim",
         "boundary-conflicting-ranks", "boundary-semi-undetermined",
         "matrix-not-list", "matrix-ragged", "spectrum-bound", "chord-front",
@@ -982,9 +1008,14 @@ def _one_chord(n=3):
         "subcritical-iterates", "subcritical-eps", "ambient-action",
         "belt-n", "stage-scale", "flexible-certificate-n", "flexible-chords-n",
         "mat-mul-shape", "determinant-square", "semi-characteristic-n",
-        "coprime-base-zero"])
+        "coprime-base-zero", "chord-null-homotopic", "orbit-contractible",
+        "orbit-spectrum-generic", "morse-name", "morse-orientable",
+        "handle-pair", "check-result-value", "wedge-thickening",
+        "wedge-spheres", "sample-certificate"])
 def test_api_validation_messages(call, message):
-    # each raise is reachable from the API, and no other test runs it
+    # each raise is reachable from the API, and no other test runs it; the
+    # four flags used to be stored and then fail their own record's reader,
+    # and the one-entry handle ended in a bare "not enough values to unpack"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 

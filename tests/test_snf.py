@@ -232,6 +232,16 @@ NOT_AN_INTEGER = "not an integer"
                                       {1: (r for r in [[1, "x"]])}),
                  r"^boundary d_1: matrix entry \(0, 1\) = 'x' is not an "
                  "integer$", id="generator-boundary"),
+    # a row that is itself a one-shot iterator was used up the same way
+    pytest.param(lambda: invariant_factors([iter([1, "x"])]),
+                 r"^matrix entry \(0, 1\) = 'x' is not an integer$",
+                 id="iterator-row-invariant-factors"),
+    pytest.param(lambda: smith_normal_form([iter([1, "x"])]),
+                 r"^matrix entry \(0, 1\) = 'x' is not an integer$",
+                 id="iterator-row-snf"),
+    pytest.param(lambda: ChainComplex({0: 1, 1: 2}, {1: [iter([1, "x"])]}),
+                 r"^boundary d_1: matrix entry \(0, 1\) = 'x' is not an "
+                 "integer$", id="iterator-row-boundary"),
 ])
 def test_non_integer_entries_rejected(call, message):
     with pytest.raises(ValueError, match=message):
